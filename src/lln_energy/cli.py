@@ -30,11 +30,18 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_sha256, dump_config, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    config_sha256,
+    dump_config,
+    load_config,
+    validate_config,
+)
 from .explorer import SweepSpec, frontier, sweep
 from .framing import LayoutError
 from .pathmodel import segment_model
-from .simulator import RNG_ALGORITHM, SimConfig, simulate
+from .simulator import RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
 
@@ -72,9 +79,6 @@ def _add_sim(p: _Parser):
     p.add_argument("--reps", type=int, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("--fidelity", choices=("frame", "bit"))
-    p.add_argument("--method", choices=("auto", "direct", "batched"))
-    p.add_argument("--segment-cap", type=int,
-                   help="simulate only this many segments, extrapolate linearly")
     p.add_argument("--workers", type=int, help="parallel replication workers")
 
 
@@ -125,8 +129,6 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         ("reps", "replications"),
         ("seed", "seed"),
         ("fidelity", "fidelity"),
-        ("method", "method"),
-        ("segment_cap", "segment_cap"),
         ("workers", "workers"),
     ):
         value = getattr(args, attr, None)
@@ -206,29 +208,15 @@ def _cmd_model(cfg: RunConfig, args) -> list[dict]:
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> list[dict]:
-    report = simulate(_sim_config(cfg))
+    report = simulate(cfg.sim())
     row = {"source": "sim"}
     row.update(report.to_record())
     return [row]
 
 
-def _sim_config(cfg: RunConfig) -> SimConfig:
-    return SimConfig(
-        scenario=cfg.scenario(),
-        energy=cfg.energy(),
-        replications=cfg.replications,
-        master_seed=cfg.seed,
-        fidelity=cfg.fidelity,
-        segment_cap=cfg.segment_cap,
-        round_cap=cfg.round_cap,
-        method=cfg.method,
-        workers=cfg.workers,
-    )
-
-
 def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
     model = segment_model(cfg.scenario(), energy=cfg.energy())
-    sim = simulate(_sim_config(cfg))
+    sim = simulate(cfg.sim())
     rows = [
         {"source": "model", **model.to_record()},
         {"source": "sim", **sim.to_record()},
@@ -310,8 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         if config_path:
             cfg = load_config(config_path, cfg)
         cfg = _apply_flags(cfg, args)
-        from .config import validate_config
-
         validate_config(cfg)
 
         if args.print_config:

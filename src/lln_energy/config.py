@@ -15,10 +15,14 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from .framing import FrameLayout
 from .hopmodel import HopParams
 from .pathmodel import EnergyParams, PathScenario
+
+if TYPE_CHECKING:
+    from .simulator import SimConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "dump_config", "config_sha256"]
 
@@ -54,9 +58,7 @@ class RunConfig:
     replications: int = 1000
     seed: int = 1
     fidelity: str = "frame"
-    segment_cap: int | None = None
     round_cap: int = 1_000_000
-    method: str = "auto"
     workers: int = 1
 
     def layout(self) -> FrameLayout:
@@ -94,6 +96,21 @@ class RunConfig:
             n_neighbors=self.n_neighbors,
         )
 
+    def sim(self) -> SimConfig:
+        # imported here, not at the top: the simulator loads numpy, and every
+        # module the CLI compiles after numpy adds to its peak memory
+        from .simulator import SimConfig
+
+        return SimConfig(
+            scenario=self.scenario(),
+            energy=self.energy(),
+            replications=self.replications,
+            master_seed=self.seed,
+            fidelity=self.fidelity,
+            round_cap=self.round_cap,
+            workers=self.workers,
+        )
+
 
 _SECTIONS: dict[str, tuple[str, ...]] = {
     "path": ("hops", "ber", "retries", "hop_bers"),
@@ -113,9 +130,7 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
         "replications",
         "seed",
         "fidelity",
-        "segment_cap",
         "round_cap",
-        "method",
         "workers",
     ),
 }
@@ -130,9 +145,7 @@ def _parse_value(name: str, raw: str, where: str):
             return tuple(float(x) for x in raw.split(",") if x.strip())
         if name == "fragments":
             return raw if raw in ("auto", "fit") else int(raw)
-        if name == "segment_cap":
-            return None if raw in ("", "none") else int(raw)
-        if name in ("fidelity", "method"):
+        if name == "fidelity":
             return raw
         if name in ("ber", "alpha", "tx_uj_per_bit", "rx_uj_per_bit", "n_neighbors"):
             return float(raw)
@@ -195,17 +208,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("retries must be >= 1")
     if cfg.mss_bytes < 1 or cfg.transfer_bytes < 1:
         raise ConfigError("mss_bytes and transfer_bytes must be >= 1")
-    if cfg.fidelity not in ("frame", "bit"):
-        raise ConfigError(f'fidelity must be "frame" or "bit", got {cfg.fidelity!r}')
-    if cfg.method not in ("auto", "direct", "batched"):
-        raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.replications < 1 or cfg.workers < 1 or cfg.round_cap < 1:
-        raise ConfigError("replications, workers and round_cap must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
     try:
-        cfg.layout()
-        cfg.path()
+        cfg.sim()
     except (ConfigError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -218,11 +222,9 @@ def dump_config(cfg: RunConfig) -> str:
         out.write(f"[{section}]\n")
         for key in keys:
             v = values[key]
-            if v is None:
-                if key == "hop_bers":
+            if key == "hop_bers":
+                if v is None:
                     continue  # homogeneous path: ber covers it
-                v = "none"
-            elif key == "hop_bers":
                 v = ", ".join(repr(x) for x in v)
             elif isinstance(v, float):
                 v = repr(v)

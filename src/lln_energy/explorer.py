@@ -65,6 +65,8 @@ def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario
     elif axis == "alpha":
         layout = replace(layout, alpha=float(value))
     elif axis == "h":
+        if len(set(hops)) > 1:
+            raise ValueError("the h axis needs a homogeneous path; its hops differ")
         hops = tuple(hops[0] for _ in range(int(value)))
     elif axis == "mss":
         mss = int(value)

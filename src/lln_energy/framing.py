@@ -140,14 +140,11 @@ def resolve_frames(mss_bytes: int, layout: FrameLayout) -> ResolvedFrames:
 
     if layout.fragments == "fit":
         m = _fit_fragments(payload_bits, layout)
-        k_data, d_data, c_data = _data_frame_bits(payload_bits, m, layout)
+    elif layout.fragments == "auto":
+        m = default_fragment_count(mss_bytes)
     else:
-        m = (
-            default_fragment_count(mss_bytes)
-            if layout.fragments == "auto"
-            else layout.fragments
-        )
-        k_data, d_data, c_data = _data_frame_bits(payload_bits, m, layout)
+        m = layout.fragments
+    k_data, d_data, c_data = _data_frame_bits(payload_bits, m, layout)
 
     k_ack = (
         layout.tcp_header_bits + layout.ip_header_bits + layout.ll_data_header_bits

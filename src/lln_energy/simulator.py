@@ -1,27 +1,31 @@
-"""Monte Carlo validator: replay the transfer's stochastic process and count bits.
+"""Monte Carlo validator: draw the transfer's stochastic process and count bits.
 
 This is the independent check on the closed-form expectations. Nothing
 above a single transmission attempt is taken from the formulas: delivery
 chains across hops, duplicate suppression after lost link ACKs, fragment
-rounds, and unbounded end-to-end retries are all replayed event by event.
+rounds, and unbounded end-to-end retries are all drawn from the process.
 A data frame crosses a hop after up to r attempts; an attempt that loses
 only the link ACK still delivers (the receiver relays and later drops the
 duplicate retransmission). A segment round sends all m fragments end to
 end, then the TCP ACK back across the reversed path; the round repeats
 until that ACK arrives.
 
-Two fidelities draw the per-attempt outcome: ``frame`` samples the
-(fail, partial, success) categorical summarizing one attempt, ``bit``
-draws the raw per-bit error counts and applies the correction threshold.
+Each fidelity has one sampler, named by ``SimReport.method``:
 
-Configurations whose round success probability is minuscule (expected
-rounds per segment can reach 1e10 and beyond) cannot be replayed round by
-round in any budget. For those the ``batched`` method samples the round
-count from its exact geometric law and the per-round costs from simulated
-conditioned rounds; the estimate stays unbiased for the mean and every
-cost component is still measured from process draws, never from the
-closed-form expectations. Counters become expected-value estimates
-(floats) in that mode.
+* ``frame`` fidelity, method ``aggregate``. Segments and rounds are
+  i.i.d., so a replication's totals depend only on how many hop
+  traversals land in each outcome class of the single attempt's (fail,
+  partial, success) categorical, not on the order of events. Each
+  replication draws those counts exactly: per-segment round counts from
+  Geometric(p_round), capped at ``round_cap``; the failed rounds split
+  into "a fragment was dropped" and "only the TCP ACK was lost"; the
+  dropped-fragment count of each such round from the zero-truncated
+  binomial; the hop where each drop happened; and every hop's
+  attempt-class counts by multinomial. The work does not grow with the
+  round count, and every counter is an exact integer.
+* ``bit`` fidelity, method ``replay``. Every attempt of every round is
+  replayed, drawing the raw per-bit error counts and applying the
+  correction threshold. ``round_cap`` bounds its work.
 
 Replication ``i`` always derives its RNG stream from
 ``(master_seed, i)``, so serial and parallel execution produce
@@ -31,6 +35,7 @@ bit-identical reports.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .framing import resolve_frames
-from .hopmodel import AttemptProbs, attempt_probs, frame_error_prob
+from .hopmodel import AttemptProbs, attempt_probs
 from .pathmodel import EnergyParams, PathScenario
 
 __all__ = [
@@ -51,9 +56,11 @@ __all__ = [
 
 RNG_ALGORITHM = "PCG64"
 
+_INT64_MAX = 2**63 - 1
+
 
 class TruncationWarning(RuntimeWarning):
-    """A per-segment attempt cap fired; the reported mean is biased low."""
+    """A per-segment round cap fired; the reported mean is biased low."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,7 @@ class SimConfig:
     replications: int = 30
     master_seed: int = 1
     fidelity: str = "frame"  # "frame" | "bit"
-    segment_cap: int | None = None  # simulate this many segments, scale linearly
-    round_cap: int = 1_000_000  # attempts allowed per segment before truncating
-    method: str = "auto"  # "auto" | "direct" | "batched"
-    batched_threshold: float = 50.0  # auto: batched above this expected rounds/segment
-    fail_round_samples: int = 128  # batched: failed rounds sampled per replication
+    round_cap: int = 1_000_000  # end-to-end rounds per segment before truncating
     workers: int = 1
 
     def __post_init__(self):
@@ -77,16 +80,8 @@ class SimConfig:
             raise ValueError("master_seed must be non-negative")
         if self.fidelity not in ("frame", "bit"):
             raise ValueError(f'fidelity must be "frame" or "bit", got {self.fidelity!r}')
-        if self.method not in ("auto", "direct", "batched"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "batched" and self.fidelity == "bit":
-            raise ValueError("the batched estimator requires frame fidelity")
-        if self.segment_cap is not None and self.segment_cap < 1:
-            raise ValueError("segment_cap must be >= 1")
         if self.round_cap < 1:
             raise ValueError("round_cap must be >= 1")
-        if self.fail_round_samples < 1:
-            raise ValueError("fail_round_samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -104,7 +99,7 @@ COUNTER_NAMES = (
 
 @dataclass(frozen=True)
 class SimCounters:
-    """Per-replication mean event counts (floats; exact in direct mode)."""
+    """Per-replication mean event counts."""
 
     link_attempts: float
     link_failures: float
@@ -122,14 +117,13 @@ class SimCounters:
 class SimReport:
     replications: int
     segments: int
-    segments_simulated: int
     mean_total_bits: float
     stddev_total_bits: float
     stderr_total_bits: float
     ci95_half_width: float
     mean_total_joules: float
     counters: SimCounters
-    method: str
+    method: str  # "aggregate" (frame fidelity) | "replay" (bit fidelity)
     fidelity: str
     truncated: bool
     master_seed: int
@@ -141,7 +135,6 @@ class SimReport:
         rec = {
             "replications": self.replications,
             "segments": self.segments,
-            "segments_simulated": self.segments_simulated,
             "mean_total_bits": self.mean_total_bits,
             "stddev_total_bits": self.stddev_total_bits,
             "stderr_total_bits": self.stderr_total_bits,
@@ -166,7 +159,8 @@ class _HopTables:
     or the k-th attempt is the first success (i partials before it). Each
     class carries the attempt count, how many data copies reached the
     receiver (each one costs a link ACK and all but the first are dropped
-    as duplicates), and whether the frame got through at all.
+    as duplicates), and whether the frame got through at all. Class 0
+    (all r attempts fail outright) is the only one that drops the frame.
     """
 
     def __init__(self, probs: AttemptProbs, r: int):
@@ -190,35 +184,138 @@ class _HopTables:
         self.attempts = np.asarray(attempts, dtype=np.int64)
         self.arrivals = np.asarray(arrivals, dtype=np.int64)
         self.partials = self.arrivals - np.asarray(ended_success, dtype=np.int64)
-        self.delivered = self.arrivals > 0
-        self.cum = np.cumsum(w)
-        self.cum[-1] = 1.0
-        self.p_delivered = float(w[self.delivered].sum())
+        self.p_drop = float(w[0])
+        delivered = np.where(self.arrivals > 0, w, 0.0)
+        total = delivered.sum()
+        self.delivered_pmf = delivered / total if total > 0 else delivered
 
-        cw = w[self.delivered]
-        self.cond_index = np.flatnonzero(self.delivered)
-        self.cond_cum = np.cumsum(cw / cw.sum()) if self.p_delivered > 0 else None
-        if self.cond_cum is not None:
-            self.cond_cum[-1] = 1.0
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """Class indices for uniform draws in [0, 1)."""
-        return np.minimum(np.searchsorted(self.cum, u, side="right"), len(self.cum) - 1)
+def _log_pass(tables: list[_HopTables]) -> float:
+    """Log-probability that one frame crosses every hop (-inf past a dead hop)."""
+    if any(t.p_drop >= 1.0 for t in tables):
+        return -math.inf
+    return math.fsum(math.log1p(-t.p_drop) for t in tables)
 
-    def draw_delivered(self, u: np.ndarray) -> np.ndarray:
-        """Class indices conditioned on the frame getting through."""
-        k = np.minimum(
-            np.searchsorted(self.cond_cum, u, side="right"), len(self.cond_cum) - 1
+
+def _drop_site_pmf(tables: list[_HopTables]) -> np.ndarray:
+    """Where a dropped frame stopped: hop j with weight reach_j * drop_j."""
+    reach, weights = 1.0, []
+    for t in tables:
+        weights.append(reach * t.p_drop)
+        reach *= 1.0 - t.p_drop
+    w = np.asarray(weights)
+    return w / w.sum() if w.sum() > 0 else w
+
+
+def _beyond(drops: np.ndarray) -> np.ndarray:
+    """For each hop, the frames dropped at a later hop (they crossed this one)."""
+    return np.cumsum(drops[::-1])[::-1] - drops
+
+
+class _Aggregate:
+    """Frame fidelity: one exact draw of every outcome-class count per replication."""
+
+    method = "aggregate"
+
+    def __init__(self, scenario: PathScenario, round_cap: int):
+        frames = resolve_frames(scenario.mss_bytes, scenario.layout)
+        a = scenario.layout.ll_ack_bits
+        self.m = m = frames.m
+        self.segments = scenario.segments
+        self.round_cap = round_cap
+        data = [
+            _HopTables(attempt_probs(frames.d_data_bits, frames.c_data_bits, a, hp.ber), hp.r)
+            for hp in scenario.hops
+        ]
+        ack = [  # the TCP ACK travels the path backwards
+            _HopTables(attempt_probs(frames.d_ack_bits, frames.c_ack_bits, a, hp.ber), hp.r)
+            for hp in reversed(scenario.hops)
+        ]
+
+        # One row per hop traversal type (data hops, then ACK hops), padded
+        # at the front so the last column is always a real delivered class:
+        # numpy gives any rounding remainder of a multinomial to the last one.
+        tables = data + ack
+        width = max(len(t.attempts) for t in tables)
+        pads = [width - len(t.attempts) for t in tables]
+        self.class_pmf = np.array(
+            [np.pad(t.delivered_pmf, (p, 0)) for t, p in zip(tables, pads)]
         )
-        return self.cond_index[k]
+        self.drop_class = np.asarray(pads)  # column of each row's class 0
+        frame_bits = [frames.d_data_bits] * len(data) + [frames.d_ack_bits] * len(ack)
+        per_class = {
+            "bits": [t.attempts * d + t.arrivals * a for t, d in zip(tables, frame_bits)],
+            "link_attempts": [t.attempts for t in tables],
+            "link_failures": [t.attempts - t.arrivals for t in tables],
+            "partial_failures": [t.partials for t in tables],
+            "duplicates_suppressed": [np.maximum(t.arrivals - 1, 0) for t in tables],
+        }
+        # Python ints, so the totals stay exact however many rounds there are
+        self.class_weights = {
+            name: np.concatenate(
+                [np.pad(v, (p, 0)) for v, p in zip(values, pads)]
+            ).tolist()
+            for name, values in per_class.items()
+        }
+
+        log_frag, log_ack = _log_pass(data), _log_pass(ack)
+        self.p_round = math.exp(m * log_frag + log_ack)
+        p_frag_lost = -math.expm1(m * log_frag)
+        p_ack_lost = math.exp(m * log_frag) * -math.expm1(log_ack)
+        p_fail = p_frag_lost + p_ack_lost
+        self.p_frag_round = p_frag_lost / p_fail if p_fail > 0 else 0.0
+        # dropped fragments in a round that lost at least one: Binomial(m, p) | >= 1
+        p = -math.expm1(log_frag)
+        lost = np.array([math.comb(m, d) * p**d * (1 - p) ** (m - d) for d in range(1, m + 1)])
+        self.lost_pmf = lost / lost.sum() if lost.sum() > 0 else lost
+        self.lost_sizes = np.arange(1, m + 1)
+        self.data_drop_pmf = _drop_site_pmf(data)
+        self.ack_drop_pmf = _drop_site_pmf(ack)
+
+    def run(self, rng):
+        m, n_seg, cap = self.m, self.segments, self.round_cap
+        if self.p_round > 0.0:
+            rounds = rng.geometric(self.p_round, size=n_seg)
+            done = rounds <= cap
+            succeeded = int(done.sum())
+            sends = sum(rounds[done].tolist()) + cap * (n_seg - succeeded)
+        else:
+            succeeded, sends = 0, cap * n_seg
+        if sends * m > _INT64_MAX:
+            raise ValueError(
+                f"round_cap = {cap} lets one replication send {sends * m} fragments, "
+                "past what 64-bit counters hold; lower round_cap"
+            )
+        failed = sends - succeeded
+        frag_rounds = int(rng.binomial(failed, self.p_frag_round))
+        lost = int(rng.multinomial(frag_rounds, self.lost_pmf) @ self.lost_sizes)
+        data_drops = rng.multinomial(lost, self.data_drop_pmf)
+        ack_drops = rng.multinomial(failed - frag_rounds, self.ack_drop_pmf)
+        crossed = np.concatenate([
+            sends * m - lost + _beyond(data_drops),
+            succeeded + _beyond(ack_drops),
+        ])
+        counts = rng.multinomial(crossed, self.class_pmf)
+        drops = np.concatenate([data_drops, ack_drops])
+        counts[np.arange(len(drops)), self.drop_class] += drops
+        flat = counts.ravel().tolist()
+        totals = {
+            name: sum(map(operator.mul, flat, weights))
+            for name, weights in self.class_weights.items()
+        }
+        bits = totals.pop("bits")
+        totals["hop_drops"] = lost + failed - frag_rounds
+        totals["segment_sends"] = sends
+        totals["segment_retx"] = sends - n_seg
+        return float(bits), totals, succeeded < n_seg
 
 
-class _Process:
-    """Precomputed per-hop machinery for one configuration."""
+class _Replay:
+    """Bit fidelity: every attempt of every round, event by event."""
 
-    def __init__(self, config: SimConfig):
-        self.config = config
-        scenario = config.scenario
+    method = "replay"
+
+    def __init__(self, scenario: PathScenario, round_cap: int):
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         self.m = frames.m
         self.h = len(scenario.hops)
@@ -229,64 +326,8 @@ class _Process:
         self.a = scenario.layout.ll_ack_bits
         self.data_hops = tuple(scenario.hops)
         self.ack_hops = tuple(reversed(scenario.hops))  # TCP ACK travels back
-
         self.segments = scenario.segments
-        self.n_seg = (
-            min(self.segments, config.segment_cap)
-            if config.segment_cap is not None
-            else self.segments
-        )
-
-        if config.fidelity == "frame":
-            self.data_tables = [
-                _HopTables(attempt_probs(self.d_data, self.c_data, self.a, hp.ber), hp.r)
-                for hp in self.data_hops
-            ]
-            self.ack_tables = [
-                _HopTables(attempt_probs(self.d_ack, self.c_ack, self.a, hp.ber), hp.r)
-                for hp in self.ack_hops
-            ]
-            q_frag = math.prod(t.p_delivered for t in self.data_tables)
-            q_ack = math.prod(t.p_delivered for t in self.ack_tables)
-            self.p_round = q_frag**self.m * q_ack
-        else:
-            self.data_tables = self.ack_tables = None
-            q_frag = math.prod(
-                1.0 - frame_error_prob(self.d_data, self.c_data, hp.ber) ** hp.r
-                for hp in self.data_hops
-            )
-            q_ack = math.prod(
-                1.0 - frame_error_prob(self.d_ack, self.c_ack, hp.ber) ** hp.r
-                for hp in self.ack_hops
-            )
-            self.p_round = q_frag**self.m * q_ack  # method heuristic only
-
-        if config.method != "auto":
-            self.method = config.method
-        elif (
-            config.fidelity == "frame"
-            and (self.p_round == 0.0 or 1.0 / self.p_round > config.batched_threshold)
-        ):
-            self.method = "batched"
-        else:
-            self.method = "direct"
-
-    # -- one phase: a frame type crossing all hops for a batch of segments --
-
-    def _phase_frame(self, rng, tables, shape):
-        """Frame-fidelity hop summaries for ``shape`` traversals x h hops."""
-        u = rng.random(shape + (self.h,))
-        att = np.empty(shape + (self.h,), np.int64)
-        arr = np.empty_like(att)
-        par = np.empty_like(att)
-        dlv = np.empty(shape + (self.h,), bool)
-        for j, tbl in enumerate(tables):
-            idx = tbl.draw(u[..., j])
-            att[..., j] = tbl.attempts[idx]
-            arr[..., j] = tbl.arrivals[idx]
-            par[..., j] = tbl.partials[idx]
-            dlv[..., j] = tbl.delivered[idx]
-        return att, arr, par, dlv
+        self.round_cap = round_cap
 
     def _phase_bit(self, rng, hops, d_bits, c_bits, shape):
         """Bit-fidelity hop summaries: raw binomial error draws per attempt."""
@@ -318,30 +359,19 @@ class _Process:
         reached[..., 1:] = ok[..., :-1]
         return reached, ok[..., -1]
 
-    def round_batch(self, rng, n, per_item=False):
-        """One full segment round for n segments.
-
-        Returns (bits, ok, counters); counters are scalars summed over the
-        batch, or per-segment arrays when ``per_item`` (the batched
-        estimator needs to average over failed rounds).
-        """
-        m, h = self.m, self.h
-        if self.config.fidelity == "frame":
-            att, arr, par, dlv = self._phase_frame(rng, self.data_tables, (n, m))
-        else:
-            att, arr, par, dlv = self._phase_bit(
-                rng, self.data_hops, self.d_data, self.c_data, (n, m)
-            )
+    def round_batch(self, rng, n):
+        """One full segment round for n segments: (bits, ok, summed counters)."""
+        m = self.m
+        att, arr, par, dlv = self._phase_bit(
+            rng, self.data_hops, self.d_data, self.c_data, (n, m)
+        )
         reached, frag_ok = self._chain(dlv)
         data_bits = ((att * self.d_data + arr * self.a) * reached).sum(axis=(1, 2))
         seg_ok = frag_ok.all(axis=1)
 
-        if self.config.fidelity == "frame":
-            att2, arr2, par2, dlv2 = self._phase_frame(rng, self.ack_tables, (n,))
-        else:
-            att2, arr2, par2, dlv2 = self._phase_bit(
-                rng, self.ack_hops, self.d_ack, self.c_ack, (n,)
-            )
+        att2, arr2, par2, dlv2 = self._phase_bit(
+            rng, self.ack_hops, self.d_ack, self.c_ack, (n,)
+        )
         reached2, ack_through = self._chain(dlv2)
         reached2 &= seg_ok[:, None]  # the TCP ACK is only sent if the data arrived
         ack_bits = ((att2 * self.d_ack + arr2 * self.a) * reached2).sum(axis=1)
@@ -360,42 +390,10 @@ class _Process:
             "duplicates_suppressed": (np.maximum(arr - 1, 0) * reached).sum(axis=axes)
             + (np.maximum(arr2 - 1, 0) * reached2).sum(axis=1),
         }
-        if not per_item:
-            c = {k: float(v.sum()) for k, v in c.items()}
-        return bits, ok, c
+        return bits, ok, {k: float(v.sum()) for k, v in c.items()}
 
-    def round_success(self, rng, n):
-        """A segment round conditioned on succeeding (every hop delivers)."""
-        m, h = self.m, self.h
-        u = rng.random((n, m, h))
-        bits = np.zeros(n)
-        c = {k: np.zeros(n) for k in (
-            "link_attempts", "link_failures", "partial_failures",
-            "hop_drops", "duplicates_suppressed",
-        )}
-        for j, tbl in enumerate(self.data_tables):
-            idx = tbl.draw_delivered(u[..., j])
-            att, arr, par = tbl.attempts[idx], tbl.arrivals[idx], tbl.partials[idx]
-            bits += (att * self.d_data + arr * self.a).sum(axis=1)
-            c["link_attempts"] += att.sum(axis=1)
-            c["link_failures"] += (att - arr).sum(axis=1)
-            c["partial_failures"] += par.sum(axis=1)
-            c["duplicates_suppressed"] += np.maximum(arr - 1, 0).sum(axis=1)
-        u2 = rng.random((n, h))
-        for j, tbl in enumerate(self.ack_tables):
-            idx = tbl.draw_delivered(u2[..., j])
-            att, arr, par = tbl.attempts[idx], tbl.arrivals[idx], tbl.partials[idx]
-            bits += att * self.d_ack + arr * self.a
-            c["link_attempts"] += att
-            c["link_failures"] += att - arr
-            c["partial_failures"] += par
-            c["duplicates_suppressed"] += np.maximum(arr - 1, 0)
-        return bits, c
-
-    # -- per-replication drivers --
-
-    def run_direct(self, rng):
-        n_seg = self.n_seg
+    def run(self, rng):
+        n_seg = self.segments
         bits = np.zeros(n_seg)
         sends = np.zeros(n_seg, dtype=np.int64)
         counters = dict.fromkeys(COUNTER_NAMES, 0.0)
@@ -407,7 +405,7 @@ class _Process:
             sends[active] += 1
             for k, v in c.items():
                 counters[k] += v
-            capped = ~ok & (sends[active] >= self.config.round_cap)
+            capped = ~ok & (sends[active] >= self.round_cap)
             if capped.any():
                 truncated = True
             active = active[~(ok | capped)]
@@ -415,81 +413,20 @@ class _Process:
         counters["segment_retx"] = float(sends.sum() - n_seg)
         return float(bits.sum()), counters, truncated
 
-    def run_batched(self, rng):
-        n_seg = self.n_seg
-        cap = self.config.round_cap
-        truncated = False
-        if self.p_round > 0.0:
-            rounds = rng.geometric(self.p_round, size=n_seg)
-            if (rounds > cap).any():
-                truncated = True
-                rounds = np.minimum(rounds, cap)
-        else:
-            truncated = True
-            rounds = np.full(n_seg, cap, dtype=np.int64)
 
-        # Failed-round costs, by rejection from unconditioned rounds (the
-        # batched regime means rounds almost surely fail).
-        want = self.config.fail_round_samples
-        fail_bits: list[np.ndarray] = []
-        fail_counts: dict[str, list[np.ndarray]] = {}
-        got = 0
-        for _ in range(64):
-            b, ok, c = self.round_batch(rng, want, per_item=True)
-            keep = ~ok
-            fail_bits.append(b[keep])
-            for k, v in c.items():
-                fail_counts.setdefault(k, []).append(v[keep])
-            got += int(keep.sum())
-            if got >= want:
-                break
-        if got == 0:
-            raise RuntimeError(
-                "batched estimator could not sample a failed round; "
-                "use method='direct' for this configuration"
-            )
-        mean_fail_bits = float(np.concatenate(fail_bits).mean())
-        mean_fail = {
-            k: float(np.concatenate(v).mean()) for k, v in fail_counts.items()
-        }
-
-        failures = rounds.astype(np.float64) - (0.0 if self.p_round == 0.0 else 1.0)
-        if self.p_round == 0.0:
-            total_bits = float(failures.sum() * mean_fail_bits)
-            counters = {k: float(failures.sum() * mean_fail[k]) for k in mean_fail}
-        else:
-            succ_bits, succ_c = self.round_success(rng, n_seg)
-            total_bits = float((failures * mean_fail_bits + succ_bits).sum())
-            counters = {
-                k: float((failures * mean_fail[k] + succ_c[k]).sum())
-                for k in mean_fail
-            }
-        counters["segment_sends"] = float(rounds.sum())
-        counters["segment_retx"] = float(rounds.sum() - n_seg)
-        return total_bits, counters, truncated
-
-    def run_replication(self, rep: int):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.config.master_seed, rep])
-        )
-        if self.method == "batched":
-            bits, counters, truncated = self.run_batched(rng)
-        else:
-            bits, counters, truncated = self.run_direct(rng)
-        if self.n_seg < self.segments:  # linear extrapolation to the full transfer
-            scale = self.segments / self.n_seg
-            bits *= scale
-            counters = {k: v * scale for k, v in counters.items()}
-        return bits, counters, truncated
+def _sampler(config: SimConfig) -> _Aggregate | _Replay:
+    kind = _Aggregate if config.fidelity == "frame" else _Replay
+    return kind(config.scenario, config.round_cap)
 
 
 def _run_chunk(config: SimConfig, start: int, stop: int):
-    proc = _Process(config)
+    sampler = _sampler(config)
     bits = np.empty(stop - start)
     counters = {k: np.empty(stop - start) for k in COUNTER_NAMES}
     truncated = False
     for i, rep in enumerate(range(start, stop)):
-        b, c, t = proc.run_replication(rep)
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, rep]))
+        b, c, t = sampler.run(rng)
         bits[i] = b
         for k in COUNTER_NAMES:
             counters[k][i] = c[k]
@@ -504,7 +441,7 @@ def simulate(config: SimConfig) -> SimReport:
     ``workers``: replication i's stream depends only on (master_seed, i)
     and aggregation follows replication order.
     """
-    proc = _Process(config)
+    sampler = _sampler(config)
     reps = config.replications
 
     if config.workers == 1 or reps == 1:
@@ -532,14 +469,10 @@ def simulate(config: SimConfig) -> SimReport:
     stderr = stddev / math.sqrt(reps)
 
     flags = []
-    if proc.method == "batched":
-        flags.append("batched_estimator")
-    if proc.n_seg < proc.segments:
-        flags.append("extrapolated")
     if truncated:
         flags.append("truncated")
         warnings.warn(
-            f"per-segment attempt cap ({config.round_cap}) fired; "
+            f"per-segment round cap ({config.round_cap}) fired; "
             "the reported mean is biased low",
             TruncationWarning,
             stacklevel=2,
@@ -547,15 +480,14 @@ def simulate(config: SimConfig) -> SimReport:
 
     return SimReport(
         replications=reps,
-        segments=proc.segments,
-        segments_simulated=proc.n_seg,
+        segments=sampler.segments,
         mean_total_bits=mean,
         stddev_total_bits=stddev,
         stderr_total_bits=stderr,
         ci95_half_width=1.96 * stderr,
         mean_total_joules=mean * config.energy.uj_per_bit() * 1e-6,
         counters=SimCounters(**{k: float(counters[k].mean()) for k in COUNTER_NAMES}),
-        method=proc.method,
+        method=sampler.method,
         fidelity=config.fidelity,
         truncated=truncated,
         master_seed=config.master_seed,

@@ -4,6 +4,7 @@ import pytest
 
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
 from lln_energy.framing import FrameLayout
+from lln_energy.hopmodel import HopParams
 from lln_energy.pathmodel import EnergyParams, PathScenario, segment_model, uniform_path
 
 LAYOUT = FrameLayout(frag_header_bits=136)
@@ -61,6 +62,12 @@ class TestSweep:
         rows = sweep(SweepSpec(scenario=base_scenario(), axis="h", grid=(1, 4),
                                mss_list=(64,)))
         assert [r["h"] for r in rows] == [1, 4]
+
+    def test_h_axis_rejects_heterogeneous_path(self):
+        hops = tuple(HopParams(ber=b, r=3) for b in (1e-5, 1e-3, 1e-3))
+        sc = PathScenario(hops=hops, layout=LAYOUT, mss_bytes=64)
+        with pytest.raises(ValueError, match="homogeneous"):
+            sweep(SweepSpec(scenario=sc, axis="h", grid=(3,), mss_list=(64,)))
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
