@@ -25,9 +25,7 @@ from .pathmodel import (
     EnergyParams,
     ModelReport,
     PathScenario,
-    fragment_failure_bits,
-    fragment_failure_bits_closed,
-    fragment_failure_bits_variant,
+    fragment_failure_sum,
     path_bits,
     path_success_prob,
     segment_model,

@@ -38,12 +38,14 @@ from .config import (
     load_config,
     validate_config,
 )
-from .explorer import SweepSpec, frontier, sweep
+from .explorer import BER_RANGE, MSS_PAIR, POINTS_PER_DECADE, SweepSpec, frontier, sweep
 from .framing import LayoutError
 from .pathmodel import segment_model
 from .simulator import RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
+
+_MSS_PAIR = ",".join(map(str, MSS_PAIR))
 
 STRICT_FLAGS = {"diverges", "degenerate_hop", "truncated", "no_crossover", "layout_error"}
 
@@ -104,16 +106,16 @@ def build_parser() -> _Parser:
                            required=True)
             p.add_argument("--grid", required=True,
                            help='"lo:hi:log:N", "lo:hi:lin:N", or comma list')
-            p.add_argument("--mss-list", default="64,512",
+            p.add_argument("--mss-list", default=_MSS_PAIR,
                            help="MSS values compared at each grid point")
         if name == "frontier":
             p.add_argument("--family", choices=("r", "alpha"), required=True)
             p.add_argument("--values", required=True,
                            help="family values, e.g. 1,2,3,4,5,7 or 1e-3,1e-2")
             p.add_argument("--h-range", default="1:9", help='hop counts "lo:hi" or list')
-            p.add_argument("--mss-pair", default="64,512")
-            p.add_argument("--ber-range", default="1e-7:1e-1")
-            p.add_argument("--points-per-decade", type=int, default=10)
+            p.add_argument("--mss-pair", default=_MSS_PAIR)
+            p.add_argument("--ber-range", default="%r:%r" % BER_RANGE)
+            p.add_argument("--points-per-decade", type=int, default=POINTS_PER_DECADE)
     return parser
 
 
@@ -216,15 +218,18 @@ def _cmd_simulate(cfg: RunConfig, args) -> list[dict]:
 
 def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
     model = segment_model(cfg.scenario(), energy=cfg.energy())
-    sim = simulate(cfg.sim())
-    rows = [
-        {"source": "model", **model.to_record()},
-        {"source": "sim", **sim.to_record()},
-    ]
+    rows = [{"source": "model", **model.to_record()}]
     verdict: dict = {"source": "verdict"}
     if model.total_bits is None:
+        # no segment round can succeed, so there is no transfer to simulate
         verdict.update(verdict="SKIP", flags="diverges",
                        note="model diverges; nothing to compare")
+        return rows + [verdict]
+    sim = simulate(cfg.sim())
+    rows.append({"source": "sim", **sim.to_record()})
+    if sim.truncated:
+        verdict.update(verdict="SKIP", flags="truncated",
+                       note="round cap fired; the sim mean is biased low")
     else:
         delta = sim.mean_total_bits - model.total_bits
         tol = 3.0 * sim.stderr_total_bits

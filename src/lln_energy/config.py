@@ -2,11 +2,12 @@
 
 Every default matches the bundled reference deployment (five 3e-4 hops,
 three link-layer attempts, 802.15.4-style 127-byte MTU, 51.2 kB
-transfer); the per-fragment adaptation overhead default of 136 bits is
-the calibrated value recorded in docs/calibration.md. Frame sizes in the
-file are in bits; every ``*_bits`` key also accepts a ``*_bytes`` twin
-(converted, mutually exclusive). Unknown sections or keys are rejected
-with file context.
+transfer). The layout, hop, transfer and energy defaults are read from
+the classes that own them (``FrameLayout``, ``HopParams``,
+``PathScenario``, ``EnergyParams``), and those classes check the values.
+Frame sizes in the file are in bits; every ``*_bits`` key also accepts a
+``*_bytes`` twin (converted, mutually exclusive). Unknown sections or
+keys are rejected with file context.
 """
 
 from __future__ import annotations
@@ -36,25 +37,25 @@ class RunConfig:
     # [path]
     hops: int = 5
     ber: float = 3e-4
-    retries: int = 3
+    retries: int = HopParams.r
     hop_bers: tuple[float, ...] | None = None  # per-hop override of ber
     # [frames]
-    mtu_bits: int = 1016
-    ll_data_header_bits: int = 120
-    ll_ack_bits: int = 40
-    frag_header_bits: int = 136
-    ip_header_bits: int = 160
-    tcp_header_bits: int = 160
-    alpha: float = 0.0
-    fragments: int | str = "auto"
+    mtu_bits: int = FrameLayout.mtu_bits
+    ll_data_header_bits: int = FrameLayout.ll_data_header_bits
+    ll_ack_bits: int = FrameLayout.ll_ack_bits
+    frag_header_bits: int = FrameLayout.frag_header_bits
+    ip_header_bits: int = FrameLayout.ip_header_bits
+    tcp_header_bits: int = FrameLayout.tcp_header_bits
+    alpha: float = FrameLayout.alpha
+    fragments: int | str = FrameLayout.fragments
     # [transfer]
     mss_bytes: int = 64
-    transfer_bytes: int = 51200
+    transfer_bytes: int = PathScenario.transfer_bytes
     # [energy]
-    tx_uj_per_bit: float = 0.24
-    rx_uj_per_bit: float = 0.21
-    n_neighbors: float = 2.0
-    # [sim]
+    tx_uj_per_bit: float = EnergyParams.tx_uj_per_bit
+    rx_uj_per_bit: float = EnergyParams.rx_uj_per_bit
+    n_neighbors: float = EnergyParams.n_neighbors
+    # [sim]; SimConfig reads its defaults from here
     replications: int = 1000
     seed: int = 1
     fidelity: str = "frame"
@@ -74,11 +75,11 @@ class RunConfig:
         )
 
     def path(self) -> tuple[HopParams, ...]:
-        bers = self.hop_bers or (self.ber,) * self.hops
-        if len(bers) != self.hops:
+        if self.hop_bers and len(self.hop_bers) != self.hops:
             raise ConfigError(
-                f"hop_bers lists {len(bers)} hops but hops = {self.hops}"
+                f"hop_bers lists {len(self.hop_bers)} hops but hops = {self.hops}"
             )
+        bers = self.hop_bers or (self.ber,) * self.hops
         return tuple(HopParams(ber=b, r=self.retries) for b in bers)
 
     def scenario(self) -> PathScenario:
@@ -198,19 +199,10 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.hops < 1:
-        raise ConfigError("hops must be >= 1")
-    if not 0.0 <= cfg.ber < 1.0:
-        raise ConfigError(f"ber must be in [0, 1), got {cfg.ber}")
-    if cfg.hop_bers is not None and any(not 0.0 <= b < 1.0 for b in cfg.hop_bers):
-        raise ConfigError("every hop_bers entry must be in [0, 1)")
-    if cfg.retries < 1:
-        raise ConfigError("retries must be >= 1")
-    if cfg.mss_bytes < 1 or cfg.transfer_bytes < 1:
-        raise ConfigError("mss_bytes and transfer_bytes must be >= 1")
+    """Build every parameter object once; their constructors do the checks."""
     try:
         cfg.sim()
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 

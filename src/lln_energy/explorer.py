@@ -29,6 +29,12 @@ __all__ = [
 
 SWEEP_AXES = ("ber", "r", "alpha", "h", "mss")
 
+#: Defaults of the sweeps, crossovers and frontiers, shared with the CLI:
+#: the short and long MSS compared, and the geometric BER scan.
+MSS_PAIR = (64, 512)
+BER_RANGE = (1e-7, 1e-1)
+POINTS_PER_DECADE = 10
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -37,7 +43,7 @@ class SweepSpec:
     scenario: PathScenario
     axis: str
     grid: tuple
-    mss_list: tuple[int, ...] = (64, 512)
+    mss_list: tuple[int, ...] = MSS_PAIR
     energy: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
@@ -108,8 +114,9 @@ class FrontierPoint:
 
     ``ber_lo``/``ber_hi`` bracket the sign change: the long MSS is cheaper
     at ber_lo and dearer at ber_hi. ``crossover_ber`` is None when the
-    scan saw no sign change (``no_crossover`` flag); ``multiple_crossovers``
-    flags a scan with more than one sign change (the smallest is returned).
+    scan saw no such change (``no_crossover`` flag); ``multiple_crossovers``
+    flags a scan with more than one sign change either way (the smallest
+    cheaper-to-dearer one is returned).
     """
 
     h: int
@@ -159,10 +166,10 @@ def _energy_gap(scenario: PathScenario, ber: float, mss_pair, energy) -> float |
 
 def crossover_ber(
     scenario: PathScenario,
-    mss_pair: tuple[int, int] = (64, 512),
+    mss_pair: tuple[int, int] = MSS_PAIR,
     energy: EnergyParams = EnergyParams(),
-    ber_range: tuple[float, float] = (1e-7, 1e-1),
-    points_per_decade: int = 10,
+    ber_range: tuple[float, float] = BER_RANGE,
+    points_per_decade: int = POINTS_PER_DECADE,
     rel_tol: float = 1e-3,
 ) -> FrontierPoint:
     """Locate the BER where the long and short MSS cost the same energy.
@@ -181,13 +188,16 @@ def crossover_ber(
     gap = lambda b: _energy_gap(scenario, b, mss_pair, energy)
     h = len(scenario.hops)
     brackets = []
+    sign_changes = 0
     prev = None
     for b in grid:
         g = gap(b)
         if g is None:
             continue
-        if prev is not None and prev[1] < 0 and g >= 0:
-            brackets.append((prev[0], b))
+        if prev is not None and (prev[1] < 0) != (g < 0):
+            sign_changes += 1
+            if prev[1] < 0:
+                brackets.append((prev[0], b))
         prev = (b, g)
     flags = []
     if not brackets:
@@ -195,7 +205,7 @@ def crossover_ber(
             h=h, family=None, family_value=None, crossover_ber=None,
             ber_lo=None, ber_hi=None, flags=("no_crossover",),
         )
-    if len(brackets) > 1:
+    if sign_changes > 1:
         flags.append("multiple_crossovers")
 
     b_lo, b_hi = brackets[0]
@@ -218,10 +228,10 @@ def frontier(
     family: str,
     family_values,
     h_values,
-    mss_pair: tuple[int, int] = (64, 512),
+    mss_pair: tuple[int, int] = MSS_PAIR,
     energy: EnergyParams = EnergyParams(),
-    ber_range: tuple[float, float] = (1e-7, 1e-1),
-    points_per_decade: int = 10,
+    ber_range: tuple[float, float] = BER_RANGE,
+    points_per_decade: int = POINTS_PER_DECADE,
 ) -> list[FrontierPoint]:
     """One crossover curve per family member (family is ``r`` or ``alpha``).
 

@@ -50,12 +50,16 @@ class FrameLayout:
     data frame fits the MTU (m then grows with alpha in a stairstep).
     Explicit counts are deliberately not checked against the MTU so that
     reference accountings that overrun a naive MTU budget stay expressible.
+
+    The defaults describe the reference deployment's 802.15.4-style link
+    (127-byte MTU); the per-fragment adaptation overhead of 136 bits is the
+    calibrated value recorded in docs/calibration.md.
     """
 
     mtu_bits: int = 1016
     ll_data_header_bits: int = 120
     ll_ack_bits: int = 40
-    frag_header_bits: int = 0
+    frag_header_bits: int = 136
     ip_header_bits: int = 160
     tcp_header_bits: int = 160
     alpha: float = 0.0

@@ -29,9 +29,7 @@ __all__ = [
     "uniform_path",
     "path_success_prob",
     "path_bits",
-    "fragment_failure_bits",
-    "fragment_failure_bits_closed",
-    "fragment_failure_bits_variant",
+    "fragment_failure_sum",
     "segment_model",
     "FLAG_DIVERGES",
     "FLAG_DEGENERATE_HOP",
@@ -41,7 +39,7 @@ FLAG_DIVERGES = "diverges"
 FLAG_DEGENERATE_HOP = "degenerate_hop"
 
 
-def uniform_path(h: int, ber: float, r: int = 3) -> tuple[HopParams, ...]:
+def uniform_path(h: int, ber: float, r: int = HopParams.r) -> tuple[HopParams, ...]:
     """h identical hops; convenience for the homogeneous-path scenarios."""
     if h < 1:
         raise ValueError(f"need at least one hop, got {h}")
@@ -77,7 +75,7 @@ class EnergyParams:
 
     tx_uj_per_bit: float = 0.24
     rx_uj_per_bit: float = 0.21
-    n_neighbors: float = 2
+    n_neighbors: float = 2.0
 
     def __post_init__(self):
         if self.tx_uj_per_bit < 0 or self.rx_uj_per_bit < 0 or self.n_neighbors < 0:
@@ -137,14 +135,16 @@ def _one_minus_pow(q: float, k: int) -> float:
     return -math.expm1(k * math.log(q))
 
 
-def _fragment_failure_raw(
+def fragment_failure_sum(
     m: int, q_s: float, e_s: float | None, e_f: float | None
 ) -> float:
-    """Unnormalized sum over rounds with k >= 1 failed fragments.
+    """Bits of a round of m fragments, summed over rounds with >= 1 failure.
 
-    sum_k C(m,k) (k*e_f + (m-k)*e_s) (1-q_s)^k q_s^(m-k). Well-defined at
-    both endpoints: 0 when q_s = 1 (failures never happen), m*e_f when
-    q_s = 0 (every fragment fails).
+    The unnormalized sum_k C(m,k) (k e_f + (m-k) e_s) (1-q_s)^k q_s^(m-k)
+    over k >= 1, in closed form: m (1-q_s) e_f + m e_s q_s (1 - q_s^(m-1)).
+    Divided by 1 - q_s^m it is the expected cost of a round given that a
+    fragment failed. Well-defined at both endpoints: 0 when q_s = 1
+    (failures never happen), m*e_f when q_s = 0 (every fragment fails).
     """
     if m < 1:
         raise ValueError(f"fragment count must be >= 1, got {m}")
@@ -152,51 +152,7 @@ def _fragment_failure_raw(
         return 0.0
     if q_s <= 0.0:
         return m * e_f
-    x = 1.0 - q_s
-    total = 0.0
-    for k in range(1, m + 1):
-        weight = math.comb(m, k) * x**k * q_s ** (m - k)
-        total += weight * (k * e_f + (m - k) * e_s)
-    return total
-
-
-def fragment_failure_bits(
-    m: int, q_s: float, e_s: float, e_f: float
-) -> float | None:
-    """Expected bits for one round of m fragments, given at least one failed.
-
-    Exact binomial summation normalized by P(>=1 failure) = 1 - q_s^m.
-    None (degenerate) when q_s is exactly 0 or 1.
-    """
-    if q_s <= 0.0 or q_s >= 1.0:
-        return None
-    return _fragment_failure_raw(m, q_s, e_s, e_f) / _one_minus_pow(q_s, m)
-
-
-def fragment_failure_bits_closed(
-    m: int, q_s: float, e_s: float, e_f: float
-) -> float | None:
-    """Closed form of :func:`fragment_failure_bits`; algebraic cross-check.
-
-    The unnormalized sum collapses to m(1-q)e_f + m e_s q (1 - q^(m-1)).
-    """
-    if q_s <= 0.0 or q_s >= 1.0:
-        return None
-    raw = m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1)
-    return raw / _one_minus_pow(q_s, m)
-
-
-def fragment_failure_bits_variant(
-    m: int, q_s: float, e_s: float, e_f: float
-) -> float:
-    """Published closed-form variant of the unnormalized sum, for comparison.
-
-    Uses m(1-q)e_f + m e_s q (1 - q^m): the trailing exponent is m where
-    the exact summation gives m-1, and no conditioning normalization is
-    applied. Kept so the deviation from the exact sum can be measured;
-    not used by :func:`segment_model`.
-    """
-    return m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m)
+    return m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1)
 
 
 @dataclass(frozen=True)
@@ -315,17 +271,13 @@ def segment_model(
     if any(hm.degenerate for hm in data_hops + ack_hops):
         flags.append(FLAG_DEGENERATE_HOP)
 
-    i_f = (
-        fragment_failure_bits(m, q_s, e_s, e_f)
-        if 0.0 < q_s < 1.0
-        else None
-    )
+    frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
+    i_f = frag_term / _one_minus_pow(q_s, m) if 0.0 < q_s < 1.0 else None
     s_s = None if e_s is None or e_s_ack is None else m * e_s + e_s_ack
 
-    # Conditional cost of a failed round, assembled from the raw
-    # (unnormalized) pieces so endpoint cases never multiply None by zero.
+    # Conditional cost of a failed round, assembled from the unnormalized
+    # pieces so endpoint cases never multiply None by zero.
     if p_s < 1.0:
-        frag_term = _fragment_failure_raw(m, q_s, e_s, e_f)
         if q_s_m == 0.0 or q_s_ack >= 1.0:
             ack_term = 0.0
         else:

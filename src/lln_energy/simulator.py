@@ -17,15 +17,18 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   traversals land in each outcome class of the single attempt's (fail,
   partial, success) categorical, not on the order of events. Each
   replication draws those counts exactly: per-segment round counts from
-  Geometric(p_round), capped at ``round_cap``; the failed rounds split
+  Geometric(p_round), uncapped; the failed rounds split
   into "a fragment was dropped" and "only the TCP ACK was lost"; the
   dropped-fragment count of each such round from the zero-truncated
   binomial; the hop where each drop happened; and every hop's
   attempt-class counts by multinomial. The work does not grow with the
-  round count, and every counter is an exact integer.
+  round count, and every counter is an exact integer. A replication
+  whose counters would pass 64-bit integers is refused with a
+  ``ValueError``.
 * ``bit`` fidelity, method ``replay``. Every attempt of every round is
   replayed, drawing the raw per-bit error counts and applying the
-  correction threshold. ``round_cap`` bounds its work.
+  correction threshold. ``round_cap`` bounds its work; a segment that hits
+  the cap sets ``truncated``.
 
 Replication ``i`` always derives its RNG stream from
 ``(master_seed, i)``, so serial and parallel execution produce
@@ -42,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .framing import resolve_frames
 from .hopmodel import AttemptProbs, attempt_probs
 from .pathmodel import EnergyParams, PathScenario
@@ -60,18 +64,19 @@ _INT64_MAX = 2**63 - 1
 
 
 class TruncationWarning(RuntimeWarning):
-    """A per-segment round cap fired; the reported mean is biased low."""
+    """The bit replay's per-segment round cap fired; the mean is biased low."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
     scenario: PathScenario
     energy: EnergyParams = field(default_factory=EnergyParams)
-    replications: int = 30
-    master_seed: int = 1
-    fidelity: str = "frame"  # "frame" | "bit"
-    round_cap: int = 1_000_000  # end-to-end rounds per segment before truncating
-    workers: int = 1
+    replications: int = RunConfig.replications
+    master_seed: int = RunConfig.seed
+    fidelity: str = RunConfig.fidelity  # "frame" | "bit"
+    # bit fidelity: end-to-end rounds per segment before the replay truncates
+    round_cap: int = RunConfig.round_cap
+    workers: int = RunConfig.workers
 
     def __post_init__(self):
         if self.replications < 1:
@@ -217,12 +222,11 @@ class _Aggregate:
 
     method = "aggregate"
 
-    def __init__(self, scenario: PathScenario, round_cap: int):
+    def __init__(self, scenario: PathScenario):
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         a = scenario.layout.ll_ack_bits
         self.m = m = frames.m
         self.segments = scenario.segments
-        self.round_cap = round_cap
         data = [
             _HopTables(attempt_probs(frames.d_data_bits, frames.c_data_bits, a, hp.ber), hp.r)
             for hp in scenario.hops
@@ -273,27 +277,26 @@ class _Aggregate:
         self.ack_drop_pmf = _drop_site_pmf(ack)
 
     def run(self, rng):
-        m, n_seg, cap = self.m, self.segments, self.round_cap
+        m, n_seg = self.m, self.segments
         if self.p_round > 0.0:
-            rounds = rng.geometric(self.p_round, size=n_seg)
-            done = rounds <= cap
-            succeeded = int(done.sum())
-            sends = sum(rounds[done].tolist()) + cap * (n_seg - succeeded)
+            sends = sum(rng.geometric(self.p_round, size=n_seg).tolist())
         else:
-            succeeded, sends = 0, cap * n_seg
-        if sends * m > _INT64_MAX:
+            sends = _INT64_MAX  # no round can succeed
+        # numpy saturates a geometric draw at the int64 maximum (p below ~1e-19),
+        # so such a draw fails this check too
+        if sends * m >= _INT64_MAX:
             raise ValueError(
-                f"round_cap = {cap} lets one replication send {sends * m} fragments, "
-                "past what 64-bit counters hold; lower round_cap"
+                f"segment rounds succeed with probability {self.p_round:.3g}: one "
+                "replication would send more fragments than 64-bit counters hold"
             )
-        failed = sends - succeeded
+        failed = sends - n_seg
         frag_rounds = int(rng.binomial(failed, self.p_frag_round))
         lost = int(rng.multinomial(frag_rounds, self.lost_pmf) @ self.lost_sizes)
         data_drops = rng.multinomial(lost, self.data_drop_pmf)
         ack_drops = rng.multinomial(failed - frag_rounds, self.ack_drop_pmf)
         crossed = np.concatenate([
             sends * m - lost + _beyond(data_drops),
-            succeeded + _beyond(ack_drops),
+            n_seg + _beyond(ack_drops),
         ])
         counts = rng.multinomial(crossed, self.class_pmf)
         drops = np.concatenate([data_drops, ack_drops])
@@ -306,8 +309,8 @@ class _Aggregate:
         bits = totals.pop("bits")
         totals["hop_drops"] = lost + failed - frag_rounds
         totals["segment_sends"] = sends
-        totals["segment_retx"] = sends - n_seg
-        return float(bits), totals, succeeded < n_seg
+        totals["segment_retx"] = failed
+        return float(bits), totals, False
 
 
 class _Replay:
@@ -415,8 +418,9 @@ class _Replay:
 
 
 def _sampler(config: SimConfig) -> _Aggregate | _Replay:
-    kind = _Aggregate if config.fidelity == "frame" else _Replay
-    return kind(config.scenario, config.round_cap)
+    if config.fidelity == "frame":
+        return _Aggregate(config.scenario)
+    return _Replay(config.scenario, config.round_cap)
 
 
 def _run_chunk(config: SimConfig, start: int, stop: int):

@@ -40,15 +40,14 @@ from lln_energy.framing import resolve_frames
 from lln_energy.hopmodel import AttemptProbs, expected_success_bits
 from lln_energy.pathmodel import (
     PathScenario,
-    fragment_failure_bits,
-    fragment_failure_bits_closed,
-    fragment_failure_bits_variant,
+    fragment_failure_sum,
     segment_model,
     uniform_path,
 )
 from lln_energy.simulator import SimConfig, simulate
 
 from test_hopmodel import enum_success_bits
+from test_pathmodel import fragment_failure_bits, fragment_failure_bits_variant
 
 SEED = 20260810
 WORKERS = 2
@@ -109,10 +108,10 @@ def test_criterion_3_fragment_failure_oracle():
     for m in range(1, 9):
         for q in qs:
             exact = fragment_failure_bits(m, q, e_s, e_f)
-            closed = fragment_failure_bits_closed(m, q, e_s, e_f)
+            exact_raw = fragment_failure_sum(m, q, e_s, e_f)
+            closed = exact_raw / (1.0 - q**m)
             worst = max(worst, abs(exact - closed) / exact)
             variant = fragment_failure_bits_variant(m, q, e_s, e_f)
-            exact_raw = exact * (1.0 - q**m)
             worst_variant = max(
                 worst_variant, abs(variant - exact_raw) / exact_raw
             )

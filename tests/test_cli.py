@@ -11,6 +11,7 @@ from lln_energy.config import (
     dump_config,
     load_config,
 )
+from lln_energy.simulator import TruncationWarning
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,34 @@ class TestSubcommands:
         rows = [json.loads(l) for l in body(out).splitlines()]
         assert [r["source"] for r in rows] == ["model", "sim", "verdict"]
         assert rows[2]["verdict"] == "PASS"
+
+    def test_validate_heavy_tail_passes_past_round_cap(self, capsys):
+        # ~1e12 rounds per segment, far past the default round_cap, which
+        # the frame-fidelity sampler does not apply
+        code, out, _ = run_cli(
+            capsys, "validate", "--mss", "512", "--ber", "8e-4", "-r", "1",
+            "--reps", "100", "--format", "jsonl",
+        )
+        assert code == 0
+        model, sim, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert sim["truncated"] is False
+        assert verdict["verdict"] == "PASS" and verdict["flags"] == ""
+
+    def test_validate_skips_truncated_sim(self, tmp_path, capsys):
+        path = tmp_path / "capped.ini"
+        path.write_text("[sim]\nfidelity = bit\nround_cap = 5\n")
+        argv = ("validate", "--config", str(path), "--mss", "512", "--ber", "8e-4",
+                "-r", "1", "--transfer-bytes", "1024", "--reps", "3",
+                "--format", "jsonl")
+        with pytest.warns(TruncationWarning):
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        sim, verdict = [json.loads(l) for l in body(out).splitlines()][1:]
+        assert sim["truncated"] is True
+        assert verdict["verdict"] == "SKIP" and verdict["flags"] == "truncated"
+        assert "z" not in verdict
+        with pytest.warns(TruncationWarning):
+            assert run_cli(capsys, *argv, "--strict")[0] == 2
 
     def test_sweep_rows(self, capsys):
         code, out, _ = run_cli(

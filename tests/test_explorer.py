@@ -1,7 +1,10 @@
 """Sweep and frontier tests: row shape, bracket validity, orderings."""
 
+import math
+
 import pytest
 
+from lln_energy import explorer
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
 from lln_energy.framing import FrameLayout
 from lln_energy.hopmodel import HopParams
@@ -93,6 +96,21 @@ class TestCrossover:
         pt = crossover_ber(base_scenario(), ber_range=(1e-7, 1e-6))
         assert pt.crossover_ber is None
         assert "no_crossover" in pt.flags
+
+    def test_multiple_crossovers_counts_both_directions(self, monkeypatch):
+        # a one-point-per-decade scan of 1e-7..1e-4; the fake gap has the
+        # sign listed for the nearest grid point, so the first cheaper-to-
+        # dearer change is always the 1e-7..1e-6 bracket, and any later
+        # change, either way, flags the scan
+        for signs, multiple in (("-+-+", True), ("-+--", True), ("-+++", False)):
+            def gap(scenario, ber, mss_pair, energy, signs=signs):
+                return 1.0 if signs[round(math.log10(ber / 1e-7))] == "+" else -1.0
+
+            monkeypatch.setattr(explorer, "_energy_gap", gap)
+            pt = crossover_ber(base_scenario(), ber_range=(1e-7, 1e-4),
+                               points_per_decade=1)
+            assert 1e-7 <= pt.ber_lo < pt.crossover_ber < pt.ber_hi <= 1.000001e-6
+            assert ("multiple_crossovers" in pt.flags) == multiple, signs
 
     def test_more_attempts_push_crossover_up(self):
         lo = crossover_ber(base_scenario(r=1)).crossover_ber

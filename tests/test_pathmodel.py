@@ -3,19 +3,19 @@ segment totals, energy mapping, degeneracy handling."""
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lln_energy.config import RunConfig
 from lln_energy.framing import FrameLayout
 from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams
 from lln_energy.pathmodel import (
     EnergyParams,
     PathScenario,
-    fragment_failure_bits,
-    fragment_failure_bits_closed,
-    fragment_failure_bits_variant,
+    fragment_failure_sum,
     path_bits,
     path_success_prob,
     segment_model,
@@ -23,6 +23,46 @@ from lln_energy.pathmodel import (
 )
 
 LAYOUT = FrameLayout(frag_header_bits=136)
+CALIBRATION_DOC = Path(__file__).resolve().parents[1] / "docs" / "calibration.md"
+
+
+# Oracles for the failed-fragment-round sum. The library keeps only its
+# closed form, fragment_failure_sum.
+
+
+def fragment_failure_raw(m, q_s, e_s, e_f):
+    """Binomial summation of the unnormalized sum over rounds with k >= 1
+    failed fragments: sum_k C(m,k) (k e_f + (m-k) e_s) (1-q_s)^k q_s^(m-k)."""
+    if q_s >= 1.0:
+        return 0.0
+    if q_s <= 0.0:
+        return m * e_f
+    x = 1.0 - q_s
+    return sum(
+        math.comb(m, k) * x**k * q_s ** (m - k) * (k * e_f + (m - k) * e_s)
+        for k in range(1, m + 1)
+    )
+
+
+def fragment_failure_bits(m, q_s, e_s, e_f):
+    """Expected bits of one round of m fragments, given at least one failed.
+
+    The summation normalized by P(>= 1 failure) = 1 - q_s^m; None
+    (degenerate) when q_s is exactly 0 or 1.
+    """
+    if q_s <= 0.0 or q_s >= 1.0:
+        return None
+    return fragment_failure_raw(m, q_s, e_s, e_f) / -math.expm1(m * math.log(q_s))
+
+
+def fragment_failure_bits_variant(m, q_s, e_s, e_f):
+    """Published closed-form variant of the unnormalized sum.
+
+    Uses m(1-q)e_f + m e_s q (1 - q^m): the trailing exponent is m where
+    the exact summation gives m-1, and no conditioning normalization is
+    applied. Kept so the deviation from the exact sum can be measured.
+    """
+    return m * (1.0 - q_s) * e_f + m * e_s * q_s * (1.0 - q_s**m)
 
 
 def make_hop(f, h_s, h_f):
@@ -72,11 +112,16 @@ class TestPathBits:
 
 class TestFragmentFailure:
     def test_single_fragment_is_plain_failure(self):
+        # normalized by P(the one fragment fails) = 0.5
+        assert fragment_failure_sum(1, 0.5, 10.0, 20.0) / 0.5 == pytest.approx(20.0)
         assert fragment_failure_bits(1, 0.5, 10.0, 20.0) == pytest.approx(20.0)
 
     def test_two_fragment_hand_value(self):
-        got = fragment_failure_bits(2, 0.5, 10.0, 20.0)
+        # normalized by P(>= 1 of 2 fails) = 0.75
+        got = fragment_failure_sum(2, 0.5, 10.0, 20.0) / 0.75
         assert got == pytest.approx(100.0 / 3.0, rel=1e-12)
+        oracle = fragment_failure_bits(2, 0.5, 10.0, 20.0)
+        assert oracle == pytest.approx(got, rel=1e-12)
 
     @given(m=st.integers(1, 8), x=st.floats(1e-6, 1 - 1e-6))
     @settings(max_examples=60, deadline=None)
@@ -95,8 +140,8 @@ class TestFragmentFailure:
     )
     @settings(max_examples=120, deadline=None)
     def test_sum_matches_closed_form(self, m, q, e_s, e_f):
-        direct = fragment_failure_bits(m, q, e_s, e_f)
-        closed = fragment_failure_bits_closed(m, q, e_s, e_f)
+        direct = fragment_failure_raw(m, q, e_s, e_f)
+        closed = fragment_failure_sum(m, q, e_s, e_f)
         assert direct == pytest.approx(closed, rel=1e-12)
 
     def test_published_variant_is_not_the_exact_sum(self):
@@ -108,12 +153,43 @@ class TestFragmentFailure:
         assert variant == pytest.approx(
             m * (1 - q) * e_f + m * e_s * q * (1 - q**m), rel=1e-12
         )
-        exact_raw = fragment_failure_bits(m, q, e_s, e_f) * (1 - q**m)
+        exact_raw = fragment_failure_sum(m, q, e_s, e_f)
         assert variant > exact_raw
 
     def test_degenerate_endpoints(self):
+        # the sum is defined at both ends; the conditional mean is not
+        assert fragment_failure_sum(3, 0.0, None, 2.0) == 6.0
+        assert fragment_failure_sum(3, 1.0, 1.0, None) == 0.0
         assert fragment_failure_bits(3, 0.0, 1.0, 2.0) is None
         assert fragment_failure_bits(3, 1.0, 1.0, 2.0) is None
+
+    def test_calibration_ledger_table(self):
+        """docs/calibration.md's failed-fragment-round table, recomputed.
+
+        The exact column is segment_model's total; the variant column puts
+        the published variant in place of the exact failed-fragment term of
+        s_f, with every other term read from the same ModelReport.
+        """
+        text = CALIBRATION_DOC.read_text()
+        section = text.split("## Failed-fragment-round composition")[1]
+        section = section.split("\n## ")[0]
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("|") and line[1:].strip()[:1].isdigit()
+        ]
+        assert len(rows) == 4
+        for mss, ber, _published, exact_cell, variant_cell in rows:
+            cfg = RunConfig(mss_bytes=int(mss), ber=float(ber))
+            rep = segment_model(cfg.scenario(), energy=cfg.energy())
+            m, q = rep.m, rep.q_s
+            ack_term = (m * rep.e_s + rep.e_f_ack) * q**m * (1.0 - rep.q_s_ack)
+            frag_term = fragment_failure_bits_variant(m, q, rep.e_s, rep.e_f)
+            s_f = (frag_term + ack_term) / (1.0 - rep.p_s)
+            s = s_f * (1.0 / rep.p_s - 1.0) + rep.s_s
+            variant = cfg.energy().joules(rep.segments * s)
+            assert f"{rep.total_joules:.2f}" == exact_cell
+            assert f"{variant:.2f}" == variant_cell
 
 
 class TestSegmentModel:

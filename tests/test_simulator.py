@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -113,13 +115,10 @@ def test_aggregate_agrees_with_bit_replay():
 
 
 def test_aggregate_samples_heavy_tails():
-    # round success ~1e-12: ~1e12 rounds per segment; the default 1e6-round
-    # cap must be lifted to sample the unbounded process, which costs the
-    # aggregate draw nothing
+    # round success ~1e-12: ~1e12 rounds per segment, far past the default
+    # 1e6-round cap, which the aggregate draw does not apply
     sc = default_scenario(ber=8e-4, r=1, mss=512)
-    rep = simulate(
-        SimConfig(scenario=sc, replications=50, master_seed=4, round_cap=10**15)
-    )
+    rep = simulate(SimConfig(scenario=sc, replications=50, master_seed=4))
     assert rep.method == "aggregate"
     assert not rep.truncated
     assert math.isfinite(rep.mean_total_bits)
@@ -151,11 +150,15 @@ def test_heavy_tail_counters_match_model():
 
 
 def test_counters_never_wrap():
-    # at BER 0.5 no round of the 51200 one-byte segments gets through, so
-    # the cap fires on each: 5.12e19 segment sends, past what int64 holds
-    cfg = RunConfig(ber=0.5, mss_bytes=1, round_cap=10**15, replications=2).sim()
-    with pytest.raises(ValueError, match="round_cap"):
-        simulate(cfg)
+    # a replication whose fragment sends would pass int64 is refused, not
+    # wrapped: at BER 0.5 no round can succeed; at 0.02 one segment's
+    # geometric draw (round success ~1e-39) saturates at the int64 maximum;
+    # at 0.008 each draw fits but 51200 segments sum to ~1.6e20 sends
+    for ber, transfer in ((0.5, 51200), (0.02, 1), (0.008, 51200)):
+        cfg = RunConfig(ber=ber, retries=1, mss_bytes=1, transfer_bytes=transfer,
+                        replications=2).sim()
+        with pytest.raises(ValueError, match="64-bit counters"):
+            simulate(cfg)
 
 
 def test_heterogeneous_attempt_limits_match_model():
@@ -182,11 +185,21 @@ def test_counter_consistency():
 
 
 def test_round_cap_truncates_with_warning():
+    # the cap bounds only the bit replay's work; the aggregate draw (frame
+    # fidelity) ignores it and never truncates
     sc = default_scenario(ber=8e-4, r=1, mss=512, transfer=1024)
-    cfg = SimConfig(scenario=sc, replications=3, master_seed=1, round_cap=50)
+    cfg = SimConfig(scenario=sc, replications=3, master_seed=1, round_cap=50,
+                    fidelity="bit")
     with pytest.warns(TruncationWarning):
         rep = simulate(cfg)
     assert rep.truncated and "truncated" in rep.flags
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        capped = simulate(replace(cfg, fidelity="frame"))
+    uncapped = simulate(replace(cfg, fidelity="frame", round_cap=10**15))
+    assert not capped.truncated
+    assert capped.to_record() == uncapped.to_record()
 
 
 def test_rejects_bad_config():
