@@ -11,7 +11,8 @@ Results go to stdout (or --output) as CSV or JSON lines, preceded by
 ``#`` metadata comments (tool version, config hash, seed/RNG, timestamp;
 only the timestamp line varies between identical invocations). Exit
 status: 0 on success, 1 on configuration errors, 2 with --strict when
-any emitted row is degenerate, divergent, truncated, or a FAIL verdict.
+any emitted row is degenerate, divergent, truncated, or a FAIL or SKIP
+verdict.
 
 Field names in the emitted rows are stable; see the module docstrings of
 pathmodel (model rows), simulator (sim rows) and explorer (frontier
@@ -197,7 +198,7 @@ def _emit(rows: list[dict], fmt: str, meta: list[str], out) -> None:
 def _strict_trips(rows: list[dict]) -> bool:
     for row in rows:
         flags = set(str(row.get("flags", "")).split(";")) & STRICT_FLAGS
-        if flags or row.get("verdict") == "FAIL":
+        if flags or row.get("verdict") in ("FAIL", "SKIP"):
             return True
     return False
 
@@ -225,7 +226,13 @@ def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
         verdict.update(verdict="SKIP", flags="diverges",
                        note="model diverges; nothing to compare")
         return rows + [verdict]
-    sim = simulate(cfg.sim())
+    try:
+        sim = simulate(cfg.sim())
+    except ValueError as exc:
+        # validate_config has accepted the config, so this is the sampler
+        # refusing a transfer whose counters would pass 64 bits
+        verdict.update(verdict="SKIP", note=str(exc))
+        return rows + [verdict]
     rows.append({"source": "sim", **sim.to_record()})
     if sim.truncated:
         verdict.update(verdict="SKIP", flags="truncated",

@@ -11,6 +11,7 @@ acknowledgement always rides in a single frame of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,10 @@ BITS_PER_BYTE = 8
 #: reference deployment the bundled defaults describe fragments one frame
 #: per 64 bytes of TCP payload (so mss=64 -> 1 frame, mss=512 -> 8 frames).
 AUTO_FRAGMENT_CHUNK_BYTES = 64
+
+#: (mss, layout) resolutions kept by ``resolve_frames``'s LRU cache; a
+#: frontier or sweep reuses only the few MSS values it compares per layout.
+RESOLVE_FRAMES_CACHE_SIZE = 16
 
 
 class LayoutError(ValueError):
@@ -129,12 +134,15 @@ def _data_frame_bits(payload_bits: int, m: int, layout: FrameLayout) -> tuple[in
     return k, d, c
 
 
+@functools.lru_cache(maxsize=RESOLVE_FRAMES_CACHE_SIZE)
 def resolve_frames(mss_bytes: int, layout: FrameLayout) -> ResolvedFrames:
     """Resolve an MSS and layout into on-the-wire frame sizes.
 
     The segment carried end-to-end is mss payload plus one TCP and one IP
     header; the returned sizes describe its m identical data fragments and
-    the single TCP-ACK frame going the other way.
+    the single TCP-ACK frame going the other way. Memoized: the result is a
+    pure function of the frozen layout and is itself frozen, so callers
+    share it; a ``LayoutError`` is not cached and is raised on every call.
     """
     if mss_bytes < 1:
         raise LayoutError(f"mss_bytes must be >= 1, got {mss_bytes}")

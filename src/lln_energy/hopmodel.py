@@ -11,7 +11,9 @@ sender stops at the first success, or gives up after ``r`` attempts.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -24,10 +26,21 @@ __all__ = [
     "hop_model",
 ]
 
+#: Hop models kept by ``hop_model``'s LRU cache. A frontier scans 61 BERs
+#: for 3 distinct frames (the data frame at each compared MSS and their
+#: shared TCP-ACK frame) at every hop count, and bisects a few more; 256
+#: entries hold that grid across hop counts at a fraction of a MiB.
+HOP_MODEL_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class HopParams:
-    """Per-hop link parameters: bit error rate and ARQ attempt limit."""
+    """Per-hop link parameters: bit error rate and ARQ attempt limit.
+
+    ``r`` must be integral and is stored as a plain int, because
+    ``hop_model`` caches on these fields: a float or numpy ``r`` would
+    otherwise share the cache entry of the int it equals.
+    """
 
     ber: float
     r: int = 3
@@ -35,8 +48,15 @@ class HopParams:
     def __post_init__(self):
         if not 0.0 <= self.ber < 1.0:
             raise ValueError(f"ber must be in [0, 1), got {self.ber}")
-        if self.r < 1:
+        try:
+            r = operator.index(self.r)
+        except TypeError:
+            raise ValueError(
+                f"attempt limit r must be an integer, got {self.r!r}"
+            ) from None
+        if r < 1:
             raise ValueError(f"attempt limit r must be >= 1, got {self.r}")
+        object.__setattr__(self, "r", r)
 
 
 @dataclass(frozen=True)
@@ -171,8 +191,14 @@ def expected_success_bits(
     return (no_succ + with_succ) / denom
 
 
+@functools.lru_cache(maxsize=HOP_MODEL_CACHE_SIZE)
 def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> HopModel:
-    """Full one-hop model for a frame of ``d_bits`` over the given hop."""
+    """Full one-hop model for a frame of ``d_bits`` over the given hop.
+
+    Memoized: the result depends only on the frame sizes and the hop's
+    (ber, r), not on the path around it, and it is frozen, so every path,
+    hop count and MSS that needs the same hop shares one evaluation.
+    """
     probs = attempt_probs(d_bits, c_bits, a_bits, hop.ber)
     f = probs.p_fail**hop.r
     h_f = float(hop.r * d_bits)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .framing import FrameLayout, ResolvedFrames, resolve_frames
+from .framing import FrameLayout, resolve_frames
 from .hopmodel import HopModel, HopParams, hop_model
 
 __all__ = [
@@ -235,9 +235,7 @@ class ModelReport:
 
 
 def segment_model(
-    scenario: PathScenario,
-    frames: ResolvedFrames | None = None,
-    energy: EnergyParams = EnergyParams(),
+    scenario: PathScenario, energy: EnergyParams = EnergyParams()
 ) -> ModelReport:
     """Full expected-cost model for one scenario.
 
@@ -246,8 +244,7 @@ def segment_model(
     s_f conditions on the round failing, s composes the unbounded-retry
     total, and the transfer multiplies by ceil(transfer/mss) segments.
     """
-    if frames is None:
-        frames = resolve_frames(scenario.mss_bytes, scenario.layout)
+    frames = resolve_frames(scenario.mss_bytes, scenario.layout)
     a = scenario.layout.ll_ack_bits
     data_hops = tuple(
         hop_model(frames.d_data_bits, frames.c_data_bits, a, hp)

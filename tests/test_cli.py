@@ -147,6 +147,18 @@ class TestSubcommands:
         with pytest.warns(TruncationWarning):
             assert run_cli(capsys, *argv, "--strict")[0] == 2
 
+    def test_validate_skips_refused_sim(self, capsys):
+        # rounds succeed with probability 4e-31: the model row is finite, but
+        # the sampler refuses a transfer its 64-bit counters cannot hold
+        argv = ("validate", "--mss", "64", "--ber", "0.01", "-r", "1",
+                "--reps", "10", "--format", "jsonl")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        model, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert model["source"] == "model" and model["total_bits"] > 1e36
+        assert verdict["verdict"] == "SKIP" and "64-bit" in verdict["note"]
+        assert run_cli(capsys, *argv, "--strict")[0] == 2
+
     def test_sweep_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--axis", "ber", "--grid", "1e-5,1e-4",

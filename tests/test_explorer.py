@@ -6,8 +6,8 @@ import pytest
 
 from lln_energy import explorer
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
-from lln_energy.framing import FrameLayout
-from lln_energy.hopmodel import HopParams
+from lln_energy.framing import FrameLayout, resolve_frames
+from lln_energy.hopmodel import HopParams, hop_model
 from lln_energy.pathmodel import EnergyParams, PathScenario, segment_model, uniform_path
 
 LAYOUT = FrameLayout(frag_header_bits=136)
@@ -111,6 +111,13 @@ class TestCrossover:
                                points_per_decade=1)
             assert 1e-7 <= pt.ber_lo < pt.crossover_ber < pt.ber_hi <= 1.000001e-6
             assert ("multiple_crossovers" in pt.flags) == multiple, signs
+
+    def test_same_point_cold_and_after_a_frontier(self):
+        hop_model.cache_clear()
+        resolve_frames.cache_clear()
+        cold = crossover_ber(base_scenario(h=3))
+        frontier(base_scenario(), "r", [3], range(1, 10))
+        assert crossover_ber(base_scenario(h=3)) == cold
 
     def test_more_attempts_push_crossover_up(self):
         lo = crossover_ber(base_scenario(r=1)).crossover_ber

@@ -78,8 +78,10 @@ def test_fit_mode_respects_mtu():
 
 def test_fit_mode_rejects_hopeless_alpha():
     lay = FrameLayout(alpha=10.0, fragments="fit")
-    with pytest.raises(LayoutError):
-        resolve_frames(64, lay)
+    # resolve_frames caches results, not exceptions: every call refuses
+    for _ in range(2):
+        with pytest.raises(LayoutError):
+            resolve_frames(64, lay)
 
 
 def test_rejects_bad_layout():

@@ -9,6 +9,7 @@ about the closed form.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,3 +212,9 @@ class TestHopModel:
             HopParams(ber=1.0, r=3)
         with pytest.raises(ValueError):
             HopParams(ber=0.1, r=0)
+        # a float r would share hop_model's cache entry with the int it equals
+        for r in (3.0, 2.5):
+            with pytest.raises(ValueError, match="r must be an integer"):
+                HopParams(ber=1e-3, r=r)
+        hp = HopParams(ber=1e-3, r=np.int64(3))
+        assert hp == HopParams(ber=1e-3, r=3) and type(hp.r) is int

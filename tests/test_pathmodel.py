@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lln_energy import pathmodel
 from lln_energy.config import RunConfig
-from lln_energy.framing import FrameLayout
-from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams
+from lln_energy.framing import FrameLayout, resolve_frames
+from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams, hop_model
 from lln_energy.pathmodel import (
     EnergyParams,
     PathScenario,
@@ -275,3 +276,38 @@ class TestSegmentModel:
             assert key in rec
         assert len(rec["f_data"]) == 3
         assert rec["ber"] == 1e-4 and rec["r"] == 2
+
+
+class TestModelCaches:
+    SCENARIOS = (
+        # heterogeneous hops: each (ber, r) is its own cache entry
+        PathScenario(
+            hops=(HopParams(1e-5, 3), HopParams(1e-3, 2), HopParams(3e-4, 3)),
+            layout=LAYOUT, mss_bytes=512,
+        ),
+        PathScenario(
+            hops=uniform_path(3, 3e-4, 1),
+            layout=FrameLayout(alpha=0.1, fragments="fit"), mss_bytes=512,
+        ),
+        # a hop that cannot deliver: h_s None, flagged degenerate
+        PathScenario(
+            hops=(HopParams(1e-4, 3), HopParams(0.99999999999999994, 1)),
+            layout=LAYOUT, mss_bytes=64,
+        ),
+    )
+
+    def test_cold_warm_and_uncached_records_equal(self, monkeypatch):
+        hop_model.cache_clear()
+        resolve_frames.cache_clear()
+        cold = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
+        warm = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
+        assert hop_model.cache_info().hits > 0
+        monkeypatch.setattr(pathmodel, "hop_model", hop_model.__wrapped__)
+        monkeypatch.setattr(pathmodel, "resolve_frames", resolve_frames.__wrapped__)
+        uncached = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
+        assert cold == warm == uncached
+        assert "degenerate_hop" in cold[2]["flags"]
+
+    def test_caches_are_bounded(self):
+        for cached in (hop_model, resolve_frames):
+            assert cached.cache_info().maxsize is not None
