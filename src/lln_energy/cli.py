@@ -27,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -37,6 +37,7 @@ from .config import (
     config_sha256,
     dump_config,
     load_config,
+    parse_fragments,
     validate_config,
 )
 from .explorer import BER_RANGE, MSS_PAIR, POINTS_PER_DECADE, SweepSpec, frontier, sweep
@@ -60,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _add_common(p: _Parser):
+def _add_io(p: _Parser):
     p.add_argument("--config", help=f"config file (default: ${ENV_CONFIG})")
     p.add_argument("--print-config", action="store_true",
                    help="dump the effective configuration and exit")
@@ -68,18 +69,25 @@ def _add_common(p: _Parser):
     p.add_argument("--output", help="write rows here instead of stdout")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when a result is degenerate or divergent")
-    p.add_argument("--mss", type=int, help="TCP maximum segment size, bytes")
+
+
+# _add_common and _add_sim add only flags whose dest is a RunConfig field;
+# _apply_flags copies every such dest that was given onto the config.
+def _add_common(p: _Parser):
+    p.add_argument("--mss", type=int, dest="mss_bytes",
+                   help="TCP maximum segment size, bytes")
     p.add_argument("--ber", type=float, help="per-hop bit error rate")
     p.add_argument("--hops", type=int, help="number of hops")
-    p.add_argument("--retries", "-r", type=int, dest="retries",
-                   help="link-layer attempt limit per hop")
+    p.add_argument("--retries", "-r", type=int, help="link-layer attempt limit per hop")
     p.add_argument("--alpha", type=float, help="FEC redundancy ratio")
-    p.add_argument("--fragments", help='fragment count: int, "auto" or "fit"')
+    p.add_argument("--fragments", type=parse_fragments,
+                   help='fragment count: int, "auto" or "fit"')
     p.add_argument("--transfer-bytes", type=int, help="application bytes to transfer")
 
 
 def _add_sim(p: _Parser):
-    p.add_argument("--reps", type=int, help="Monte Carlo replications")
+    p.add_argument("--reps", type=int, dest="replications",
+                   help="Monte Carlo replications")
     p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("--fidelity", choices=("frame", "bit"))
     p.add_argument("--workers", type=int, help="parallel replication workers")
@@ -99,6 +107,7 @@ def build_parser() -> _Parser:
         ("frontier", "MSS crossover-BER curves"),
     ):
         p = sub.add_parser(name, help=help_text)
+        _add_io(p)
         _add_common(p)
         if name in ("simulate", "validate"):
             _add_sim(p)
@@ -121,26 +130,8 @@ def build_parser() -> _Parser:
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    for attr, key in (
-        ("mss", "mss_bytes"),
-        ("ber", "ber"),
-        ("hops", "hops"),
-        ("retries", "retries"),
-        ("alpha", "alpha"),
-        ("transfer_bytes", "transfer_bytes"),
-        ("reps", "replications"),
-        ("seed", "seed"),
-        ("fidelity", "fidelity"),
-        ("workers", "workers"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[key] = value
-    if getattr(args, "fragments", None) is not None:
-        frag = args.fragments
-        updates["fragments"] = frag if frag in ("auto", "fit") else int(frag)
-    return replace(cfg, **updates)
+    given = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -184,11 +175,7 @@ def _emit(rows: list[dict], fmt: str, meta: list[str], out) -> None:
         for row in rows:
             print(json.dumps(row, sort_keys=False), file=out)
         return
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = dict.fromkeys(key for row in rows for key in row)  # first-seen order
     writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
     writer.writeheader()
     for row in rows:
@@ -205,16 +192,11 @@ def _strict_trips(rows: list[dict]) -> bool:
 
 def _cmd_model(cfg: RunConfig, args) -> list[dict]:
     report = segment_model(cfg.scenario(), energy=cfg.energy())
-    row = {"source": "model"}
-    row.update(report.to_record(per_hop=(args.format == "jsonl")))
-    return [row]
+    return [{"source": "model", **report.to_record(per_hop=(args.format == "jsonl"))}]
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> list[dict]:
-    report = simulate(cfg.sim())
-    row = {"source": "sim"}
-    row.update(report.to_record())
-    return [row]
+    return [{"source": "sim", **simulate(cfg.sim()).to_record()}]
 
 
 def _cmd_validate(cfg: RunConfig, args) -> list[dict]:

@@ -5,6 +5,9 @@ three link-layer attempts, 802.15.4-style 127-byte MTU, 51.2 kB
 transfer). The layout, hop, transfer and energy defaults are read from
 the classes that own them (``FrameLayout``, ``HopParams``,
 ``PathScenario``, ``EnergyParams``), and those classes check the values.
+The ``[frames]`` and ``[energy]`` sections are the fields of
+``FrameLayout`` and ``EnergyParams``, each value parses by the type of its
+field's default, and the CLI flags set the same ``RunConfig`` fields.
 Frame sizes in the file are in bits; every ``*_bits`` key also accepts a
 ``*_bytes`` twin (converted, mutually exclusive). Unknown sections or
 keys are rejected with file context.
@@ -25,11 +28,29 @@ from .pathmodel import EnergyParams, PathScenario
 if TYPE_CHECKING:
     from .simulator import SimConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "dump_config", "config_sha256"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "dump_config", "config_sha256",
+           "parse_fragments"]
 
 
 class ConfigError(ValueError):
     """Malformed run configuration (bad key, type, units, or value)."""
+
+
+#: INI sections in file order. [frames] and [energy] are the fields of
+#: FrameLayout and EnergyParams; [transfer] and [sim] pass to PathScenario
+#: and SimConfig by name (``seed`` as ``master_seed``).
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "path": ("hops", "ber", "retries", "hop_bers"),
+    "frames": tuple(f.name for f in fields(FrameLayout)),
+    "transfer": ("mss_bytes", "transfer_bytes"),
+    "energy": tuple(f.name for f in fields(EnergyParams)),
+    "sim": ("replications", "seed", "fidelity", "round_cap", "workers"),
+}
+
+
+def parse_fragments(raw: str) -> int | str:
+    """A fragment mode as a file or flag gives it: "auto", "fit" or a count."""
+    return raw if raw in ("auto", "fit") else int(raw)
 
 
 @dataclass(frozen=True)
@@ -62,17 +83,11 @@ class RunConfig:
     round_cap: int = 1_000_000
     workers: int = 1
 
+    def _section(self, name: str) -> dict:
+        return {key: getattr(self, key) for key in _SECTIONS[name]}
+
     def layout(self) -> FrameLayout:
-        return FrameLayout(
-            mtu_bits=self.mtu_bits,
-            ll_data_header_bits=self.ll_data_header_bits,
-            ll_ack_bits=self.ll_ack_bits,
-            frag_header_bits=self.frag_header_bits,
-            ip_header_bits=self.ip_header_bits,
-            tcp_header_bits=self.tcp_header_bits,
-            alpha=self.alpha,
-            fragments=self.fragments,
-        )
+        return FrameLayout(**self._section("frames"))
 
     def path(self) -> tuple[HopParams, ...]:
         if self.hop_bers and len(self.hop_bers) != self.hops:
@@ -84,59 +99,20 @@ class RunConfig:
 
     def scenario(self) -> PathScenario:
         return PathScenario(
-            hops=self.path(),
-            layout=self.layout(),
-            mss_bytes=self.mss_bytes,
-            transfer_bytes=self.transfer_bytes,
+            hops=self.path(), layout=self.layout(), **self._section("transfer")
         )
 
     def energy(self) -> EnergyParams:
-        return EnergyParams(
-            tx_uj_per_bit=self.tx_uj_per_bit,
-            rx_uj_per_bit=self.rx_uj_per_bit,
-            n_neighbors=self.n_neighbors,
-        )
+        return EnergyParams(**self._section("energy"))
 
     def sim(self) -> SimConfig:
         # imported here, not at the top: the simulator loads numpy, and every
         # module the CLI compiles after numpy adds to its peak memory
         from .simulator import SimConfig
 
-        return SimConfig(
-            scenario=self.scenario(),
-            energy=self.energy(),
-            replications=self.replications,
-            master_seed=self.seed,
-            fidelity=self.fidelity,
-            round_cap=self.round_cap,
-            workers=self.workers,
-        )
-
-
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "path": ("hops", "ber", "retries", "hop_bers"),
-    "frames": (
-        "mtu_bits",
-        "ll_data_header_bits",
-        "ll_ack_bits",
-        "frag_header_bits",
-        "ip_header_bits",
-        "tcp_header_bits",
-        "alpha",
-        "fragments",
-    ),
-    "transfer": ("mss_bytes", "transfer_bytes"),
-    "energy": ("tx_uj_per_bit", "rx_uj_per_bit", "n_neighbors"),
-    "sim": (
-        "replications",
-        "seed",
-        "fidelity",
-        "round_cap",
-        "workers",
-    ),
-}
-
-_BIT_KEYS = tuple(k for k in _SECTIONS["frames"] if k.endswith("_bits"))
+        knobs = self._section("sim")
+        knobs["master_seed"] = knobs.pop("seed")
+        return SimConfig(scenario=self.scenario(), energy=self.energy(), **knobs)
 
 
 def _parse_value(name: str, raw: str, where: str):
@@ -145,12 +121,8 @@ def _parse_value(name: str, raw: str, where: str):
         if name == "hop_bers":
             return tuple(float(x) for x in raw.split(",") if x.strip())
         if name == "fragments":
-            return raw if raw in ("auto", "fit") else int(raw)
-        if name == "fidelity":
-            return raw
-        if name in ("ber", "alpha", "tx_uj_per_bit", "rx_uj_per_bit", "n_neighbors"):
-            return float(raw)
-        return int(raw)
+            return parse_fragments(raw)
+        return type(getattr(RunConfig, name))(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {name} = {raw!r} ({exc})") from None
 
@@ -170,29 +142,22 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        allowed = _SECTIONS[section]
-        byte_twins = {k[: -len("_bits")] + "_bytes": k for k in allowed if k.endswith("_bits")}
+        where = f"{path} [{section}]"
+        keys = _SECTIONS[section]
         for key, raw in parser.items(section):
-            where = f"{path} [{section}]"
-            if key in allowed:
-                updates[key] = _parse_value(key, raw, where)
-            elif key in byte_twins:
-                target = byte_twins[key]
-                if target in updates:
-                    raise ConfigError(
-                        f"{where}: both {target} and {key} given; use one unit"
-                    )
-                updates[target] = 8 * _parse_value(target, raw, where)
-                updates[f"__byte_twin_{target}"] = True
-            else:
+            name = key
+            if key not in keys and key.endswith("_bytes"):
+                name = key[: -len("_bytes")] + "_bits"
+            if name not in keys:
                 raise ConfigError(f"{where}: unknown key {key!r}")
-        # a _bits key later in the same section must not clash with its twin
-        for key in parser.options(section):
-            if key in allowed and updates.pop(f"__byte_twin_{key}", False):
+            if name in updates:
+                # configparser rejects a repeated key, so only a *_bits key
+                # and its *_bytes twin meet here
                 raise ConfigError(
-                    f"{path} [{section}]: both {key} and its _bytes twin given"
+                    f"{where}: both {name} and its _bytes twin given; use one unit"
                 )
-    updates = {k: v for k, v in updates.items() if not k.startswith("__byte_twin_")}
+            value = _parse_value(name, raw, where)
+            updates[name] = value if name == key else 8 * value
     cfg = replace(base or RunConfig(), **updates)
     validate_config(cfg)
     return cfg
@@ -209,11 +174,10 @@ def validate_config(cfg: RunConfig) -> None:
 def dump_config(cfg: RunConfig) -> str:
     """Canonical INI text; load_config(dump_config(c)) round-trips to c."""
     out = io.StringIO()
-    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for section, keys in _SECTIONS.items():
         out.write(f"[{section}]\n")
         for key in keys:
-            v = values[key]
+            v = getattr(cfg, key)
             if key == "hop_bers":
                 if v is None:
                     continue  # homogeneous path: ber covers it

@@ -61,19 +61,27 @@ class SweepSpec:
 
 
 def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario:
-    """Base scenario with one axis changed; hop axes apply to every hop."""
+    """Base scenario with one axis changed; hop axes apply to every hop.
+
+    ``r`` and ``h`` take whole values only (3.0 counts as 3); ``mss`` floors,
+    so a linear grid over it may be fractional.
+    """
     hops = scenario.hops
     layout = scenario.layout
+    if axis in ("r", "h"):
+        if not float(value).is_integer():
+            raise ValueError(f"{axis} must be a whole number, got {value!r}")
+        value = int(value)
     if axis == "ber":
         hops = tuple(replace(hp, ber=float(value)) for hp in hops)
     elif axis == "r":
-        hops = tuple(replace(hp, r=int(value)) for hp in hops)
+        hops = tuple(replace(hp, r=value) for hp in hops)
     elif axis == "alpha":
         layout = replace(layout, alpha=float(value))
     elif axis == "h":
         if len(set(hops)) > 1:
             raise ValueError("the h axis needs a homogeneous path; its hops differ")
-        hops = tuple(hops[0] for _ in range(int(value)))
+        hops = tuple(hops[0] for _ in range(value))
     elif axis == "mss":
         mss = int(value)
     return PathScenario(
@@ -101,9 +109,7 @@ def sweep(spec: SweepSpec) -> list[dict]:
             except LayoutError as exc:
                 row.update({"flags": "layout_error", "error": str(exc)})
             else:
-                rec = report.to_record()
-                rec.pop("mss_bytes")
-                row.update(rec)
+                row.update(report.to_record())  # mss_bytes keeps its place
             rows.append(row)
     return rows
 
@@ -119,24 +125,17 @@ class FrontierPoint:
     cheaper-to-dearer one is returned).
     """
 
-    h: int
     family: str | None
     family_value: float | None
+    h: int
     crossover_ber: float | None
     ber_lo: float | None
     ber_hi: float | None
     flags: tuple[str, ...] = ()
 
     def to_record(self) -> dict:
-        return {
-            "family": self.family,
-            "family_value": self.family_value,
-            "h": self.h,
-            "crossover_ber": self.crossover_ber,
-            "ber_lo": self.ber_lo,
-            "ber_hi": self.ber_hi,
-            "flags": ";".join(self.flags),
-        }
+        """The fields in order (``vars`` of a frozen dataclass holds just them)."""
+        return {**vars(self), "flags": ";".join(self.flags)}
 
 
 def _energy_gap(scenario: PathScenario, ber: float, mss_pair, energy) -> float | None:

@@ -9,8 +9,9 @@ by all nodes*; energy is linear in bits, each sent bit costing the
 transmitter plus ``n`` listening neighbors.
 
 Quantities that are undefined for a configuration (a hop that can never
-deliver, a success probability of zero) are reported as ``None`` plus an
-entry in ``ModelReport.flags`` rather than as infinities.
+deliver, a success probability of zero) or that pass the float range are
+reported as ``None`` plus an entry in ``ModelReport.flags`` rather than as
+infinities.
 """
 
 from __future__ import annotations
@@ -194,43 +195,19 @@ class ModelReport:
         return FLAG_DIVERGES in self.flags
 
     def to_record(self, per_hop: bool = False) -> dict:
-        """Flat key/value record (one CSV row / JSON-lines object)."""
-        rec = {
-            "mss_bytes": self.mss_bytes,
-            "transfer_bytes": self.transfer_bytes,
-            "h": self.h,
-            "ber": self.ber,
-            "r": self.r,
-            "alpha": self.alpha,
-            "m": self.m,
-            "d_data_bits": self.d_data_bits,
-            "c_data_bits": self.c_data_bits,
-            "d_ack_bits": self.d_ack_bits,
-            "c_ack_bits": self.c_ack_bits,
-            "a_bits": self.a_bits,
-            "q_s": self.q_s,
-            "q_s_ack": self.q_s_ack,
-            "e_s": self.e_s,
-            "e_f": self.e_f,
-            "e_s_ack": self.e_s_ack,
-            "e_f_ack": self.e_f_ack,
-            "i_f": self.i_f,
-            "p_s": self.p_s,
-            "s_s": self.s_s,
-            "s_f": self.s_f,
-            "s": self.s,
-            "segments": self.segments,
-            "total_bits": self.total_bits,
-            "total_joules": self.total_joules,
-            "flags": ";".join(self.flags),
-        }
+        """Flat key/value record (one CSV row / JSON-lines object).
+
+        The columns are the fields in order, less the per-hop models, which
+        ``per_hop=True`` flattens after ``flags``. ``vars`` holds exactly
+        the fields in order: a frozen dataclass sets no other attribute.
+        """
+        rec = dict(vars(self))
+        del rec["data_hops"], rec["ack_hops"]
+        rec["flags"] = ";".join(self.flags)
         if per_hop:
-            rec["f_data"] = [hm.f for hm in self.data_hops]
-            rec["h_s_data"] = [hm.h_s for hm in self.data_hops]
-            rec["h_f_data"] = [hm.h_f for hm in self.data_hops]
-            rec["f_ack"] = [hm.f for hm in self.ack_hops]
-            rec["h_s_ack"] = [hm.h_s for hm in self.ack_hops]
-            rec["h_f_ack"] = [hm.h_f for hm in self.ack_hops]
+            for side, hops in (("data", self.data_hops), ("ack", self.ack_hops)):
+                for name in ("f", "h_s", "h_f"):
+                    rec[f"{name}_{side}"] = [getattr(hm, name) for hm in hops]
         return rec
 
 
@@ -287,11 +264,16 @@ def segment_model(
         retry_bits = s_f * (1.0 / p_s - 1.0) if s_f is not None else 0.0
         s = retry_bits + s_s
     else:
-        s = None
-        flags.append(FLAG_DIVERGES)
+        s = math.inf
 
     segments = scenario.segments
-    total_bits = None if s is None else segments * s
+    total_bits = segments * s
+    if not math.isfinite(total_bits):
+        # p_s = 0, or a p_s so small that the expected bits pass the float range
+        total_bits = None
+        if not math.isfinite(s):
+            s = None
+        flags.append(FLAG_DIVERGES)
 
     bers = {hp.ber for hp in scenario.hops}
     rs = {hp.r for hp in scenario.hops}

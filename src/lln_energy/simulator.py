@@ -41,7 +41,7 @@ import math
 import operator
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,17 +91,6 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
 
 
-COUNTER_NAMES = (
-    "link_attempts",
-    "link_failures",
-    "partial_failures",
-    "hop_drops",
-    "duplicates_suppressed",
-    "segment_sends",
-    "segment_retx",
-)
-
-
 @dataclass(frozen=True)
 class SimCounters:
     """Per-replication mean event counts."""
@@ -115,7 +104,11 @@ class SimCounters:
     segment_retx: float
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in COUNTER_NAMES}
+        """The fields in order (``vars`` of a frozen dataclass holds just them)."""
+        return dict(vars(self))
+
+
+COUNTER_NAMES = tuple(f.name for f in fields(SimCounters))
 
 
 @dataclass(frozen=True)
@@ -127,32 +120,23 @@ class SimReport:
     stderr_total_bits: float
     ci95_half_width: float
     mean_total_joules: float
-    counters: SimCounters
     method: str  # "aggregate" (frame fidelity) | "replay" (bit fidelity)
     fidelity: str
     truncated: bool
     master_seed: int
     rng_algorithm: str
     flags: tuple[str, ...]
+    counters: SimCounters  # last, where the record flattens it
 
     def to_record(self) -> dict:
-        """Flat key/value record, mergeable with ModelReport rows."""
-        rec = {
-            "replications": self.replications,
-            "segments": self.segments,
-            "mean_total_bits": self.mean_total_bits,
-            "stddev_total_bits": self.stddev_total_bits,
-            "stderr_total_bits": self.stderr_total_bits,
-            "ci95_half_width": self.ci95_half_width,
-            "mean_total_joules": self.mean_total_joules,
-            "method": self.method,
-            "fidelity": self.fidelity,
-            "truncated": self.truncated,
-            "master_seed": self.master_seed,
-            "rng_algorithm": self.rng_algorithm,
-            "flags": ";".join(self.flags),
-        }
-        rec.update(self.counters.to_dict())
+        """Flat key/value record, mergeable with ModelReport rows.
+
+        The fields in order, with ``counters`` flattened in place; ``vars``
+        of a frozen dataclass holds just the fields, in order.
+        """
+        rec = dict(vars(self))
+        rec["flags"] = ";".join(self.flags)
+        rec.update(rec.pop("counters").to_dict())
         return rec
 
 
@@ -490,11 +474,11 @@ def simulate(config: SimConfig) -> SimReport:
         stderr_total_bits=stderr,
         ci95_half_width=1.96 * stderr,
         mean_total_joules=mean * config.energy.uj_per_bit() * 1e-6,
-        counters=SimCounters(**{k: float(counters[k].mean()) for k in COUNTER_NAMES}),
         method=sampler.method,
         fidelity=config.fidelity,
         truncated=truncated,
         master_seed=config.master_seed,
         rng_algorithm=RNG_ALGORITHM,
         flags=tuple(flags),
+        counters=SimCounters(**{k: float(counters[k].mean()) for k in COUNTER_NAMES}),
     )

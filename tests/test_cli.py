@@ -1,10 +1,12 @@
 """CLI and config-file tests: round-trips, output stability, exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from lln_energy.cli import main
+from lln_energy import config
+from lln_energy.cli import _add_common, _add_sim, _Parser, main
 from lln_energy.config import (
     ConfigError,
     RunConfig,
@@ -60,9 +62,11 @@ class TestConfigFile:
 
     def test_conflicting_units_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("[frames]\nmtu_bits = 1016\nmtu_bytes = 127\n")
-        with pytest.raises(ConfigError, match="unit"):
-            load_config(str(path))
+        for text in ("[frames]\nmtu_bits = 1016\nmtu_bytes = 127\n",
+                     "[frames]\nmtu_bytes = 127\nmtu_bits = 1016\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="unit"):
+                load_config(str(path))
 
     def test_parse_error_has_context(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -82,6 +86,39 @@ class TestConfigFile:
         monkeypatch.setenv("LLN_ENERGY_CONFIG", str(path))
         code, out, _ = run_cli(capsys, "model", "--print-config")
         assert code == 0 and "mss_bytes = 512" in out
+
+
+class TestSchema:
+    """Every config key and output column is named by the class that owns it."""
+
+    def test_every_config_field_in_exactly_one_section(self):
+        keys = [key for section in config._SECTIONS.values() for key in section]
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+    def test_config_flags_land_on_config_fields(self):
+        parser = _Parser()
+        _add_common(parser)
+        _add_sim(parser)
+        dests = {action.dest for action in parser._actions} - {"help"}
+        assert dests <= {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("argv, header", [
+        (("model",),
+         "source,mss_bytes,transfer_bytes,h,ber,r,alpha,m,d_data_bits,c_data_bits,"
+         "d_ack_bits,c_ack_bits,a_bits,q_s,q_s_ack,e_s,e_f,e_s_ack,e_f_ack,i_f,p_s,"
+         "s_s,s_f,s,segments,total_bits,total_joules,flags"),
+        (("simulate", "--reps", "2"),
+         "source,replications,segments,mean_total_bits,stddev_total_bits,"
+         "stderr_total_bits,ci95_half_width,mean_total_joules,method,fidelity,"
+         "truncated,master_seed,rng_algorithm,flags,link_attempts,link_failures,"
+         "partial_failures,hop_drops,duplicates_suppressed,segment_sends,segment_retx"),
+        (("frontier", "--family", "r", "--values", "3", "--h-range", "1:1"),
+         "family,family_value,h,crossover_ber,ber_lo,ber_hi,flags"),
+    ])
+    def test_csv_column_order(self, capsys, argv, header):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert body(out).splitlines()[0] == header
 
 
 class TestSubcommands:
@@ -208,6 +245,26 @@ class TestExitCodes:
             assert code == 2
         else:
             assert code == 0
+
+    def test_overflowing_total_is_none_and_strict_exits_2(self, capsys):
+        # p_s = 1.4e-308 is positive, but s = s_f (1/p_s - 1) + s_s overflows
+        code, out, _ = run_cli(
+            capsys, "model", "--hops", "9", "-r", "1", "--mss", "512",
+            "--ber", "0.011343", "--strict", "--format", "jsonl",
+        )
+        row = json.loads(body(out))
+        assert 0.0 < row["p_s"] < 1e-300
+        assert row["s"] is None and row["total_bits"] is None
+        assert row["total_joules"] is None and row["flags"] == "diverges"
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--axis", "r", "--grid", "1.5,2.5"),
+        ("frontier", "--family", "r", "--values", "2.5"),
+    ])
+    def test_fractional_attempt_limit_is_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "whole number" in err
 
     def test_non_strict_divergence_is_exit_0(self, capsys):
         code, _, _ = run_cli(

@@ -49,6 +49,16 @@ class TestSweep:
         if bad["total_joules"] is None:
             assert "diverges" in bad["flags"]
 
+    @pytest.mark.parametrize("axis", ["r", "h"])
+    def test_hop_axes_take_whole_values_only(self, axis):
+        with pytest.raises(ValueError, match="whole number"):
+            sweep(SweepSpec(scenario=base_scenario(), axis=axis, grid=(1.5, 2.5)))
+        # a float grid, as the CLI parses it, still runs at its integral points
+        (row,) = sweep(SweepSpec(
+            scenario=base_scenario(), axis=axis, grid=(2.0,), mss_list=(64,)
+        ))
+        assert row[axis] == 2
+
     def test_layout_error_row(self):
         spec = SweepSpec(
             scenario=base_scenario(fragments="fit"), axis="alpha",
