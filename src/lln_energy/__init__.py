@@ -23,12 +23,12 @@ from .hopmodel import (
 )
 from .pathmodel import (
     EnergyParams,
+    ModelBatch,
     ModelReport,
     PathScenario,
     fragment_failure_sum,
-    path_bits,
-    path_success_prob,
     segment_model,
+    segment_models,
     uniform_path,
 )
 

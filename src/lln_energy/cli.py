@@ -11,8 +11,9 @@ Results go to stdout (or --output) as CSV or JSON lines, preceded by
 ``#`` metadata comments (tool version, config hash, seed/RNG, timestamp;
 only the timestamp line varies between identical invocations). Exit
 status: 0 on success, 1 on configuration errors, 2 with --strict when
-any emitted row is degenerate, divergent, truncated, or a FAIL or SKIP
-verdict.
+any emitted row is degenerate, divergent, truncated, a layout error, a
+frontier point without a crossover or with an unresolved bracket, or a
+FAIL or SKIP verdict.
 
 Field names in the emitted rows are stable; see the module docstrings of
 pathmodel (model rows), simulator (sim rows) and explorer (frontier
@@ -29,6 +30,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import __version__
 from .config import (
@@ -49,7 +51,10 @@ ENV_CONFIG = "LLN_ENERGY_CONFIG"
 
 _MSS_PAIR = ",".join(map(str, MSS_PAIR))
 
-STRICT_FLAGS = {"diverges", "degenerate_hop", "truncated", "no_crossover", "layout_error"}
+STRICT_FLAGS = {
+    "diverges", "degenerate_hop", "truncated", "no_crossover", "layout_error",
+    "bracket_unresolved",
+}
 
 
 class _CliError(Exception):
@@ -175,11 +180,11 @@ def _emit(rows: list[dict], fmt: str, meta: list[str], out) -> None:
         for row in rows:
             print(json.dumps(row, sort_keys=False), file=out)
         return
-    fieldnames = dict.fromkeys(key for row in rows for key in row)  # first-seen order
-    writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    header = list(dict.fromkeys(chain.from_iterable(rows)))  # first-seen key order
+    writer = csv.writer(out)
+    writer.writerow(header)
+    # csv writes None, an undefined value or a column the row lacks, as ""
+    writer.writerows(map(row.get, header) for row in rows)
 
 
 def _strict_trips(rows: list[dict]) -> bool:

@@ -8,7 +8,19 @@ the curve long segments win (header overhead dominates), above it short
 segments win (end-to-end retransmissions dominate). Energy is
 piecewise-smooth in BER, so a geometric bracket scan plus bisection is
 enough; points where one side diverges still carry a definite sign (the
-divergent side loses).
+divergent side loses). A midpoint where neither side can be evaluated
+ends that bisection where it stands, flagged ``bracket_unresolved``.
+
+Both run on ``pathmodel.segment_models``, whose numpy pass costs more
+than a scalar evaluation for one point but little more for hundreds,
+so neither evaluates points one at a time. A sweep evaluates its grid
+in calls of ``BATCH_POINTS`` points, so only one call's scenarios and
+results are alive beside the rows, and builds its rows from the result
+columns. A frontier scans every hop count of a family value in one call
+(the long and short MSS are two points per BER), then bisects all of
+that value's brackets in lockstep, one call per step. Family values run
+in turn, so the hop models of one value's BER grid are shared across its
+hop counts within the hop-model cache.
 """
 
 from __future__ import annotations
@@ -17,7 +29,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .framing import LayoutError
-from .pathmodel import EnergyParams, PathScenario, segment_model
+from .hopmodel import HopParams
+from .pathmodel import BATCH_POINTS, EnergyParams, PathScenario, segment_models
 
 __all__ = [
     "SweepSpec",
@@ -34,6 +47,8 @@ SWEEP_AXES = ("ber", "r", "alpha", "h", "mss")
 MSS_PAIR = (64, 512)
 BER_RANGE = (1e-7, 1e-1)
 POINTS_PER_DECADE = 10
+#: Bisection stops once the bracket's relative width is at most this.
+REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,18 @@ class SweepSpec:
             raise ValueError("mss_list must be non-empty")
 
 
+def _at_ber(hops: tuple[HopParams, ...], ber: float, made: dict) -> tuple[HopParams, ...]:
+    """The hops with their BER set to ``ber``.
+
+    ``made`` keeps the HopParams built per (ber, r), so every hop and
+    scenario that shares one ``made`` shares one object per (ber, r).
+    """
+    for hp in hops:
+        if (ber, hp.r) not in made:
+            made[ber, hp.r] = HopParams(ber, hp.r)
+    return tuple(made[ber, hp.r] for hp in hops)
+
+
 def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario:
     """Base scenario with one axis changed; hop axes apply to every hop.
 
@@ -73,7 +100,7 @@ def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario
             raise ValueError(f"{axis} must be a whole number, got {value!r}")
         value = int(value)
     if axis == "ber":
-        hops = tuple(replace(hp, ber=float(value)) for hp in hops)
+        hops = _at_ber(hops, float(value), {})
     elif axis == "r":
         hops = tuple(replace(hp, r=value) for hp in hops)
     elif axis == "alpha":
@@ -96,21 +123,25 @@ def sweep(spec: SweepSpec) -> list[dict]:
     be realized at a point (e.g. alpha too large to fit the MTU) yields a
     row flagged ``layout_error`` instead of aborting the sweep.
     """
-    rows = []
     mss_values = (None,) if spec.axis == "mss" else spec.mss_list
-    for value in spec.grid:
-        for mss in mss_values:
-            scenario = _variant(
-                spec.scenario, spec.axis, value, mss or spec.scenario.mss_bytes
-            )
-            row = {"axis": spec.axis, "value": value, "mss_bytes": scenario.mss_bytes}
-            try:
-                report = segment_model(scenario, energy=spec.energy)
-            except LayoutError as exc:
-                row.update({"flags": "layout_error", "error": str(exc)})
+    points = [(value, mss) for value in spec.grid for mss in mss_values]
+    rows = []
+    # One model call per BATCH_POINTS grid points: the rows are kept, but
+    # only one call's scenarios and results are alive at a time.
+    for start in range(0, len(points), BATCH_POINTS):
+        chunk = points[start:start + BATCH_POINTS]
+        scenarios = [
+            _variant(spec.scenario, spec.axis, value, mss or spec.scenario.mss_bytes)
+            for value, mss in chunk
+        ]
+        records = segment_models(scenarios, spec.energy).records()
+        for (value, _), scenario, rec in zip(chunk, scenarios, records):
+            if isinstance(rec, LayoutError):
+                rows.append({"axis": spec.axis, "value": value,
+                             "mss_bytes": scenario.mss_bytes,
+                             "flags": "layout_error", "error": str(rec)})
             else:
-                row.update(report.to_record())  # mss_bytes keeps its place
-            rows.append(row)
+                rows.append({"axis": spec.axis, "value": value, **rec})
     return rows
 
 
@@ -138,29 +169,110 @@ class FrontierPoint:
         return {**vars(self), "flags": ";".join(self.flags)}
 
 
-def _energy_gap(scenario: PathScenario, ber: float, mss_pair, energy) -> float | None:
-    """energy(long) - energy(short) at this BER; sign only.
+def _energy_gaps(scenarios, bers, mss_pair, energy) -> list[float | None]:
+    """energy(long) - energy(short) of each scenario at its BER; sign only.
 
-    A diverging side counts as infinitely expensive; None when neither
-    side is finite (or a layout cannot be realized); no comparison there.
+    Every hop takes that BER. A diverging side counts as infinitely
+    expensive; None when neither side is finite (or a layout cannot be
+    realized); no comparison there. One model call for all of them.
     """
-    values = []
-    for mss in (max(mss_pair), min(mss_pair)):
-        try:
-            report = segment_model(
-                _variant(scenario, "ber", ber, mss), energy=energy
-            )
-        except LayoutError:
-            return None
-        values.append(report.total_joules)
-    e_long, e_short = values
-    if e_long is None and e_short is None:
-        return None
-    if e_long is None:
-        return math.inf
-    if e_short is None:
-        return -math.inf
-    return e_long - e_short
+    points = []
+    made = {}
+    for scenario, ber in zip(scenarios, bers):
+        hops = _at_ber(scenario.hops, ber, made)
+        points += [
+            PathScenario(hops, scenario.layout, mss, scenario.transfer_bytes)
+            for mss in (max(mss_pair), min(mss_pair))
+        ]
+    batch = segment_models(points, energy)
+    joules, errors = batch.column("total_joules"), batch.errors
+    gaps = []
+    for i in range(0, len(points), 2):
+        e_long, e_short = joules[i], joules[i + 1]
+        unevaluable = errors[i] is not None or errors[i + 1] is not None
+        if unevaluable or (e_long is None and e_short is None):
+            gaps.append(None)
+        elif e_long is None:
+            gaps.append(math.inf)
+        elif e_short is None:
+            gaps.append(-math.inf)
+        else:
+            gaps.append(e_long - e_short)
+    return gaps
+
+
+@dataclass
+class _Bracket:
+    """One crossover search: a scenario's bracket while it is bisected."""
+
+    index: int
+    lo: float
+    hi: float
+    flags: list[str]
+    stuck: bool = False  # a midpoint could not be evaluated
+
+
+def _crossovers(
+    scenarios, mss_pair, energy, ber_range, points_per_decade, rel_tol
+) -> list[FrontierPoint]:
+    """``crossover_ber`` of each scenario: one scan call, then lockstep bisection."""
+    lo, hi = ber_range
+    if not 0 < lo < hi < 1:
+        raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
+    n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
+    grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+    gaps = _energy_gaps(
+        [sc for sc in scenarios for _ in grid], grid * len(scenarios), mss_pair, energy
+    )
+
+    brackets = []
+    for i in range(len(scenarios)):
+        found = []
+        sign_changes = 0
+        prev = None
+        for b, g in zip(grid, gaps[i * n:(i + 1) * n]):
+            if g is None:
+                continue
+            if prev is not None and (prev[1] < 0) != (g < 0):
+                sign_changes += 1
+                if prev[1] < 0:
+                    found.append((prev[0], b))
+            prev = (b, g)
+        if found:
+            flags = ["multiple_crossovers"] if sign_changes > 1 else []
+            brackets.append(_Bracket(i, *found[0], flags))
+
+    active = brackets
+    while True:
+        active = [br for br in active
+                  if not br.stuck and (br.hi - br.lo) / br.lo > rel_tol]
+        if not active:
+            break
+        mids = [math.sqrt(br.lo * br.hi) for br in active]
+        step = _energy_gaps([scenarios[br.index] for br in active], mids, mss_pair, energy)
+        for br, mid, g in zip(active, mids, step):
+            if g is None:
+                br.stuck = True
+                br.flags.append("bracket_unresolved")
+            elif g >= 0:
+                br.hi = mid
+            else:
+                br.lo = mid
+
+    points = [
+        FrontierPoint(
+            family=None, family_value=None, h=len(sc.hops), crossover_ber=None,
+            ber_lo=None, ber_hi=None, flags=("no_crossover",),
+        )
+        for sc in scenarios
+    ]
+    for br in brackets:
+        points[br.index] = FrontierPoint(
+            family=None, family_value=None, h=len(scenarios[br.index].hops),
+            crossover_ber=math.sqrt(br.lo * br.hi),
+            ber_lo=br.lo, ber_hi=br.hi, flags=tuple(br.flags),
+        )
+    return points
 
 
 def crossover_ber(
@@ -169,57 +281,21 @@ def crossover_ber(
     energy: EnergyParams = EnergyParams(),
     ber_range: tuple[float, float] = BER_RANGE,
     points_per_decade: int = POINTS_PER_DECADE,
-    rel_tol: float = 1e-3,
+    rel_tol: float = REL_TOL,
 ) -> FrontierPoint:
     """Locate the BER where the long and short MSS cost the same energy.
 
     Scans a geometric BER grid for sign changes of the energy gap, then
     bisects (in log space) the first bracket down to the relative BER
-    tolerance. The scenario's own hops fix h and r; its layout fixes
-    alpha and the fragment mode.
+    tolerance. A midpoint where the gap cannot be evaluated stops the
+    bisection there: the bracket reached is returned, flagged
+    ``bracket_unresolved``. The scenario's own hops fix h and r; its
+    layout fixes alpha and the fragment mode.
     """
-    lo, hi = ber_range
-    if not 0 < lo < hi < 1:
-        raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
-    n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
-    grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-
-    gap = lambda b: _energy_gap(scenario, b, mss_pair, energy)
-    h = len(scenario.hops)
-    brackets = []
-    sign_changes = 0
-    prev = None
-    for b in grid:
-        g = gap(b)
-        if g is None:
-            continue
-        if prev is not None and (prev[1] < 0) != (g < 0):
-            sign_changes += 1
-            if prev[1] < 0:
-                brackets.append((prev[0], b))
-        prev = (b, g)
-    flags = []
-    if not brackets:
-        return FrontierPoint(
-            h=h, family=None, family_value=None, crossover_ber=None,
-            ber_lo=None, ber_hi=None, flags=("no_crossover",),
-        )
-    if sign_changes > 1:
-        flags.append("multiple_crossovers")
-
-    b_lo, b_hi = brackets[0]
-    while (b_hi - b_lo) / b_lo > rel_tol:
-        mid = math.sqrt(b_lo * b_hi)
-        g = gap(mid)
-        if g is None or g >= 0:
-            b_hi = mid
-        else:
-            b_lo = mid
-    return FrontierPoint(
-        h=h, family=None, family_value=None,
-        crossover_ber=math.sqrt(b_lo * b_hi),
-        ber_lo=b_lo, ber_hi=b_hi, flags=tuple(flags),
+    (point,) = _crossovers(
+        [scenario], mss_pair, energy, ber_range, points_per_decade, rel_tol
     )
+    return point
 
 
 def frontier(
@@ -235,20 +311,17 @@ def frontier(
     """One crossover curve per family member (family is ``r`` or ``alpha``).
 
     Points where the search fails are emitted with their flags so curves
-    keep their gaps; ordering is (family value, h).
+    keep their gaps; ordering is (family value, h). Each family value's
+    crossovers are searched together (see the module docstring).
     """
     if family not in ("r", "alpha"):
         raise ValueError(f'family must be "r" or "alpha", got {family!r}')
     points = []
     for value in family_values:
         base = _variant(scenario, family, value, scenario.mss_bytes)
-        for h in h_values:
-            variant = _variant(base, "h", h, base.mss_bytes)
-            point = crossover_ber(
-                variant, mss_pair=mss_pair, energy=energy,
-                ber_range=ber_range, points_per_decade=points_per_decade,
-            )
-            points.append(
-                replace(point, family=family, family_value=float(value))
-            )
+        variants = [_variant(base, "h", h, base.mss_bytes) for h in h_values]
+        for point in _crossovers(
+            variants, mss_pair, energy, ber_range, points_per_decade, REL_TOL
+        ):
+            points.append(replace(point, family=family, family_value=float(value)))
     return points

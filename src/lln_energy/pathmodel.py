@@ -12,26 +12,39 @@ Quantities that are undefined for a configuration (a hop that can never
 deliver, a success probability of zero) or that pass the float range are
 reported as ``None`` plus an entry in ``ModelReport.flags`` rather than as
 infinities.
+
+``segment_models`` evaluates many scenarios, each with its own hops and
+frames, in one batched numpy pass per ``BATCH_POINTS`` scenarios; the
+hop models stay scalar and cached. Only IEEE ``+ - * /`` run in numpy, in
+the order of the scalar formulas: a per-hop loop rather than ``np.sum`` or
+``np.prod``, and a mask for hops past a zero survival. ``q**m``, ``log``
+and ``expm1`` are per-element ``math`` calls, because numpy's vectorized
+versions can differ from libm in the last bit. Every field therefore
+equals a scalar evaluation of the same formulas bit for bit.
+``segment_model`` is the one-point case; a numpy pass costs more than a
+scalar evaluation would for one point, so callers with many points batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
-from .framing import FrameLayout, resolve_frames
+import numpy as np
+
+from .framing import FrameLayout, LayoutError, resolve_frames
 from .hopmodel import HopModel, HopParams, hop_model
 
 __all__ = [
     "PathScenario",
     "EnergyParams",
     "ModelReport",
+    "ModelBatch",
     "uniform_path",
-    "path_success_prob",
-    "path_bits",
     "fragment_failure_sum",
     "segment_model",
+    "segment_models",
     "FLAG_DIVERGES",
     "FLAG_DEGENERATE_HOP",
 ]
@@ -39,12 +52,19 @@ __all__ = [
 FLAG_DIVERGES = "diverges"
 FLAG_DEGENERATE_HOP = "degenerate_hop"
 
+#: Scenarios per numpy pass of ``segment_models``. A pass holds a few
+#: hops x scenarios float64 arrays (18 KiB each at nine hops) and the
+#: scenarios' rows, so this bounds its memory whatever the number of
+#: scenarios; each pass costs a fixed ~0.3 ms of numpy calls.
+BATCH_POINTS = 256
+
 
 def uniform_path(h: int, ber: float, r: int = HopParams.r) -> tuple[HopParams, ...]:
-    """h identical hops; convenience for the homogeneous-path scenarios."""
+    """h identical hops (one frozen HopParams, repeated); convenience for
+    the homogeneous-path scenarios."""
     if h < 1:
         raise ValueError(f"need at least one hop, got {h}")
-    return tuple(HopParams(ber=ber, r=r) for _ in range(h))
+    return (HopParams(ber=ber, r=r),) * h
 
 
 @dataclass(frozen=True)
@@ -89,71 +109,105 @@ class EnergyParams:
         return None if bits is None else bits * self.uj_per_bit() * 1e-6
 
 
-def path_success_prob(hop_failure_probs: Sequence[float]) -> float:
-    """Probability a frame survives every hop: prod(1 - f_i)."""
-    q = 1.0
-    for f in hop_failure_probs:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"hop failure probability {f} outside [0, 1]")
-        q *= 1.0 - f
-    return q
+def _one_minus_pow(q, k) -> np.ndarray:
+    """1 - q**k elementwise, without cancellation for q near 1 (1 at q <= 0)."""
+    q = np.asarray(q)
+    return np.array([
+        -math.expm1(j * math.log(x)) if x > 0.0 else 1.0
+        for x, j in zip(q.ravel().tolist(), np.ravel(k).tolist())
+    ]).reshape(q.shape)
 
 
-def path_bits(models: Sequence[HopModel]) -> tuple[float | None, float | None]:
-    """(e_s, e_f): expected bits end to end, given success resp. given failure.
-
-    e_s sums the per-hop success expectations. e_f weights, for each hop k,
-    the cost of clearing hops before k and burning all attempts on k, by
-    the probability that the drop happens exactly there; it is None when
-    the path never fails (and e_s is None when some hop can never deliver).
-    """
-    if not models:
-        raise ValueError("need at least one hop model")
-    e_s = (
-        None
-        if any(hm.degenerate for hm in models)
-        else sum(hm.h_s for hm in models)
-    )
-    q_s = path_success_prob([hm.f for hm in models])
-    if 1.0 - q_s <= 0.0:
-        return e_s, None
-    total = 0.0
-    survive = 1.0
-    bits_before = 0.0
-    for hm in models:
-        total += (bits_before + hm.h_f) * survive * hm.f
-        survive *= 1.0 - hm.f
-        if survive == 0.0:
-            break  # later hops are unreachable (and may have h_s undefined)
-        bits_before += hm.h_s
-    return e_s, total / (1.0 - q_s)
-
-
-def _one_minus_pow(q: float, k: int) -> float:
-    """1 - q**k without cancellation for q near 1."""
-    if q <= 0.0:
-        return 1.0
-    return -math.expm1(k * math.log(q))
-
-
-def fragment_failure_sum(
-    m: int, q_s: float, e_s: float | None, e_f: float | None
-) -> float:
+def fragment_failure_sum(m, q_s, e_s, e_f) -> np.ndarray:
     """Bits of a round of m fragments, summed over rounds with >= 1 failure.
 
     The unnormalized sum_k C(m,k) (k e_f + (m-k) e_s) (1-q_s)^k q_s^(m-k)
     over k >= 1, in closed form: m (1-q_s) e_f + m e_s q_s (1 - q_s^(m-1)).
     Divided by 1 - q_s^m it is the expected cost of a round given that a
     fragment failed. Well-defined at both endpoints: 0 when q_s = 1
-    (failures never happen), m*e_f when q_s = 0 (every fragment fails).
+    (failures never happen, e_f is not read), m*e_f when q_s = 0 (every
+    fragment fails, e_s is not read). Elementwise over arrays of one
+    shape, or over scalars; m >= 1.
     """
-    if m < 1:
-        raise ValueError(f"fragment count must be >= 1, got {m}")
-    if q_s >= 1.0:
-        return 0.0
-    if q_s <= 0.0:
-        return m * e_f
-    return m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mixed = m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1.0)
+        return np.where(q_s >= 1.0, 0.0, np.where(q_s <= 0.0, m * e_f, mixed))
+
+
+def _path(table: np.ndarray, index: np.ndarray):
+    """(q_s, e_s, e_f unnormalized by 1 - q_s, dead) of each column's path.
+
+    ``table`` holds the hop models' (f, h_s, h_f, degenerate) as four rows;
+    ``index`` has one row per hop position, one column per path, naming
+    the table column of that path's hop. The loop accumulates in the scalar
+    formulas' order: q_s = prod(1 - f_i); e_s = sum(h_s_i); and the failure
+    cost, for each hop k, of clearing the hops before k and burning all
+    attempts on k, weighted by the chance the drop happens there. An
+    undefined h_s (a hop that can never deliver, which ``dead`` marks) is
+    stored as 0.0, so every sum stays finite: past a zero survival each
+    failure term is then exactly 0.0 and changes nothing, as the scalar
+    loop's stop there does, with no mask and no NaN.
+    """
+    f, h_s, h_f, degenerate = table
+    keep = 1.0 - f
+    n = index.shape[1]
+    q = np.ones(n)
+    e_s = np.zeros(n)
+    total = np.zeros(n)
+    dead = np.zeros(n)
+    for hop in index:
+        total = total + (e_s + h_f[hop]) * q * f[hop]
+        q = q * keep[hop]
+        e_s = e_s + h_s[hop]
+        dead = dead + degenerate[hop]
+    return q, e_s, total, dead != 0.0
+
+
+def _shared_ber_r(hops: tuple[HopParams, ...]) -> tuple[float | None, int | None]:
+    """The BER and the attempt limit of every hop, each None where hops differ."""
+    if hops.count(hops[0]) == len(hops):
+        return hops[0].ber, hops[0].r
+    bers = {hp.ber for hp in hops}
+    rs = {hp.r for hp in hops}
+    return bers.pop() if len(bers) == 1 else None, rs.pop() if len(rs) == 1 else None
+
+
+def _hop_models(d: int, c: int, a: int, hops) -> tuple[HopModel, ...]:
+    """Each hop's model; a path of one repeated hop takes one lookup."""
+    if hops.count(hops[0]) == len(hops):
+        return (hop_model(d, c, a, hops[0]),) * len(hops)
+    return tuple(hop_model(d, c, a, hp) for hp in hops)
+
+
+def _hop_table(paths: tuple[tuple[HopModel, ...], ...], width: int):
+    """(table, index) of ``_path`` for these paths of hop models.
+
+    Table column 0 is a no-op hop that pads shorter paths to ``width``:
+    f = 0 and h_s = h_f = 0 leave every sum and product bit for bit
+    unchanged. Each distinct model object takes one column.
+    """
+    column = {}  # id(model) -> table column; the paths keep the models alive
+    table = [(0.0, 0.0, 0.0, 0.0)]
+    index = []
+    for models in paths:
+        first = models[0]
+        if models.count(first) == len(models):  # one repeated hop
+            index += [_column(first, column, table)] * len(models)
+        else:
+            index += [_column(hm, column, table) for hm in models]
+        index += [0] * (width - len(models))
+    return (
+        np.array(table).T,
+        np.array(index).reshape(len(paths), width).T,
+    )
+
+
+def _column(hm: HopModel, column: dict, table: list) -> int:
+    k = column.get(id(hm))
+    if k is None:
+        k = column[id(hm)] = len(table)
+        table.append((hm.f, 0.0 if hm.degenerate else hm.h_s, hm.h_f, float(hm.degenerate)))
+    return k
 
 
 @dataclass(frozen=True)
@@ -198,11 +252,9 @@ class ModelReport:
         """Flat key/value record (one CSV row / JSON-lines object).
 
         The columns are the fields in order, less the per-hop models, which
-        ``per_hop=True`` flattens after ``flags``. ``vars`` holds exactly
-        the fields in order: a frozen dataclass sets no other attribute.
+        ``per_hop=True`` flattens after ``flags``.
         """
-        rec = dict(vars(self))
-        del rec["data_hops"], rec["ack_hops"]
+        rec = {name: getattr(self, name) for name in _RECORD_FIELDS}
         rec["flags"] = ";".join(self.flags)
         if per_hop:
             for side, hops in (("data", self.data_hops), ("ack", self.ack_hops)):
@@ -211,100 +263,223 @@ class ModelReport:
         return rec
 
 
+#: ModelReport's fields, and the record columns: all but the per-hop models
+_REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
+_RECORD_FIELDS = tuple(n for n in _REPORT_FIELDS if n not in ("data_hops", "ack_hops"))
+#: The fields read off each scenario, its frames and its hop models; the
+#: float fields the numpy pass computes; and the per-scenario flags.
+_GIVEN = _REPORT_FIELDS[:_REPORT_FIELDS.index("q_s")] + ("segments",)
+_COMPUTED = tuple(n for n in _REPORT_FIELDS if n not in _GIVEN and n != "flags")
+#: The computed fields that are None for some scenarios
+_NULLABLE = tuple(n for n in _COMPUTED if n not in ("q_s", "q_s_ack", "p_s"))
+
+
+@dataclass(frozen=True, eq=False)
+class ModelBatch:
+    """``segment_models``' result, by column.
+
+    ``column(name)[i]`` is field ``name`` of scenario ``i``'s
+    ``ModelReport`` as a plain Python value. ``errors[i]`` is the
+    ``LayoutError`` raised resolving scenario i's frames, else None; that
+    scenario's column entries are then None. The computed fields stay in
+    float64 arrays, ``defined`` False where a field is None, until read.
+    """
+
+    given: dict[str, list]
+    computed: np.ndarray  # one row per _COMPUTED field, one column per scenario
+    defined: np.ndarray  # one row per _NULLABLE field
+    flags: list[tuple[str, ...] | None]
+    errors: list[LayoutError | None]
+
+    def column(self, name: str) -> list:
+        """Field ``name`` of every scenario, None where undefined or errored."""
+        if name == "flags":
+            return self.flags
+        if name in self.given:
+            return self.given[name]
+        values = self.computed[_COMPUTED.index(name)].tolist()
+        if name not in _NULLABLE:
+            return values
+        defined = self.defined[_NULLABLE.index(name)].tolist()
+        return [v if ok else None for v, ok in zip(values, defined)]
+
+    def report(self, i: int) -> ModelReport:
+        """Scenario i's ModelReport; raises its LayoutError, if any."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return ModelReport(**self._fields(i))
+
+    def records(self) -> Iterator[dict | LayoutError]:
+        """Each scenario's ``ModelReport.to_record()`` in turn, or its LayoutError."""
+        for i, err in enumerate(self.errors):
+            if err is not None:
+                yield err
+                continue
+            rec = self._fields(i)
+            del rec["data_hops"], rec["ack_hops"]
+            rec["flags"] = ";".join(rec["flags"])
+            yield rec
+
+    def _fields(self, i: int) -> dict:
+        """Scenario i's ModelReport fields, in order."""
+        computed = dict(zip(_COMPUTED, self.computed[:, i].tolist()))
+        for name, ok in zip(_NULLABLE, self.defined[:, i].tolist()):
+            if not ok:
+                computed[name] = None
+        computed["flags"] = self.flags[i]
+        return {
+            name: self.given[name][i] if name in self.given else computed[name]
+            for name in _REPORT_FIELDS
+        }
+
+
 def segment_model(
     scenario: PathScenario, energy: EnergyParams = EnergyParams()
 ) -> ModelReport:
-    """Full expected-cost model for one scenario.
+    """Full expected-cost model for one scenario (see ``segment_models``)."""
+    return segment_models([scenario], energy).report(0)
+
+
+def segment_models(
+    scenarios: Sequence[PathScenario], energy: EnergyParams = EnergyParams()
+) -> ModelBatch:
+    """Full expected-cost model for each scenario, batched.
 
     Data fragments cross the hops in order; the TCP ACK crosses them in
     reverse. A segment round succeeds with probability q_s^m * q_s_ack;
     s_f conditions on the round failing, s composes the unbounded-retry
     total, and the transfer multiplies by ceil(transfer/mss) segments.
+    A scenario whose frames cannot be resolved gets its LayoutError in
+    ``errors`` instead of failing the batch.
     """
-    frames = resolve_frames(scenario.mss_bytes, scenario.layout)
-    a = scenario.layout.ll_ack_bits
-    data_hops = tuple(
-        hop_model(frames.d_data_bits, frames.c_data_bits, a, hp)
-        for hp in scenario.hops
+    n = len(scenarios)
+    batch = ModelBatch(
+        given={name: [None] * n for name in _GIVEN},
+        computed=np.zeros((len(_COMPUTED), n)),
+        defined=np.zeros((len(_NULLABLE), n), dtype=bool),
+        flags=[None] * n,
+        errors=[None] * n,
     )
-    ack_hops = tuple(
-        hop_model(frames.d_ack_bits, frames.c_ack_bits, a, hp)
-        for hp in reversed(scenario.hops)
-    )
+    for start in range(0, n, BATCH_POINTS):
+        _evaluate(scenarios, start, min(n, start + BATCH_POINTS), energy, batch)
+    return batch
 
-    q_s = path_success_prob([hm.f for hm in data_hops])
-    q_s_ack = path_success_prob([hm.f for hm in ack_hops])
-    e_s, e_f = path_bits(data_hops)
-    e_s_ack, e_f_ack = path_bits(ack_hops)
 
-    m = frames.m
-    q_s_m = q_s**m
-    p_s = q_s_m * q_s_ack
-
-    flags: list[str] = []
-    if any(hm.degenerate for hm in data_hops + ack_hops):
-        flags.append(FLAG_DEGENERATE_HOP)
-
-    frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
-    i_f = frag_term / _one_minus_pow(q_s, m) if 0.0 < q_s < 1.0 else None
-    s_s = None if e_s is None or e_s_ack is None else m * e_s + e_s_ack
-
-    # Conditional cost of a failed round, assembled from the unnormalized
-    # pieces so endpoint cases never multiply None by zero.
-    if p_s < 1.0:
-        if q_s_m == 0.0 or q_s_ack >= 1.0:
-            ack_term = 0.0
+def _evaluate(scenarios, start: int, stop: int, energy, batch: ModelBatch) -> None:
+    """Fill scenarios[start:stop]'s entries of ``batch`` in one numpy pass."""
+    rows = []
+    at = []
+    for i in range(start, stop):
+        sc = scenarios[i]
+        try:
+            frames = resolve_frames(sc.mss_bytes, sc.layout)
+        except LayoutError as exc:
+            batch.errors[i] = exc
+            continue
+        at.append(i)
+        a = sc.layout.ll_ack_bits
+        rows.append((
+            sc.mss_bytes,
+            sc.transfer_bytes,
+            len(sc.hops),
+            *_shared_ber_r(sc.hops),
+            sc.layout.alpha,
+            frames.m,
+            frames.d_data_bits,
+            frames.c_data_bits,
+            frames.d_ack_bits,
+            frames.c_ack_bits,
+            a,
+            _hop_models(frames.d_data_bits, frames.c_data_bits, a, sc.hops),
+            _hop_models(frames.d_ack_bits, frames.c_ack_bits, a, sc.hops[::-1]),
+            sc.segments,
+        ))
+    if not rows:
+        return
+    given = dict(zip(_GIVEN, zip(*rows)))
+    computed, defined, flags = _segment_columns(given, energy)
+    complete = len(at) == stop - start
+    where = slice(start, stop) if complete else at
+    batch.computed[:, where] = computed
+    batch.defined[:, where] = defined
+    for column, values in (
+        *((batch.given[name], values) for name, values in given.items()),
+        (batch.flags, flags),
+    ):
+        if complete:
+            column[start:stop] = values
         else:
-            ack_term = (m * e_s + e_f_ack) * q_s_m * (1.0 - q_s_ack)
+            for i, value in zip(at, values):
+                column[i] = value
+
+
+def _segment_columns(given: dict[str, tuple], energy: EnergyParams):
+    """(computed, defined, flags) of one pass's resolved scenarios.
+
+    ``computed`` has one row per ``_COMPUTED`` field, and ``defined`` is
+    False where the scalar formulas give None.
+    """
+    # the data paths and the ACK paths side by side, in one set of columns
+    n = len(given["h"])
+    paths = given["data_hops"] + given["ack_hops"]
+    q, e, fail_both, dead = _path(*_hop_table(paths, max(given["h"])))
+    q_s, q_s_ack = q[:n], q[n:]
+    e_s, e_s_ack = e[:n], e[n:]
+    fail, fail_ack = fail_both[:n], fail_both[n:]
+    dead_data, dead_ack = dead[:n], dead[n:]
+    # float(int) rounds as Python's int * float does
+    m = np.array([float(k) for k in given["m"]])
+    segments = np.array([float(n) for n in given["segments"]])
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e_f = fail / (1.0 - q_s)
+        e_f_ack = fail_ack / (1.0 - q_s_ack)
+        q_s_m = np.array([q**k for q, k in zip(q_s.tolist(), given["m"])])
+        p_s = q_s_m * q_s_ack
+
+        frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
+        i_f = frag_term / _one_minus_pow(q_s, m)
+        s_s = m * e_s + e_s_ack
+
+        # Conditional cost of a failed round, assembled from the unnormalized
+        # pieces so the endpoint cases never read an undefined e_s or e_f_ack.
+        ack_term = np.where(
+            (q_s_m == 0.0) | (q_s_ack >= 1.0),
+            0.0,
+            (m * e_s + e_f_ack) * q_s_m * (1.0 - q_s_ack),
+        )
         s_f = (frag_term + ack_term) / (1.0 - p_s)
-    else:
-        s_f = None  # rounds never fail
+        retry_bits = np.where(p_s < 1.0, s_f * (1.0 / p_s - 1.0), 0.0)
+        s = np.where(p_s > 0.0, retry_bits + s_s, math.inf)
+        total_bits = segments * s
+        total_joules = total_bits * energy.uj_per_bit() * 1e-6
 
-    if p_s > 0.0:
-        retry_bits = s_f * (1.0 / p_s - 1.0) if s_f is not None else 0.0
-        s = retry_bits + s_s
-    else:
-        s = math.inf
-
-    segments = scenario.segments
-    total_bits = segments * s
-    if not math.isfinite(total_bits):
-        # p_s = 0, or a p_s so small that the expected bits pass the float range
-        total_bits = None
-        if not math.isfinite(s):
-            s = None
-        flags.append(FLAG_DIVERGES)
-
-    bers = {hp.ber for hp in scenario.hops}
-    rs = {hp.r for hp in scenario.hops}
-    return ModelReport(
-        mss_bytes=scenario.mss_bytes,
-        transfer_bytes=scenario.transfer_bytes,
-        h=len(scenario.hops),
-        ber=bers.pop() if len(bers) == 1 else None,
-        r=rs.pop() if len(rs) == 1 else None,
-        alpha=scenario.layout.alpha,
-        m=m,
-        d_data_bits=frames.d_data_bits,
-        c_data_bits=frames.c_data_bits,
-        d_ack_bits=frames.d_ack_bits,
-        c_ack_bits=frames.c_ack_bits,
-        a_bits=a,
-        data_hops=data_hops,
-        ack_hops=ack_hops,
-        q_s=q_s,
-        q_s_ack=q_s_ack,
-        e_s=e_s,
-        e_f=e_f,
-        e_s_ack=e_s_ack,
-        e_f_ack=e_f_ack,
-        i_f=i_f,
-        p_s=p_s,
-        s_s=s_s,
-        s_f=s_f,
-        s=s,
-        segments=segments,
-        total_bits=total_bits,
-        total_joules=energy.joules(total_bits),
-        flags=tuple(flags),
+    # p_s = 0, or a p_s so small that the expected bits pass the float range;
+    # s and the totals are non-negative, so "< inf" is false just for inf and NaN
+    finite = total_bits < math.inf
+    values = {
+        "q_s": q_s, "q_s_ack": q_s_ack, "e_s": e_s, "e_f": e_f, "e_s_ack": e_s_ack,
+        "e_f_ack": e_f_ack, "i_f": i_f, "p_s": p_s, "s_s": s_s, "s_f": s_f, "s": s,
+        "total_bits": total_bits, "total_joules": total_joules,
+    }
+    defined = {
+        "e_s": ~dead_data,
+        "e_f": 1.0 - q_s > 0.0,
+        "e_s_ack": ~dead_ack,
+        "e_f_ack": 1.0 - q_s_ack > 0.0,
+        "i_f": (q_s > 0.0) & (q_s < 1.0),
+        "s_s": ~(dead_data | dead_ack),
+        "s_f": p_s < 1.0,
+        "s": s < math.inf,
+        "total_bits": finite,
+        "total_joules": finite,
+    }
+    flags = [
+        (FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok)
+        for dead, ok in zip((dead_data | dead_ack).tolist(), finite.tolist())
+    ]
+    return (
+        np.array([values[name] for name in _COMPUTED]),
+        np.array([defined[name] for name in _NULLABLE]),
+        flags,
     )

@@ -1,0 +1,241 @@
+"""Scalar oracle of the path and segment model, and of the crossover search.
+
+One scenario at a time in plain Python floats: the library's batched core
+(``pathmodel.segment_models``) must reproduce every ``ModelReport`` field
+of ``segment_model`` here with ``==``, and the explorer's batched frontier
+must reproduce ``crossover_ber`` here exactly. The arithmetic is the
+scalar model's, operation for operation.
+"""
+
+import math
+from typing import Sequence
+
+from lln_energy.explorer import FrontierPoint
+from lln_energy.framing import LayoutError, resolve_frames
+from lln_energy.hopmodel import HopModel, HopParams, hop_model
+from lln_energy.pathmodel import (
+    FLAG_DEGENERATE_HOP,
+    FLAG_DIVERGES,
+    EnergyParams,
+    ModelReport,
+    PathScenario,
+)
+
+
+def path_success_prob(hop_failure_probs: Sequence[float]) -> float:
+    """Probability a frame survives every hop: prod(1 - f_i)."""
+    q = 1.0
+    for f in hop_failure_probs:
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"hop failure probability {f} outside [0, 1]")
+        q *= 1.0 - f
+    return q
+
+
+def path_bits(models: Sequence[HopModel]) -> tuple[float | None, float | None]:
+    """(e_s, e_f): expected bits end to end, given success resp. given failure.
+
+    e_s sums the per-hop success expectations. e_f weights, for each hop k,
+    the cost of clearing hops before k and burning all attempts on k, by
+    the probability that the drop happens exactly there; it is None when
+    the path never fails (and e_s is None when some hop can never deliver).
+    """
+    if not models:
+        raise ValueError("need at least one hop model")
+    e_s = (
+        None
+        if any(hm.degenerate for hm in models)
+        else sum(hm.h_s for hm in models)
+    )
+    q_s = path_success_prob([hm.f for hm in models])
+    if 1.0 - q_s <= 0.0:
+        return e_s, None
+    total = 0.0
+    survive = 1.0
+    bits_before = 0.0
+    for hm in models:
+        total += (bits_before + hm.h_f) * survive * hm.f
+        survive *= 1.0 - hm.f
+        if survive == 0.0:
+            break  # later hops are unreachable (and may have h_s undefined)
+        bits_before += hm.h_s
+    return e_s, total / (1.0 - q_s)
+
+
+def _one_minus_pow(q: float, k: int) -> float:
+    """1 - q**k without cancellation for q near 1."""
+    if q <= 0.0:
+        return 1.0
+    return -math.expm1(k * math.log(q))
+
+
+def fragment_failure_sum(
+    m: int, q_s: float, e_s: float | None, e_f: float | None
+) -> float:
+    """m (1-q_s) e_f + m e_s q_s (1 - q_s^(m-1)); 0 at q_s = 1, m e_f at 0."""
+    if m < 1:
+        raise ValueError(f"fragment count must be >= 1, got {m}")
+    if q_s >= 1.0:
+        return 0.0
+    if q_s <= 0.0:
+        return m * e_f
+    return m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1)
+
+
+def segment_model(
+    scenario: PathScenario, energy: EnergyParams = EnergyParams()
+) -> ModelReport:
+    """Full expected-cost model for one scenario."""
+    frames = resolve_frames(scenario.mss_bytes, scenario.layout)
+    a = scenario.layout.ll_ack_bits
+    data_hops = tuple(
+        hop_model(frames.d_data_bits, frames.c_data_bits, a, hp)
+        for hp in scenario.hops
+    )
+    ack_hops = tuple(
+        hop_model(frames.d_ack_bits, frames.c_ack_bits, a, hp)
+        for hp in reversed(scenario.hops)
+    )
+
+    q_s = path_success_prob([hm.f for hm in data_hops])
+    q_s_ack = path_success_prob([hm.f for hm in ack_hops])
+    e_s, e_f = path_bits(data_hops)
+    e_s_ack, e_f_ack = path_bits(ack_hops)
+
+    m = frames.m
+    q_s_m = q_s**m
+    p_s = q_s_m * q_s_ack
+
+    flags: list[str] = []
+    if any(hm.degenerate for hm in data_hops + ack_hops):
+        flags.append(FLAG_DEGENERATE_HOP)
+
+    frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
+    i_f = frag_term / _one_minus_pow(q_s, m) if 0.0 < q_s < 1.0 else None
+    s_s = None if e_s is None or e_s_ack is None else m * e_s + e_s_ack
+
+    if p_s < 1.0:
+        if q_s_m == 0.0 or q_s_ack >= 1.0:
+            ack_term = 0.0
+        else:
+            ack_term = (m * e_s + e_f_ack) * q_s_m * (1.0 - q_s_ack)
+        s_f = (frag_term + ack_term) / (1.0 - p_s)
+    else:
+        s_f = None  # rounds never fail
+
+    if p_s > 0.0:
+        retry_bits = s_f * (1.0 / p_s - 1.0) if s_f is not None else 0.0
+        s = retry_bits + s_s
+    else:
+        s = math.inf
+
+    segments = scenario.segments
+    total_bits = segments * s
+    if not math.isfinite(total_bits):
+        total_bits = None
+        if not math.isfinite(s):
+            s = None
+        flags.append(FLAG_DIVERGES)
+
+    bers = {hp.ber for hp in scenario.hops}
+    rs = {hp.r for hp in scenario.hops}
+    return ModelReport(
+        mss_bytes=scenario.mss_bytes,
+        transfer_bytes=scenario.transfer_bytes,
+        h=len(scenario.hops),
+        ber=bers.pop() if len(bers) == 1 else None,
+        r=rs.pop() if len(rs) == 1 else None,
+        alpha=scenario.layout.alpha,
+        m=m,
+        d_data_bits=frames.d_data_bits,
+        c_data_bits=frames.c_data_bits,
+        d_ack_bits=frames.d_ack_bits,
+        c_ack_bits=frames.c_ack_bits,
+        a_bits=a,
+        data_hops=data_hops,
+        ack_hops=ack_hops,
+        q_s=q_s,
+        q_s_ack=q_s_ack,
+        e_s=e_s,
+        e_f=e_f,
+        e_s_ack=e_s_ack,
+        e_f_ack=e_f_ack,
+        i_f=i_f,
+        p_s=p_s,
+        s_s=s_s,
+        s_f=s_f,
+        s=s,
+        segments=segments,
+        total_bits=total_bits,
+        total_joules=energy.joules(total_bits),
+        flags=tuple(flags),
+    )
+
+
+def energy_gap(scenario, ber, mss_pair, energy):
+    """energy(long) - energy(short) at this BER, every hop at that BER.
+
+    A diverging side counts as infinitely expensive; None when neither
+    side is finite or a layout cannot be realized.
+    """
+    values = []
+    hops = tuple(HopParams(ber, hp.r) for hp in scenario.hops)
+    for mss in (max(mss_pair), min(mss_pair)):
+        try:
+            report = segment_model(
+                PathScenario(hops, scenario.layout, mss, scenario.transfer_bytes),
+                energy,
+            )
+        except LayoutError:
+            return None
+        values.append(report.total_joules)
+    e_long, e_short = values
+    if e_long is None and e_short is None:
+        return None
+    if e_long is None:
+        return math.inf
+    if e_short is None:
+        return -math.inf
+    return e_long - e_short
+
+
+def crossover_ber(
+    scenario, mss_pair=(64, 512), energy=EnergyParams(), ber_range=(1e-7, 1e-1),
+    points_per_decade=10, rel_tol=1e-3,
+) -> FrontierPoint:
+    """Geometric scan for the first cheaper-to-dearer sign change of the
+    energy gap, then log-space bisection of that bracket to ``rel_tol``; an
+    unevaluable midpoint ends the bisection (``bracket_unresolved``)."""
+    lo, hi = ber_range
+    n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
+    grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+    h = len(scenario.hops)
+    brackets = []
+    sign_changes = 0
+    prev = None
+    for b in grid:
+        g = energy_gap(scenario, b, mss_pair, energy)
+        if g is None:
+            continue
+        if prev is not None and (prev[1] < 0) != (g < 0):
+            sign_changes += 1
+            if prev[1] < 0:
+                brackets.append((prev[0], b))
+        prev = (b, g)
+    if not brackets:
+        return FrontierPoint(None, None, h, None, None, None, ("no_crossover",))
+    flags = ["multiple_crossovers"] if sign_changes > 1 else []
+    b_lo, b_hi = brackets[0]
+    while (b_hi - b_lo) / b_lo > rel_tol:
+        mid = math.sqrt(b_lo * b_hi)
+        g = energy_gap(scenario, mid, mss_pair, energy)
+        if g is None:
+            flags.append("bracket_unresolved")
+            break
+        if g >= 0:
+            b_hi = mid
+        else:
+            b_lo = mid
+    return FrontierPoint(
+        None, None, h, math.sqrt(b_lo * b_hi), b_lo, b_hi, tuple(flags)
+    )

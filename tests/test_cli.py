@@ -1,12 +1,14 @@
 """CLI and config-file tests: round-trips, output stability, exit codes."""
 
+import csv
+import io
 import json
 from dataclasses import fields
 
 import pytest
 
 from lln_energy import config
-from lln_energy.cli import _add_common, _add_sim, _Parser, main
+from lln_energy.cli import _add_common, _add_sim, _emit, _Parser, main
 from lln_energy.config import (
     ConfigError,
     RunConfig,
@@ -217,6 +219,28 @@ class TestSubcommands:
         for col in ("family_value", "h", "crossover_ber", "ber_lo", "ber_hi", "flags"):
             assert col in header
         assert len(lines) == 1 + 4
+
+    def test_csv_rows_match_a_dict_writer(self, capsys):
+        # a sweep whose second point cannot be laid out: its row lacks the
+        # model columns, and the first row's error column is empty
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "alpha", "--grid", "0.01,5",
+            "--mss-list", "64", "--fragments", "fit", "--format", "jsonl",
+        )
+        assert code == 0
+        rows = [json.loads(l) for l in body(out).splitlines()]
+        rows.append({"flags": "x", "axis": None})  # keys in another order
+        assert rows[1]["flags"] == "layout_error" and "error" not in rows[0]
+        got = io.StringIO()
+        _emit(rows, "csv", [], got)
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=dict.fromkeys(k for r in rows for k in r),
+                                restval="")
+        writer.writeheader()
+        writer.writerows({k: "" if v is None else v for k, v in r.items()} for r in rows)
+        assert got.getvalue() == want.getvalue()
+        layout_row = list(csv.reader(io.StringIO(got.getvalue())))[2]
+        assert layout_row[-2:] == ["layout_error", rows[1]["error"]]
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"

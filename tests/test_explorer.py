@@ -1,14 +1,20 @@
-"""Sweep and frontier tests: row shape, bracket validity, orderings."""
+"""Sweep and frontier tests: row shape, bracket validity, orderings, and the
+batched frontier against a scalar scan-plus-bisection oracle."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from lln_energy import explorer
+from lln_energy.cli import _strict_trips
+from lln_energy.config import RunConfig
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
 from lln_energy.framing import FrameLayout, resolve_frames
 from lln_energy.hopmodel import HopParams, hop_model
 from lln_energy.pathmodel import EnergyParams, PathScenario, segment_model, uniform_path
+
+import scalar_oracle
 
 LAYOUT = FrameLayout(frag_header_bits=136)
 
@@ -113,10 +119,11 @@ class TestCrossover:
         # dearer change is always the 1e-7..1e-6 bracket, and any later
         # change, either way, flags the scan
         for signs, multiple in (("-+-+", True), ("-+--", True), ("-+++", False)):
-            def gap(scenario, ber, mss_pair, energy, signs=signs):
-                return 1.0 if signs[round(math.log10(ber / 1e-7))] == "+" else -1.0
+            def gaps(scenarios, bers, mss_pair, energy, signs=signs):
+                return [1.0 if signs[round(math.log10(b / 1e-7))] == "+" else -1.0
+                        for b in bers]
 
-            monkeypatch.setattr(explorer, "_energy_gap", gap)
+            monkeypatch.setattr(explorer, "_energy_gaps", gaps)
             pt = crossover_ber(base_scenario(), ber_range=(1e-7, 1e-4),
                                points_per_decade=1)
             assert 1e-7 <= pt.ber_lo < pt.crossover_ber < pt.ber_hi <= 1.000001e-6
@@ -128,6 +135,37 @@ class TestCrossover:
         cold = crossover_ber(base_scenario(h=3))
         frontier(base_scenario(), "r", [3], range(1, 10))
         assert crossover_ber(base_scenario(h=3)) == cold
+
+    def test_unevaluable_midpoint_stops_only_its_bisection(self, monkeypatch):
+        # At the third bisection step the h=3 search finds neither MSS
+        # evaluable; its bracket stays where the first two steps left it,
+        # flagged, while the other hop counts bisect on in lockstep.
+        want = frontier(base_scenario(), "r", [3], range(1, 6))
+        real = explorer.segment_models
+        unrealizable = FrameLayout(alpha=5.0, fragments="fit")
+        steps = []
+
+        def core(scenarios, energy):
+            if len(scenarios) <= 2 * 5:  # a bisection step: two points per bracket
+                steps.append(len(scenarios))
+                if len(steps) == 3:
+                    scenarios = [replace(sc, layout=unrealizable) if len(sc.hops) == 3
+                                 else sc for sc in scenarios]
+            return real(scenarios, energy)
+
+        monkeypatch.setattr(explorer, "segment_models", core)
+        got = frontier(base_scenario(), "r", [3], range(1, 6))
+        assert [p for p in got if p.h != 3] == [p for p in want if p.h != 3]
+        stuck, full = got[2], want[2]
+        assert stuck.flags == ("bracket_unresolved",)
+        assert stuck.ber_lo <= full.ber_lo < full.ber_hi <= stuck.ber_hi
+        # two halvings of the log-width of one 10-per-decade scan step
+        assert math.log10(stuck.ber_hi / stuck.ber_lo) == pytest.approx(0.1 / 4)
+        monkeypatch.undo()
+        sc = base_scenario(h=3)
+        assert energy_at(stuck.ber_lo, 512, sc) < energy_at(stuck.ber_lo, 64, sc)
+        assert energy_at(stuck.ber_hi, 512, sc) > energy_at(stuck.ber_hi, 64, sc)
+        assert _strict_trips([stuck.to_record()])
 
     def test_more_attempts_push_crossover_up(self):
         lo = crossover_ber(base_scenario(r=1)).crossover_ber
@@ -161,6 +199,22 @@ class TestFrontier:
         vals = {(p.family_value, p.h): p.crossover_ber for p in pts}
         assert vals[(1e-3, 3)] < vals[(1e-2, 3)]
         assert vals[(1e-2, 5)] <= vals[(1e-2, 3)]
+
+    def test_r_family_equals_the_scalar_oracle(self):
+        # the CLI's `frontier --family r --values 1,2,3,4,5,7` over h=1..9
+        base = RunConfig().scenario()
+        got = frontier(base, "r", [1, 2, 3, 4, 5, 7], range(1, 10))
+        want = [
+            replace(
+                scalar_oracle.crossover_ber(
+                    PathScenario(uniform_path(h, base.hops[0].ber, r), base.layout,
+                                 base.mss_bytes, base.transfer_bytes)),
+                family="r", family_value=float(r),
+            )
+            for r in (1, 2, 3, 4, 5, 7)
+            for h in range(1, 10)
+        ]
+        assert got == want
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Path and TCP-level model tests: multi-hop expectations, fragment rounds,
-segment totals, energy mapping, degeneracy handling."""
+segment totals, energy mapping, degeneracy handling, and the batched core
+against its scalar oracle."""
 
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,17 +13,19 @@ from hypothesis import strategies as st
 
 from lln_energy import pathmodel
 from lln_energy.config import RunConfig
-from lln_energy.framing import FrameLayout, resolve_frames
+from lln_energy.framing import FrameLayout, LayoutError, resolve_frames
 from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams, hop_model
 from lln_energy.pathmodel import (
     EnergyParams,
     PathScenario,
     fragment_failure_sum,
-    path_bits,
-    path_success_prob,
     segment_model,
+    segment_models,
     uniform_path,
 )
+
+import scalar_oracle
+from scalar_oracle import path_bits, path_success_prob
 
 LAYOUT = FrameLayout(frag_header_bits=136)
 CALIBRATION_DOC = Path(__file__).resolve().parents[1] / "docs" / "calibration.md"
@@ -68,6 +72,10 @@ def fragment_failure_bits_variant(m, q_s, e_s, e_f):
 
 def make_hop(f, h_s, h_f):
     return HopModel(f=f, h_s=h_s, h_f=h_f, probs=AttemptProbs(f, 0.0, 1.0 - f))
+
+
+# TestPathSuccess and TestPathBits check the scalar oracle's path formulas
+# on hand values; TestBatchedCore ties the library's batched core to them.
 
 
 class TestPathSuccess:
@@ -158,9 +166,10 @@ class TestFragmentFailure:
         assert variant > exact_raw
 
     def test_degenerate_endpoints(self):
-        # the sum is defined at both ends; the conditional mean is not
-        assert fragment_failure_sum(3, 0.0, None, 2.0) == 6.0
-        assert fragment_failure_sum(3, 1.0, 1.0, None) == 0.0
+        # the sum is defined at both ends, without reading the undefined
+        # expectation there; the conditional mean is not defined
+        assert fragment_failure_sum(3, 0.0, math.nan, 2.0) == 6.0
+        assert fragment_failure_sum(3, 1.0, 1.0, math.nan) == 0.0
         assert fragment_failure_bits(3, 0.0, 1.0, 2.0) is None
         assert fragment_failure_bits(3, 1.0, 1.0, 2.0) is None
 
@@ -311,3 +320,111 @@ class TestModelCaches:
     def test_caches_are_bounded(self):
         for cached in (hop_model, resolve_frames):
             assert cached.cache_info().maxsize is not None
+
+
+# Strategies for the batched core's property test: BER over [0, 0.5] with
+# log-spread small values, attempt limits 1-7, alpha up to values that
+# "fit" fragmenting cannot lay out, and every fragment mode.
+BERS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 0.5),
+    st.floats(-9.0, math.log10(0.5)).map(lambda x: 10.0**x),
+)
+HOPS = st.builds(HopParams, ber=BERS, r=st.integers(1, 7))
+PATHS = st.one_of(
+    st.tuples(HOPS, st.integers(1, 9)).map(lambda hop_h: (hop_h[0],) * hop_h[1]),
+    st.lists(HOPS, min_size=1, max_size=9).map(tuple),
+)
+LAYOUTS = st.builds(
+    FrameLayout,
+    alpha=st.one_of(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5, 2.0]), st.floats(0.0, 3.0)),
+    fragments=st.one_of(st.sampled_from(["auto", "fit"]), st.integers(1, 16)),
+)
+SCENARIOS = st.builds(
+    PathScenario,
+    hops=PATHS,
+    layout=LAYOUTS,
+    mss_bytes=st.integers(1, 1024),
+    transfer_bytes=st.sampled_from([1, 51200, 10**6]),
+)
+
+
+class TestBatchedCore:
+    """``segment_models`` equals the scalar oracle field for field, with ==."""
+
+    @given(
+        scenarios=st.lists(SCENARIOS, min_size=1, max_size=4),
+        energy=st.builds(
+            EnergyParams,
+            tx_uj_per_bit=st.floats(0.0, 1.0),
+            rx_uj_per_bit=st.floats(0.0, 1.0),
+            n_neighbors=st.floats(0.0, 4.0),
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_field_equals_the_scalar_oracle(self, scenarios, energy):
+        # one call holds paths of different lengths, so shorter ones are padded
+        batch = segment_models(scenarios, energy)
+        records = list(batch.records())
+        for i, sc in enumerate(scenarios):
+            try:
+                want = scalar_oracle.segment_model(sc, energy)
+            except LayoutError as exc:
+                assert str(batch.errors[i]) == str(exc)
+                assert records[i] is batch.errors[i]
+                with pytest.raises(LayoutError):
+                    batch.report(i)
+                continue
+            got = batch.report(i)
+            assert got == want
+            assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+            assert records[i] == want.to_record()
+
+    def test_dense_seeded_grid_equals_the_scalar_oracle(self):
+        # One call over 500 seeded scenarios. A last-bit drift (numpy's
+        # vectorized power, log or expm1 in place of libm's, or another
+        # operation order) shows on a few rows in a thousand, too rarely
+        # for the property test's examples to catch every time.
+        rng = random.Random(7)
+        scenarios = []
+        for _ in range(500):
+            hop = lambda: HopParams(10 ** rng.uniform(-8, math.log10(0.5)), rng.randint(1, 7))
+            h = rng.randint(1, 9)
+            hops = (hop(),) * h if rng.random() < 0.7 else tuple(hop() for _ in range(h))
+            layout = FrameLayout(
+                alpha=rng.choice([0.0, 1e-3, 1e-2, 0.1, rng.uniform(0.0, 1.0)]),
+                fragments=rng.choice(["auto", "fit", rng.randint(1, 12)]),
+            )
+            scenarios.append(PathScenario(hops, layout, rng.randint(1, 1024)))
+        batch = segment_models(scenarios)
+        for i, sc in enumerate(scenarios):
+            assert batch.report(i) == scalar_oracle.segment_model(sc), sc
+
+    @pytest.mark.parametrize("ber, h, mss, flags", [
+        (0.05, 1, 64, ("degenerate_hop", "diverges")),  # p_fail rounds to 1
+        (0.011343, 9, 512, ("diverges",)),  # finite p_s, total past the float range
+        (0.0, 3, 64, ()),  # lossless: e_f, s_f and i_f undefined
+    ])
+    def test_edge_rows_equal_the_scalar_oracle(self, ber, h, mss, flags):
+        sc = PathScenario(hops=uniform_path(h, ber, 1), layout=LAYOUT, mss_bytes=mss)
+        got = segment_model(sc)
+        assert got == scalar_oracle.segment_model(sc)
+        assert got.flags == flags
+
+    def test_passes_are_bounded_and_keep_order(self, monkeypatch):
+        monkeypatch.setattr(pathmodel, "BATCH_POINTS", 4)
+        scenarios = [
+            PathScenario(hops=uniform_path(h, 1e-4 * h, 3), layout=LAYOUT, mss_bytes=64)
+            for h in range(1, 10)
+        ]
+        bad = PathScenario(
+            hops=uniform_path(2, 1e-4), layout=FrameLayout(alpha=5.0, fragments="fit"),
+            mss_bytes=64,
+        )
+        batch = segment_models(scenarios[:5] + [bad] + scenarios[5:])
+        assert isinstance(batch.errors[5], LayoutError)
+        assert batch.column("total_bits")[5] is None
+        assert [batch.report(i) for i in (*range(5), *range(6, 10))] == [
+            scalar_oracle.segment_model(sc) for sc in scenarios
+        ]
+        assert segment_models([]).column("total_bits") == []
