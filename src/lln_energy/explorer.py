@@ -13,14 +13,15 @@ ends that bisection where it stands, flagged ``bracket_unresolved``.
 
 Both run on ``pathmodel.segment_models``, whose numpy pass costs more
 than a scalar evaluation for one point but little more for hundreds,
-so neither evaluates points one at a time. A sweep evaluates its grid
-in calls of ``BATCH_POINTS`` points, so only one call's scenarios and
-results are alive beside the rows, and builds its rows from the result
-columns. A frontier scans every hop count of a family value in one call
-(the long and short MSS are two points per BER), then bisects all of
-that value's brackets in lockstep, one call per step. Family values run
-in turn, so the hop models of one value's BER grid are shared across its
-hop counts within the hop-model cache.
+so neither evaluates points one at a time. Each also bounds the points
+per call, since a call's memory grows with them. A sweep evaluates its
+grid in calls of ``BATCH_POINTS`` points and builds its rows from the
+result records. A frontier scans each hop count's BER grid in one call
+(the long and short MSS are two points per BER: 122 points for the
+default 61-point scan), then bisects all of a family value's brackets
+in lockstep, one call per step. Family values run in turn, so the hop
+models of one value's BER grid are shared across its hop counts within
+the hop-model cache.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from .framing import LayoutError
 from .hopmodel import HopParams
-from .pathmodel import BATCH_POINTS, EnergyParams, PathScenario, segment_models
+from .pathmodel import EnergyParams, PathScenario, segment_models
 
 __all__ = [
     "SweepSpec",
@@ -49,6 +50,8 @@ BER_RANGE = (1e-7, 1e-1)
 POINTS_PER_DECADE = 10
 #: Bisection stops once the bracket's relative width is at most this.
 REL_TOL = 1e-3
+#: Grid points per model call of a sweep
+BATCH_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -75,16 +78,11 @@ class SweepSpec:
             raise ValueError("mss_list must be non-empty")
 
 
-def _at_ber(hops: tuple[HopParams, ...], ber: float, made: dict) -> tuple[HopParams, ...]:
-    """The hops with their BER set to ``ber``.
-
-    ``made`` keeps the HopParams built per (ber, r), so every hop and
-    scenario that shares one ``made`` shares one object per (ber, r).
-    """
-    for hp in hops:
-        if (ber, hp.r) not in made:
-            made[ber, hp.r] = HopParams(ber, hp.r)
-    return tuple(made[ber, hp.r] for hp in hops)
+def _at_ber(hops: tuple[HopParams, ...], ber: float) -> tuple[HopParams, ...]:
+    """The hops with their BER set to ``ber``: one HopParams per attempt limit,
+    so a homogeneous path stays one repeated hop."""
+    made = {r: HopParams(ber, r) for r in {hp.r for hp in hops}}
+    return tuple(made[hp.r] for hp in hops)
 
 
 def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario:
@@ -100,7 +98,7 @@ def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario
             raise ValueError(f"{axis} must be a whole number, got {value!r}")
         value = int(value)
     if axis == "ber":
-        hops = _at_ber(hops, float(value), {})
+        hops = _at_ber(hops, float(value))
     elif axis == "r":
         hops = tuple(replace(hp, r=value) for hp in hops)
     elif axis == "alpha":
@@ -126,8 +124,6 @@ def sweep(spec: SweepSpec) -> list[dict]:
     mss_values = (None,) if spec.axis == "mss" else spec.mss_list
     points = [(value, mss) for value in spec.grid for mss in mss_values]
     rows = []
-    # One model call per BATCH_POINTS grid points: the rows are kept, but
-    # only one call's scenarios and results are alive at a time.
     for start in range(0, len(points), BATCH_POINTS):
         chunk = points[start:start + BATCH_POINTS]
         scenarios = [
@@ -177,9 +173,8 @@ def _energy_gaps(scenarios, bers, mss_pair, energy) -> list[float | None]:
     realized); no comparison there. One model call for all of them.
     """
     points = []
-    made = {}
     for scenario, ber in zip(scenarios, bers):
-        hops = _at_ber(scenario.hops, ber, made)
+        hops = _at_ber(scenario.hops, ber)
         points += [
             PathScenario(hops, scenario.layout, mss, scenario.transfer_bytes)
             for mss in (max(mss_pair), min(mss_pair))
@@ -215,15 +210,16 @@ class _Bracket:
 def _crossovers(
     scenarios, mss_pair, energy, ber_range, points_per_decade, rel_tol
 ) -> list[FrontierPoint]:
-    """``crossover_ber`` of each scenario: one scan call, then lockstep bisection."""
+    """``crossover_ber`` of each scenario: a scan call each, then lockstep bisection."""
     lo, hi = ber_range
     if not 0 < lo < hi < 1:
         raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    gaps = _energy_gaps(
-        [sc for sc in scenarios for _ in grid], grid * len(scenarios), mss_pair, energy
-    )
+    # one scan call per scenario bounds a call to the grid's 2n points
+    gaps = [
+        g for sc in scenarios for g in _energy_gaps([sc] * n, grid, mss_pair, energy)
+    ]
 
     brackets = []
     for i in range(len(scenarios)):

@@ -14,15 +14,18 @@ reported as ``None`` plus an entry in ``ModelReport.flags`` rather than as
 infinities.
 
 ``segment_models`` evaluates many scenarios, each with its own hops and
-frames, in one batched numpy pass per ``BATCH_POINTS`` scenarios; the
-hop models stay scalar and cached. Only IEEE ``+ - * /`` run in numpy, in
-the order of the scalar formulas: a per-hop loop rather than ``np.sum`` or
-``np.prod``, and a mask for hops past a zero survival. ``q**m``, ``log``
-and ``expm1`` are per-element ``math`` calls, because numpy's vectorized
-versions can differ from libm in the last bit. Every field therefore
-equals a scalar evaluation of the same formulas bit for bit.
-``segment_model`` is the one-point case; a numpy pass costs more than a
-scalar evaluation would for one point, so callers with many points batch.
+frames, in one numpy pass; the hop models stay scalar and cached. Only
+IEEE ``+ - * /`` run in numpy, in the order of the scalar formulas: a
+per-hop loop rather than ``np.sum`` or ``np.prod``. An undefined h_s (a
+hop that can never deliver) is stored as 0.0, so every failure term past
+a zero survival is exactly 0.0, as the scalar loop's stop there leaves
+it. ``q**m``, ``log`` and ``expm1`` are per-element ``math`` calls,
+because numpy's vectorized versions can differ from libm in the last
+bit. Every field therefore equals a scalar evaluation of the same
+formulas bit for bit. ``segment_model`` is the one-point case; a numpy
+pass costs more than a scalar evaluation would for one point, so callers
+with many points batch. A pass holds a few hops x scenarios float64
+arrays, so callers bound the scenarios per call to bound its memory.
 """
 
 from __future__ import annotations
@@ -52,19 +55,12 @@ __all__ = [
 FLAG_DIVERGES = "diverges"
 FLAG_DEGENERATE_HOP = "degenerate_hop"
 
-#: Scenarios per numpy pass of ``segment_models``. A pass holds a few
-#: hops x scenarios float64 arrays (18 KiB each at nine hops) and the
-#: scenarios' rows, so this bounds its memory whatever the number of
-#: scenarios; each pass costs a fixed ~0.3 ms of numpy calls.
-BATCH_POINTS = 256
-
 
 def uniform_path(h: int, ber: float, r: int = HopParams.r) -> tuple[HopParams, ...]:
-    """h identical hops (one frozen HopParams, repeated); convenience for
-    the homogeneous-path scenarios."""
+    """h identical hops; convenience for the homogeneous-path scenarios."""
     if h < 1:
         raise ValueError(f"need at least one hop, got {h}")
-    return (HopParams(ber=ber, r=r),) * h
+    return tuple(HopParams(ber=ber, r=r) for _ in range(h))
 
 
 @dataclass(frozen=True)
@@ -163,18 +159,19 @@ def _path(table: np.ndarray, index: np.ndarray):
     return q, e_s, total, dead != 0.0
 
 
-def _shared_ber_r(hops: tuple[HopParams, ...]) -> tuple[float | None, int | None]:
-    """The BER and the attempt limit of every hop, each None where hops differ."""
-    if hops.count(hops[0]) == len(hops):
-        return hops[0].ber, hops[0].r
-    bers = {hp.ber for hp in hops}
-    rs = {hp.r for hp in hops}
-    return bers.pop() if len(bers) == 1 else None, rs.pop() if len(rs) == 1 else None
+def _shared(distinct: set):
+    """The one member of ``distinct``, else None (the hops differ)."""
+    return next(iter(distinct)) if len(distinct) == 1 else None
 
 
 def _hop_models(d: int, c: int, a: int, hops) -> tuple[HopModel, ...]:
-    """Each hop's model; a path of one repeated hop takes one lookup."""
-    if hops.count(hops[0]) == len(hops):
+    """Each hop's model; a path of one repeated hop takes one lookup.
+
+    That is every homogeneous path, so every path unless ``hop_bers``
+    gives the hops different BERs. It, and the one table column of
+    ``_hop_table``, make the per-hop work of such a path per-path work.
+    """
+    if hops[1:] == hops[:-1]:  # stops at the first hop that differs
         return (hop_model(d, c, a, hops[0]),) * len(hops)
     return tuple(hop_model(d, c, a, hp) for hp in hops)
 
@@ -190,9 +187,8 @@ def _hop_table(paths: tuple[tuple[HopModel, ...], ...], width: int):
     table = [(0.0, 0.0, 0.0, 0.0)]
     index = []
     for models in paths:
-        first = models[0]
-        if models.count(first) == len(models):  # one repeated hop
-            index += [_column(first, column, table)] * len(models)
+        if models[1:] == models[:-1]:  # one repeated hop
+            index += [_column(models[0], column, table)] * len(models)
         else:
             index += [_column(hm, column, table) for hm in models]
         index += [0] * (width - len(models))
@@ -252,10 +248,10 @@ class ModelReport:
         """Flat key/value record (one CSV row / JSON-lines object).
 
         The columns are the fields in order, less the per-hop models, which
-        ``per_hop=True`` flattens after ``flags``.
+        ``per_hop=True`` flattens after ``flags``. ``vars`` holds exactly
+        the fields in order: a frozen dataclass sets no other attribute.
         """
-        rec = {name: getattr(self, name) for name in _RECORD_FIELDS}
-        rec["flags"] = ";".join(self.flags)
+        rec = _record(vars(self))
         if per_hop:
             for side, hops in (("data", self.data_hops), ("ack", self.ack_hops)):
                 for name in ("f", "h_s", "h_f"):
@@ -263,9 +259,15 @@ class ModelReport:
         return rec
 
 
-#: ModelReport's fields, and the record columns: all but the per-hop models
+def _record(report_fields: dict) -> dict:
+    """A ModelReport's fields as a record: per-hop models dropped, flags joined."""
+    rec = dict(report_fields)
+    del rec["data_hops"], rec["ack_hops"]
+    rec["flags"] = ";".join(rec["flags"])
+    return rec
+
+
 _REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
-_RECORD_FIELDS = tuple(n for n in _REPORT_FIELDS if n not in ("data_hops", "ack_hops"))
 #: The fields read off each scenario, its frames and its hop models; the
 #: float fields the numpy pass computes; and the per-scenario flags.
 _GIVEN = _REPORT_FIELDS[:_REPORT_FIELDS.index("q_s")] + ("segments",)
@@ -285,7 +287,7 @@ class ModelBatch:
     float64 arrays, ``defined`` False where a field is None, until read.
     """
 
-    given: dict[str, list]
+    given: list[tuple | None]  # each scenario's _GIVEN fields; None if errored
     computed: np.ndarray  # one row per _COMPUTED field, one column per scenario
     defined: np.ndarray  # one row per _NULLABLE field
     flags: list[tuple[str, ...] | None]
@@ -295,13 +297,14 @@ class ModelBatch:
         """Field ``name`` of every scenario, None where undefined or errored."""
         if name == "flags":
             return self.flags
-        if name in self.given:
-            return self.given[name]
+        if name in _GIVEN:
+            k = _GIVEN.index(name)
+            return [None if row is None else row[k] for row in self.given]
         values = self.computed[_COMPUTED.index(name)].tolist()
-        if name not in _NULLABLE:
-            return values
-        defined = self.defined[_NULLABLE.index(name)].tolist()
-        return [v if ok else None for v, ok in zip(values, defined)]
+        if name in _NULLABLE:
+            defined = self.defined[_NULLABLE.index(name)].tolist()
+            values = [v if ok else None for v, ok in zip(values, defined)]
+        return [v if err is None else None for v, err in zip(values, self.errors)]
 
     def report(self, i: int) -> ModelReport:
         """Scenario i's ModelReport; raises its LayoutError, if any."""
@@ -312,25 +315,17 @@ class ModelBatch:
     def records(self) -> Iterator[dict | LayoutError]:
         """Each scenario's ``ModelReport.to_record()`` in turn, or its LayoutError."""
         for i, err in enumerate(self.errors):
-            if err is not None:
-                yield err
-                continue
-            rec = self._fields(i)
-            del rec["data_hops"], rec["ack_hops"]
-            rec["flags"] = ";".join(rec["flags"])
-            yield rec
+            yield err if err is not None else _record(self._fields(i))
 
     def _fields(self, i: int) -> dict:
         """Scenario i's ModelReport fields, in order."""
-        computed = dict(zip(_COMPUTED, self.computed[:, i].tolist()))
+        values = dict(zip(_COMPUTED, self.computed[:, i].tolist()))
         for name, ok in zip(_NULLABLE, self.defined[:, i].tolist()):
             if not ok:
-                computed[name] = None
-        computed["flags"] = self.flags[i]
-        return {
-            name: self.given[name][i] if name in self.given else computed[name]
-            for name in _REPORT_FIELDS
-        }
+                values[name] = None
+        values["flags"] = self.flags[i]
+        values.update(zip(_GIVEN, self.given[i]))
+        return {name: values[name] for name in _REPORT_FIELDS}
 
 
 def segment_model(
@@ -343,7 +338,7 @@ def segment_model(
 def segment_models(
     scenarios: Sequence[PathScenario], energy: EnergyParams = EnergyParams()
 ) -> ModelBatch:
-    """Full expected-cost model for each scenario, batched.
+    """Full expected-cost model for each scenario, in one numpy pass.
 
     Data fragments cross the hops in order; the TCP ACK crosses them in
     reverse. A segment round succeeds with probability q_s^m * q_s_ack;
@@ -353,36 +348,23 @@ def segment_models(
     ``errors`` instead of failing the batch.
     """
     n = len(scenarios)
-    batch = ModelBatch(
-        given={name: [None] * n for name in _GIVEN},
-        computed=np.zeros((len(_COMPUTED), n)),
-        defined=np.zeros((len(_NULLABLE), n), dtype=bool),
-        flags=[None] * n,
-        errors=[None] * n,
-    )
-    for start in range(0, n, BATCH_POINTS):
-        _evaluate(scenarios, start, min(n, start + BATCH_POINTS), energy, batch)
-    return batch
-
-
-def _evaluate(scenarios, start: int, stop: int, energy, batch: ModelBatch) -> None:
-    """Fill scenarios[start:stop]'s entries of ``batch`` in one numpy pass."""
-    rows = []
-    at = []
-    for i in range(start, stop):
-        sc = scenarios[i]
+    given = [None] * n
+    errors = [None] * n
+    at = []  # the scenarios whose frames resolve
+    for i, sc in enumerate(scenarios):
         try:
             frames = resolve_frames(sc.mss_bytes, sc.layout)
         except LayoutError as exc:
-            batch.errors[i] = exc
+            errors[i] = exc
             continue
         at.append(i)
         a = sc.layout.ll_ack_bits
-        rows.append((
+        given[i] = (
             sc.mss_bytes,
             sc.transfer_bytes,
             len(sc.hops),
-            *_shared_ber_r(sc.hops),
+            _shared({hp.ber for hp in sc.hops}),
+            _shared({hp.r for hp in sc.hops}),
             sc.layout.alpha,
             frames.m,
             frames.d_data_bits,
@@ -393,28 +375,26 @@ def _evaluate(scenarios, start: int, stop: int, energy, batch: ModelBatch) -> No
             _hop_models(frames.d_data_bits, frames.c_data_bits, a, sc.hops),
             _hop_models(frames.d_ack_bits, frames.c_ack_bits, a, sc.hops[::-1]),
             sc.segments,
-        ))
-    if not rows:
-        return
-    given = dict(zip(_GIVEN, zip(*rows)))
-    computed, defined, flags = _segment_columns(given, energy)
-    complete = len(at) == stop - start
-    where = slice(start, stop) if complete else at
-    batch.computed[:, where] = computed
-    batch.defined[:, where] = defined
-    for column, values in (
-        *((batch.given[name], values) for name, values in given.items()),
-        (batch.flags, flags),
-    ):
-        if complete:
-            column[start:stop] = values
-        else:
-            for i, value in zip(at, values):
-                column[i] = value
+        )
+    batch = ModelBatch(
+        given=given,
+        computed=np.zeros((len(_COMPUTED), n)),
+        defined=np.zeros((len(_NULLABLE), n), dtype=bool),
+        flags=[None] * n,
+        errors=errors,
+    )
+    if at:
+        columns = dict(zip(_GIVEN, zip(*(given[i] for i in at))))
+        computed, defined, flags = _segment_columns(columns, energy)
+        batch.computed[:, at] = computed
+        batch.defined[:, at] = defined
+        for i, scenario_flags in zip(at, flags):
+            batch.flags[i] = scenario_flags
+    return batch
 
 
 def _segment_columns(given: dict[str, tuple], energy: EnergyParams):
-    """(computed, defined, flags) of one pass's resolved scenarios.
+    """(computed, defined, flags) of resolved scenarios, from their given fields.
 
     ``computed`` has one row per ``_COMPUTED`` field, and ``defined`` is
     False where the scalar formulas give None.

@@ -74,6 +74,37 @@ class TestSweep:
         assert rows[0]["total_joules"] is not None
         assert rows[1]["flags"] == "layout_error"
 
+    def test_calls_are_bounded_and_rows_keep_order(self, monkeypatch):
+        spec = SweepSpec(
+            scenario=base_scenario(fragments="fit"), axis="alpha",
+            grid=(0.0, 0.01, 0.1, 0.2, 5.0),
+            mss_list=(64, 128, 512),
+        )
+        whole = sweep(spec)
+        sizes = []
+        real = explorer.segment_models
+
+        def counted(scenarios, energy):
+            sizes.append(len(scenarios))
+            return real(scenarios, energy)
+
+        monkeypatch.setattr(explorer, "BATCH_POINTS", 4)
+        monkeypatch.setattr(explorer, "segment_models", counted)
+        assert sweep(spec) == whole
+        assert sizes == [4, 4, 4, 3]
+        assert [r["flags"] for r in whole[-3:]] == ["layout_error"] * 3
+
+    def test_ber_axis_keeps_each_hops_attempt_limit(self):
+        rs = (1, 3, 7, 3)
+        sc = PathScenario(hops=tuple(HopParams(1e-5, r) for r in rs), layout=LAYOUT,
+                          mss_bytes=64)
+        rows = sweep(SweepSpec(scenario=sc, axis="ber", grid=(1e-4, 1e-3), mss_list=(512,)))
+        for row, ber in zip(rows, (1e-4, 1e-3)):
+            want = scalar_oracle.segment_model(
+                replace(sc, hops=tuple(HopParams(ber, r) for r in rs), mss_bytes=512)
+            )
+            assert row == {"axis": "ber", "value": ber, **want.to_record()}
+
     def test_r_axis_and_h_axis(self):
         rows = sweep(SweepSpec(scenario=base_scenario(), axis="r", grid=(1, 3),
                                mss_list=(64,)))

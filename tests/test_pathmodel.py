@@ -411,8 +411,7 @@ class TestBatchedCore:
         assert got == scalar_oracle.segment_model(sc)
         assert got.flags == flags
 
-    def test_passes_are_bounded_and_keep_order(self, monkeypatch):
-        monkeypatch.setattr(pathmodel, "BATCH_POINTS", 4)
+    def test_layout_errors_keep_their_slots(self):
         scenarios = [
             PathScenario(hops=uniform_path(h, 1e-4 * h, 3), layout=LAYOUT, mss_bytes=64)
             for h in range(1, 10)
@@ -424,6 +423,7 @@ class TestBatchedCore:
         batch = segment_models(scenarios[:5] + [bad] + scenarios[5:])
         assert isinstance(batch.errors[5], LayoutError)
         assert batch.column("total_bits")[5] is None
+        assert batch.column("q_s")[5] is None and batch.column("m")[5] is None
         assert [batch.report(i) for i in (*range(5), *range(6, 10))] == [
             scalar_oracle.segment_model(sc) for sc in scenarios
         ]
