@@ -156,10 +156,13 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi = (int(x) for x in text.split(":"))
-        return tuple(range(lo, hi + 1))
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        if ":" in text:
+            lo, hi = (int(x) for x in text.split(":"))
+            return tuple(range(lo, hi + 1))
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise _CliError(f'expected "lo:hi" or a comma list of integers, got {text!r}') from None
 
 
 def _metadata(cfg: RunConfig, include_seed: bool) -> list[str]:
@@ -260,7 +263,10 @@ def _cmd_frontier(cfg: RunConfig, args) -> list[dict]:
     mss_pair = _parse_int_list(args.mss_pair)
     if len(mss_pair) != 2:
         raise _CliError(f"--mss-pair needs exactly two values, got {args.mss_pair!r}")
-    lo, hi = (float(x) for x in args.ber_range.split(":"))
+    try:
+        lo, hi = (float(x) for x in args.ber_range.split(":"))
+    except ValueError:
+        raise _CliError(f'--ber-range must be "lo:hi", got {args.ber_range!r}') from None
     points = frontier(
         cfg.scenario(),
         family=args.family,

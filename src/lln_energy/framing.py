@@ -31,6 +31,10 @@ BITS_PER_BYTE = 8
 #: per 64 bytes of TCP payload (so mss=64 -> 1 frame, mss=512 -> 8 frames).
 AUTO_FRAGMENT_CHUNK_BYTES = 64
 
+#: Largest coded frame, in bits: the model takes bit counts as floats, which
+#: hold integers exactly up to 2**53.
+MAX_FRAME_BITS = 2**53
+
 #: (mss, layout) resolutions kept by ``resolve_frames``'s LRU cache; a
 #: frontier or sweep reuses only the few MSS values it compares per layout.
 RESOLVE_FRAMES_CACHE_SIZE = 16
@@ -88,8 +92,8 @@ class FrameLayout:
             raise LayoutError(
                 "mtu_bits must exceed ll_data_header_bits + frag_header_bits"
             )
-        if not self.alpha >= 0.0:
-            raise LayoutError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise LayoutError(f"alpha must be finite and >= 0, got {self.alpha}")
         if isinstance(self.fragments, str):
             if self.fragments not in ("auto", "fit"):
                 raise LayoutError(
@@ -122,6 +126,11 @@ def _fec_expand(k_bits: int, alpha: float) -> tuple[int, int]:
     """
     redundancy = math.ceil(Fraction(alpha) * k_bits) if alpha > 0.0 else 0
     d = k_bits + redundancy
+    if d > MAX_FRAME_BITS:
+        raise LayoutError(
+            f"a {k_bits}-bit frame at alpha={alpha} codes to more than the "
+            f"model's {MAX_FRAME_BITS} bits"
+        )
     return d, (d - k_bits) // 2
 
 

@@ -16,16 +16,21 @@ infinities.
 ``segment_models`` evaluates many scenarios, each with its own hops and
 frames, in one numpy pass; the hop models stay scalar and cached. Only
 IEEE ``+ - * /`` run in numpy, in the order of the scalar formulas: a
-per-hop loop rather than ``np.sum`` or ``np.prod``. An undefined h_s (a
-hop that can never deliver) is stored as 0.0, so every failure term past
-a zero survival is exactly 0.0, as the scalar loop's stop there leaves
-it. ``q**m``, ``log`` and ``expm1`` are per-element ``math`` calls,
+per-hop loop rather than ``np.sum`` or ``np.prod``, with no mask (see
+``_path``). ``q**m``, ``log`` and ``expm1`` are per-element ``math`` calls,
 because numpy's vectorized versions can differ from libm in the last
 bit. Every field therefore equals a scalar evaluation of the same
 formulas bit for bit. ``segment_model`` is the one-point case; a numpy
 pass costs more than a scalar evaluation would for one point, so callers
 with many points batch. A pass holds a few hops x scenarios float64
 arrays, so callers bound the scenarios per call to bound its memory.
+
+The result, ``ModelBatch``, is one store: a column per ``ModelReport``
+field. A computed field's column is a float64 array in which NaN means
+None (undefined, or a scenario whose frames do not resolve); a defined
+field is never NaN, which the tests' ``==`` against the scalar oracle
+checks. A column converts to Python values only when it is read, so a
+caller that reads one field pays for that one.
 """
 
 from __future__ import annotations
@@ -95,8 +100,9 @@ class EnergyParams:
     n_neighbors: float = 2.0
 
     def __post_init__(self):
-        if self.tx_uj_per_bit < 0 or self.rx_uj_per_bit < 0 or self.n_neighbors < 0:
-            raise ValueError("energy parameters must be non-negative")
+        for name, value in vars(self).items():  # a frozen dataclass: just its fields
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def uj_per_bit(self) -> float:
         return self.tx_uj_per_bit + self.n_neighbors * self.rx_uj_per_bit
@@ -181,13 +187,14 @@ def _hop_table(paths: tuple[tuple[HopModel, ...], ...], width: int):
 
     Table column 0 is a no-op hop that pads shorter paths to ``width``:
     f = 0 and h_s = h_f = 0 leave every sum and product bit for bit
-    unchanged. Each distinct model object takes one column.
+    unchanged; an empty path is all padding. Each distinct model object
+    takes one column.
     """
     column = {}  # id(model) -> table column; the paths keep the models alive
     table = [(0.0, 0.0, 0.0, 0.0)]
     index = []
     for models in paths:
-        if models[1:] == models[:-1]:  # one repeated hop
+        if models and models[1:] == models[:-1]:  # one repeated hop
             index += [_column(models[0], column, table)] * len(models)
         else:
             index += [_column(hm, column, table) for hm in models]
@@ -268,64 +275,42 @@ def _record(report_fields: dict) -> dict:
 
 
 _REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
-#: The fields read off each scenario, its frames and its hop models; the
-#: float fields the numpy pass computes; and the per-scenario flags.
+#: The fields read off each scenario, its frames and its hop models
 _GIVEN = _REPORT_FIELDS[:_REPORT_FIELDS.index("q_s")] + ("segments",)
-_COMPUTED = tuple(n for n in _REPORT_FIELDS if n not in _GIVEN and n != "flags")
-#: The computed fields that are None for some scenarios
-_NULLABLE = tuple(n for n in _COMPUTED if n not in ("q_s", "q_s_ack", "p_s"))
 
 
 @dataclass(frozen=True, eq=False)
 class ModelBatch:
-    """``segment_models``' result, by column.
+    """``segment_models``' result: one column per ``ModelReport`` field.
 
-    ``column(name)[i]`` is field ``name`` of scenario ``i``'s
-    ``ModelReport`` as a plain Python value. ``errors[i]`` is the
-    ``LayoutError`` raised resolving scenario i's frames, else None; that
-    scenario's column entries are then None. The computed fields stay in
-    float64 arrays, ``defined`` False where a field is None, until read.
+    ``columns`` maps each field, in field order, to its values over the
+    scenarios: a list for the fields read off the scenario, a float64
+    array, NaN where the field is None, for the computed ones.
+    ``errors[i]`` is the ``LayoutError`` raised resolving scenario i's
+    frames, else None; every field of that scenario is then None.
     """
 
-    given: list[tuple | None]  # each scenario's _GIVEN fields; None if errored
-    computed: np.ndarray  # one row per _COMPUTED field, one column per scenario
-    defined: np.ndarray  # one row per _NULLABLE field
-    flags: list[tuple[str, ...] | None]
+    columns: dict[str, list | np.ndarray]
     errors: list[LayoutError | None]
 
     def column(self, name: str) -> list:
         """Field ``name`` of every scenario, None where undefined or errored."""
-        if name == "flags":
-            return self.flags
-        if name in _GIVEN:
-            k = _GIVEN.index(name)
-            return [None if row is None else row[k] for row in self.given]
-        values = self.computed[_COMPUTED.index(name)].tolist()
-        if name in _NULLABLE:
-            defined = self.defined[_NULLABLE.index(name)].tolist()
-            values = [v if ok else None for v, ok in zip(values, defined)]
-        return [v if err is None else None for v, err in zip(values, self.errors)]
+        values = self.columns[name]
+        if isinstance(values, np.ndarray):
+            return [None if v != v else v for v in values.tolist()]  # NaN is None
+        return list(values)
 
     def report(self, i: int) -> ModelReport:
         """Scenario i's ModelReport; raises its LayoutError, if any."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        return ModelReport(**self._fields(i))
+        return ModelReport(**{name: self.column(name)[i] for name in self.columns})
 
     def records(self) -> Iterator[dict | LayoutError]:
         """Each scenario's ``ModelReport.to_record()`` in turn, or its LayoutError."""
-        for i, err in enumerate(self.errors):
-            yield err if err is not None else _record(self._fields(i))
-
-    def _fields(self, i: int) -> dict:
-        """Scenario i's ModelReport fields, in order."""
-        values = dict(zip(_COMPUTED, self.computed[:, i].tolist()))
-        for name, ok in zip(_NULLABLE, self.defined[:, i].tolist()):
-            if not ok:
-                values[name] = None
-        values["flags"] = self.flags[i]
-        values.update(zip(_GIVEN, self.given[i]))
-        return {name: values[name] for name in _REPORT_FIELDS}
+        rows = zip(*map(self.column, self.columns))
+        for err, row in zip(self.errors, rows):
+            yield err if err is not None else _record(dict(zip(self.columns, row)))
 
 
 def segment_model(
@@ -347,74 +332,54 @@ def segment_models(
     A scenario whose frames cannot be resolved gets its LayoutError in
     ``errors`` instead of failing the batch.
     """
-    n = len(scenarios)
-    given = [None] * n
-    errors = [None] * n
-    at = []  # the scenarios whose frames resolve
-    for i, sc in enumerate(scenarios):
+    rows, errors = [], []  # each scenario's _GIVEN fields, all None if errored
+    for sc in scenarios:
         try:
             frames = resolve_frames(sc.mss_bytes, sc.layout)
         except LayoutError as exc:
-            errors[i] = exc
+            rows.append((None,) * len(_GIVEN))
+            errors.append(exc)
             continue
-        at.append(i)
         a = sc.layout.ll_ack_bits
-        given[i] = (
-            sc.mss_bytes,
-            sc.transfer_bytes,
-            len(sc.hops),
-            _shared({hp.ber for hp in sc.hops}),
-            _shared({hp.r for hp in sc.hops}),
-            sc.layout.alpha,
-            frames.m,
-            frames.d_data_bits,
-            frames.c_data_bits,
-            frames.d_ack_bits,
-            frames.c_ack_bits,
-            a,
+        rows.append((
+            sc.mss_bytes, sc.transfer_bytes, len(sc.hops),
+            _shared({hp.ber for hp in sc.hops}), _shared({hp.r for hp in sc.hops}),
+            sc.layout.alpha, frames.m,
+            frames.d_data_bits, frames.c_data_bits, frames.d_ack_bits, frames.c_ack_bits, a,
             _hop_models(frames.d_data_bits, frames.c_data_bits, a, sc.hops),
             _hop_models(frames.d_ack_bits, frames.c_ack_bits, a, sc.hops[::-1]),
             sc.segments,
-        )
-    batch = ModelBatch(
-        given=given,
-        computed=np.zeros((len(_COMPUTED), n)),
-        defined=np.zeros((len(_NULLABLE), n), dtype=bool),
-        flags=[None] * n,
-        errors=errors,
-    )
-    if at:
-        columns = dict(zip(_GIVEN, zip(*(given[i] for i in at))))
-        computed, defined, flags = _segment_columns(columns, energy)
-        batch.computed[:, at] = computed
-        batch.defined[:, at] = defined
-        for i, scenario_flags in zip(at, flags):
-            batch.flags[i] = scenario_flags
-    return batch
+        ))
+        errors.append(None)
+    given = dict(zip(_GIVEN, [list(col) for col in zip(*rows)] or [[] for _ in _GIVEN]))
+    columns = {**given, **_segment_columns(given, energy)}
+    return ModelBatch({name: columns[name] for name in _REPORT_FIELDS}, errors)
 
 
-def _segment_columns(given: dict[str, tuple], energy: EnergyParams):
-    """(computed, defined, flags) of resolved scenarios, from their given fields.
+def _segment_columns(given: dict[str, list], energy: EnergyParams) -> dict:
+    """The computed columns and ``flags``, from the given columns.
 
-    ``computed`` has one row per ``_COMPUTED`` field, and ``defined`` is
-    False where the scalar formulas give None.
+    An errored scenario, None in every given column, runs as an empty path
+    with m = NaN and reads NaN in every computed column, None in ``flags``.
     """
     # the data paths and the ACK paths side by side, in one set of columns
     n = len(given["h"])
-    paths = given["data_hops"] + given["ack_hops"]
-    q, e, fail_both, dead = _path(*_hop_table(paths, max(given["h"])))
+    paths = [hops or () for hops in given["data_hops"] + given["ack_hops"]]
+    q, e, fail_both, dead = _path(*_hop_table(paths, max(map(len, paths), default=0)))
     q_s, q_s_ack = q[:n], q[n:]
     e_s, e_s_ack = e[:n], e[n:]
     fail, fail_ack = fail_both[:n], fail_both[n:]
     dead_data, dead_ack = dead[:n], dead[n:]
-    # float(int) rounds as Python's int * float does
-    m = np.array([float(k) for k in given["m"]])
-    segments = np.array([float(n) for n in given["segments"]])
+    # float(int) rounds as Python's int * float does, and None becomes NaN
+    m = np.array(given["m"], dtype=float)
+    segments = np.array(given["segments"], dtype=float)
+    resolved = ~np.isnan(m)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e_f = fail / (1.0 - q_s)
         e_f_ack = fail_ack / (1.0 - q_s_ack)
-        q_s_m = np.array([q**k for q, k in zip(q_s.tolist(), given["m"])])
+        # q ** float(k) is q ** k: Python's float power converts k first
+        q_s_m = np.array([q**k for q, k in zip(q_s.tolist(), m.tolist())])
         p_s = q_s_m * q_s_ack
 
         frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
@@ -437,29 +402,26 @@ def _segment_columns(given: dict[str, tuple], energy: EnergyParams):
     # p_s = 0, or a p_s so small that the expected bits pass the float range;
     # s and the totals are non-negative, so "< inf" is false just for inf and NaN
     finite = total_bits < math.inf
-    values = {
-        "q_s": q_s, "q_s_ack": q_s_ack, "e_s": e_s, "e_f": e_f, "e_s_ack": e_s_ack,
-        "e_f_ack": e_f_ack, "i_f": i_f, "p_s": p_s, "s_s": s_s, "s_f": s_f, "s": s,
-        "total_bits": total_bits, "total_joules": total_joules,
+    defined = {  # each computed field, and where the scalar formulas define it
+        "q_s": (q_s, True),
+        "q_s_ack": (q_s_ack, True),
+        "e_s": (e_s, ~dead_data),
+        "e_f": (e_f, 1.0 - q_s > 0.0),
+        "e_s_ack": (e_s_ack, ~dead_ack),
+        "e_f_ack": (e_f_ack, 1.0 - q_s_ack > 0.0),
+        "i_f": (i_f, (q_s > 0.0) & (q_s < 1.0)),
+        "p_s": (p_s, True),
+        "s_s": (s_s, ~(dead_data | dead_ack)),
+        "s_f": (s_f, p_s < 1.0),
+        "s": (s, s < math.inf),
+        "total_bits": (total_bits, finite),
+        "total_joules": (total_joules, finite),
     }
-    defined = {
-        "e_s": ~dead_data,
-        "e_f": 1.0 - q_s > 0.0,
-        "e_s_ack": ~dead_ack,
-        "e_f_ack": 1.0 - q_s_ack > 0.0,
-        "i_f": (q_s > 0.0) & (q_s < 1.0),
-        "s_s": ~(dead_data | dead_ack),
-        "s_f": p_s < 1.0,
-        "s": s < math.inf,
-        "total_bits": finite,
-        "total_joules": finite,
-    }
-    flags = [
-        (FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok)
-        for dead, ok in zip((dead_data | dead_ack).tolist(), finite.tolist())
+    columns = {name: np.where(ok & resolved, x, math.nan) for name, (x, ok) in defined.items()}
+    columns["flags"] = [
+        (FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok) if live else None
+        for dead, ok, live in zip(
+            (dead_data | dead_ack).tolist(), finite.tolist(), resolved.tolist()
+        )
     ]
-    return (
-        np.array([values[name] for name in _COMPUTED]),
-        np.array([defined[name] for name in _NULLABLE]),
-        flags,
-    )
+    return columns

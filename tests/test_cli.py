@@ -82,6 +82,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="hop_bers"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key", ["tx_uj_per_bit", "rx_uj_per_bit", "n_neighbors"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_energy_must_be_finite_and_non_negative(self, tmp_path, capsys, key, value):
+        path = tmp_path / "e.ini"
+        path.write_text(f"[energy]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+        code, out, err = run_cli(capsys, "model", "--config", str(path))
+        assert code == 1 and out == "" and err.startswith(f"error: {key}")
+
     def test_env_var_default_path(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "env.ini"
         path.write_text("[transfer]\nmss_bytes = 512\n")
@@ -257,6 +267,19 @@ class TestExitCodes:
     def test_bad_flag_value_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis", "ber", "--grid", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, says", [
+        (("model", "--alpha", "inf"), "alpha must be finite"),
+        (("model", "--alpha", "1e308"), "codes to more than"),
+        (("sweep", "--axis", "alpha", "--grid", "1,inf"), "alpha must be finite"),
+        (("frontier", "--family", "r", "--values", "3", "--h-range", "1:2:3"), "'1:2:3'"),
+        (("sweep", "--axis", "ber", "--grid", "1e-4", "--mss-list", "64:x"), "'64:x'"),
+        (("frontier", "--family", "r", "--values", "3", "--ber-range", "1e-6"), "'1e-6'"),
+    ])
+    def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and says in err and "Traceback" not in err
 
     def test_strict_flags_divergence(self, capsys):
         # r=1 at a catastrophic BER diverges; --strict turns that into exit 2

@@ -1,10 +1,13 @@
 """Frame resolution tests: fragment counts, FEC sizing, MTU fitting."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lln_energy.framing import (
+    MAX_FRAME_BITS,
     FrameLayout,
     LayoutError,
     default_fragment_count,
@@ -95,6 +98,21 @@ def test_rejects_bad_layout():
         FrameLayout(fragments="sometimes")
     with pytest.raises(LayoutError):
         resolve_frames(0, PLAIN)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_rejects_non_finite_alpha(alpha):
+    with pytest.raises(LayoutError, match="finite"):
+        FrameLayout(alpha=alpha)
+
+
+@pytest.mark.parametrize("fragments", ["auto", 4])  # "fit" refuses both by the MTU
+def test_rejects_a_coded_frame_past_the_model_limit(fragments):
+    # 1e308 codes past the float range; 1e14 only past the exact-integer one
+    for alpha in (1e308, 1e14):
+        with pytest.raises(LayoutError, match="codes to more than"):
+            resolve_frames(64, FrameLayout(alpha=alpha, fragments=fragments))
+    assert resolve_frames(64, FrameLayout(alpha=1e12)).d_data_bits < MAX_FRAME_BITS
 
 
 # alpha above ~1.3 makes the 440-bit ACK frame overflow the MTU (rejected),

@@ -4,7 +4,7 @@ against its scalar oracle."""
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from lln_energy.framing import FrameLayout, LayoutError, resolve_frames
 from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams, hop_model
 from lln_energy.pathmodel import (
     EnergyParams,
+    ModelReport,
     PathScenario,
     fragment_failure_sum,
     segment_model,
@@ -428,3 +429,18 @@ class TestBatchedCore:
             scalar_oracle.segment_model(sc) for sc in scenarios
         ]
         assert segment_models([]).column("total_bits") == []
+
+    def test_an_all_errored_batch_reads_none(self):
+        bad = PathScenario(
+            hops=uniform_path(2, 1e-4), layout=FrameLayout(alpha=5.0, fragments="fit"),
+            mss_bytes=64,
+        )
+        batch = segment_models([bad, replace(bad, mss_bytes=512)])
+        assert all(isinstance(err, LayoutError) for err in batch.errors)
+        assert list(batch.columns) == [f.name for f in fields(ModelReport)]
+        for name in batch.columns:
+            assert batch.column(name) == [None, None], name
+        assert list(batch.records()) == batch.errors
+        for i in range(2):
+            with pytest.raises(LayoutError):
+                batch.report(i)
