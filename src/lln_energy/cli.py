@@ -227,6 +227,8 @@ def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
     if sim.truncated:
         verdict.update(verdict="SKIP", flags="truncated",
                        note="round cap fired; the sim mean is biased low")
+    elif sim.replications < 2:
+        verdict.update(verdict="SKIP", note="one replication has no standard error")
     else:
         delta = sim.mean_total_bits - model.total_bits
         tol = 3.0 * sim.stderr_total_bits

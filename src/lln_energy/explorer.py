@@ -16,12 +16,12 @@ than a scalar evaluation for one point but little more for hundreds,
 so neither evaluates points one at a time. Each also bounds the points
 per call, since a call's memory grows with them. A sweep evaluates its
 grid in calls of ``BATCH_POINTS`` points and builds its rows from the
-result records. A frontier scans each hop count's BER grid in one call
-(the long and short MSS are two points per BER: 122 points for the
-default 61-point scan), then bisects all of a family value's brackets
-in lockstep, one call per step. Family values run in turn, so the hop
-models of one value's BER grid are shared across its hop counts within
-the hop-model cache.
+result records. A frontier scans each (family value, hop count)'s BER
+grid in one call (the long and short MSS are two points per BER: 122
+points for the default 61-point scan), then bisects all of the
+frontier's brackets in lockstep, one call per step. Family values are
+scanned in turn, so the hop models of one value's BER grid are shared
+across its hop counts within the hop-model cache.
 """
 
 from __future__ import annotations
@@ -198,77 +198,57 @@ def _energy_gaps(scenarios, bers, mss_pair, energy) -> list[float | None]:
 
 @dataclass
 class _Bracket:
-    """One crossover search: a scenario's bracket while it is bisected."""
+    """One crossover search: its bracket (None without a crossover) and flags."""
 
-    index: int
-    lo: float
-    hi: float
+    lo: float | None
+    hi: float | None
     flags: list[str]
-    stuck: bool = False  # a midpoint could not be evaluated
+
+    def point(self, h, family=None, family_value=None) -> FrontierPoint:
+        mid = None if self.lo is None else math.sqrt(self.lo * self.hi)
+        return FrontierPoint(family, family_value, h, mid, self.lo, self.hi, tuple(self.flags))
 
 
 def _crossovers(
-    scenarios, mss_pair, energy, ber_range, points_per_decade, rel_tol
-) -> list[FrontierPoint]:
-    """``crossover_ber`` of each scenario: a scan call each, then lockstep bisection."""
+    scenarios, mss_pair, energy, ber_range, points_per_decade, rel_tol=REL_TOL
+) -> list[_Bracket]:
+    """Each scenario's crossover search: a scan call each, then one lockstep
+    bisection of every bracket found, one call per step."""
     lo, hi = ber_range
     if not 0 < lo < hi < 1:
         raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    # one scan call per scenario bounds a call to the grid's 2n points
-    gaps = [
-        g for sc in scenarios for g in _energy_gaps([sc] * n, grid, mss_pair, energy)
-    ]
 
-    brackets = []
-    for i in range(len(scenarios)):
-        found = []
-        sign_changes = 0
-        prev = None
-        for b, g in zip(grid, gaps[i * n:(i + 1) * n]):
-            if g is None:
-                continue
-            if prev is not None and (prev[1] < 0) != (g < 0):
-                sign_changes += 1
-                if prev[1] < 0:
-                    found.append((prev[0], b))
-            prev = (b, g)
-        if found:
-            flags = ["multiple_crossovers"] if sign_changes > 1 else []
-            brackets.append(_Bracket(i, *found[0], flags))
+    searches = []
+    for sc in scenarios:  # one scan call per scenario bounds a call to 2n points
+        gaps = _energy_gaps([sc] * n, grid, mss_pair, energy)
+        scan = [(b, g) for b, g in zip(grid, gaps) if g is not None]
+        # each sign change between neighbouring evaluable points, and whether
+        # the long MSS goes from cheaper to dearer there
+        changes = [(a, b, ga < 0) for (a, ga), (b, gb) in zip(scan, scan[1:])
+                   if (ga < 0) != (gb < 0)]
+        rising = [(a, b) for a, b, to_dearer in changes if to_dearer]
+        if rising:
+            flags = ["multiple_crossovers"] if len(changes) > 1 else []
+            searches.append(_Bracket(*rising[0], flags))
+        else:
+            searches.append(_Bracket(None, None, ["no_crossover"]))
 
-    active = brackets
-    while True:
-        active = [br for br in active
-                  if not br.stuck and (br.hi - br.lo) / br.lo > rel_tol]
-        if not active:
-            break
-        mids = [math.sqrt(br.lo * br.hi) for br in active]
-        step = _energy_gaps([scenarios[br.index] for br in active], mids, mss_pair, energy)
-        for br, mid, g in zip(active, mids, step):
+    active = [(sc, br) for sc, br in zip(scenarios, searches) if br.lo is not None]
+    while active := [(sc, br) for sc, br in active
+                     if "bracket_unresolved" not in br.flags
+                     and (br.hi - br.lo) / br.lo > rel_tol]:
+        mids = [math.sqrt(br.lo * br.hi) for _, br in active]
+        step = _energy_gaps([sc for sc, _ in active], mids, mss_pair, energy)
+        for (_, br), mid, g in zip(active, mids, step):
             if g is None:
-                br.stuck = True
                 br.flags.append("bracket_unresolved")
             elif g >= 0:
                 br.hi = mid
             else:
                 br.lo = mid
-
-    points = [
-        FrontierPoint(
-            family=None, family_value=None, h=len(sc.hops), crossover_ber=None,
-            ber_lo=None, ber_hi=None, flags=("no_crossover",),
-        )
-        for sc in scenarios
-    ]
-    for br in brackets:
-        points[br.index] = FrontierPoint(
-            family=None, family_value=None, h=len(scenarios[br.index].hops),
-            crossover_ber=math.sqrt(br.lo * br.hi),
-            ber_lo=br.lo, ber_hi=br.hi, flags=tuple(br.flags),
-        )
-    return points
+    return searches
 
 
 def crossover_ber(
@@ -283,15 +263,13 @@ def crossover_ber(
 
     Scans a geometric BER grid for sign changes of the energy gap, then
     bisects (in log space) the first bracket down to the relative BER
-    tolerance. A midpoint where the gap cannot be evaluated stops the
-    bisection there: the bracket reached is returned, flagged
-    ``bracket_unresolved``. The scenario's own hops fix h and r; its
-    layout fixes alpha and the fragment mode.
+    tolerance ``rel_tol`` (``REL_TOL`` unless set). A midpoint where the
+    gap cannot be evaluated stops the bisection there: the bracket reached
+    is returned, flagged ``bracket_unresolved``. The scenario's own hops
+    fix h and r; its layout fixes alpha and the fragment mode.
     """
-    (point,) = _crossovers(
-        [scenario], mss_pair, energy, ber_range, points_per_decade, rel_tol
-    )
-    return point
+    (search,) = _crossovers([scenario], mss_pair, energy, ber_range, points_per_decade, rel_tol)
+    return search.point(len(scenario.hops))
 
 
 def frontier(
@@ -307,17 +285,14 @@ def frontier(
     """One crossover curve per family member (family is ``r`` or ``alpha``).
 
     Points where the search fails are emitted with their flags so curves
-    keep their gaps; ordering is (family value, h). Each family value's
-    crossovers are searched together (see the module docstring).
+    keep their gaps; ordering is (family value, h). All the crossovers
+    are searched together (see the module docstring).
     """
     if family not in ("r", "alpha"):
         raise ValueError(f'family must be "r" or "alpha", got {family!r}')
-    points = []
-    for value in family_values:
-        base = _variant(scenario, family, value, scenario.mss_bytes)
-        variants = [_variant(base, "h", h, base.mss_bytes) for h in h_values]
-        for point in _crossovers(
-            variants, mss_pair, energy, ber_range, points_per_decade, REL_TOL
-        ):
-            points.append(replace(point, family=family, family_value=float(value)))
-    return points
+    keys = [(float(v), h) for v in family_values for h in h_values]
+    mss = scenario.mss_bytes
+    variants = [_variant(_variant(scenario, family, v, mss), "h", h, mss) for v, h in keys]
+    searches = _crossovers(variants, mss_pair, energy, ber_range, points_per_decade)
+    return [search.point(len(sc.hops), family, v)
+            for (v, _), sc, search in zip(keys, variants, searches)]

@@ -200,8 +200,6 @@ def _fit_fragments(payload_bits: int, layout: FrameLayout) -> int:
     m = 1
     while True:
         _, d, _ = _data_frame_bits(payload_bits, m, layout)
-        if d <= layout.mtu_bits:
+        if d <= layout.mtu_bits:  # by m = payload_bits at the latest: the k_min frame
             return m
-        if m >= payload_bits:  # unreachable given the k_min check, kept as a guard
-            raise LayoutError("cannot fit fragments within the MTU")
         m += 1

@@ -24,7 +24,8 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   attempt-class counts by multinomial. The work does not grow with the
   round count, and every counter is an exact integer. A replication
   whose counters would pass 64-bit integers is refused with a
-  ``ValueError``.
+  ``ValueError``, as is a segment of 1030 or more fragments, whose
+  binomial coefficients pass the float range.
 * ``bit`` fidelity, method ``replay``. Every attempt of every round is
   replayed, drawing the raw per-bit error counts and applying the
   correction threshold. ``round_cap`` bounds its work; a segment that hits
@@ -61,6 +62,10 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 _INT64_MAX = 2**63 - 1
+#: The most fragments per segment the aggregate draw takes: the largest
+#: binomial coefficient of its dropped-fragment law, comb(m, m // 2), is a
+#: float up to here
+_MAX_FRAGMENTS = 1029
 
 
 class TruncationWarning(RuntimeWarning):
@@ -253,6 +258,11 @@ class _Aggregate:
         p_fail = p_frag_lost + p_ack_lost
         self.p_frag_round = p_frag_lost / p_fail if p_fail > 0 else 0.0
         # dropped fragments in a round that lost at least one: Binomial(m, p) | >= 1
+        if m > _MAX_FRAGMENTS:
+            raise ValueError(
+                f"{m} fragments per segment: the law of a round's dropped fragments "
+                "has binomial coefficients past the float range"
+            )
         p = -math.expm1(log_frag)
         lost = np.array([math.comb(m, d) * p**d * (1 - p) ** (m - d) for d in range(1, m + 1)])
         self.lost_pmf = lost / lost.sum() if lost.sum() > 0 else lost

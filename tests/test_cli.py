@@ -208,6 +208,30 @@ class TestSubcommands:
         assert verdict["verdict"] == "SKIP" and "64-bit" in verdict["note"]
         assert run_cli(capsys, *argv, "--strict")[0] == 2
 
+    def test_validate_skips_one_replication(self, capsys):
+        # one replication has no spread to measure: three_sigma would read 0
+        # and any nonzero delta would FAIL
+        argv = ("validate", "--reps", "1", "--format", "jsonl")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        model, sim, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert sim["replications"] == 1
+        assert verdict == {"source": "verdict", "verdict": "SKIP",
+                           "note": "one replication has no standard error"}
+        assert run_cli(capsys, *argv, "--strict")[0] == 2
+
+    def test_fragments_past_the_float_range(self, capsys):
+        # the model takes 1030 fragments; the simulator refuses them
+        argv = ("--fragments", "1030", "--mss", "512", "--reps", "2", "--format", "jsonl")
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 1 and out == "" and "error: 1030 fragments" in err
+        code, out, _ = run_cli(capsys, "validate", *argv)
+        assert code == 0
+        model, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert model["m"] == 1030 and model["total_bits"] > 0
+        assert verdict["verdict"] == "SKIP" and "1030 fragments" in verdict["note"]
+        assert run_cli(capsys, "validate", *argv, "--strict")[0] == 2
+
     def test_sweep_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--axis", "ber", "--grid", "1e-5,1e-4",

@@ -168,26 +168,29 @@ class TestCrossover:
         assert crossover_ber(base_scenario(h=3)) == cold
 
     def test_unevaluable_midpoint_stops_only_its_bisection(self, monkeypatch):
-        # At the third bisection step the h=3 search finds neither MSS
+        # At the third bisection step the r=3, h=3 search finds neither MSS
         # evaluable; its bracket stays where the first two steps left it,
-        # flagged, while the other hop counts bisect on in lockstep.
-        want = frontier(base_scenario(), "r", [3], range(1, 6))
+        # flagged, while every other search of the frontier, r=5's h=3 among
+        # them, bisects on in lockstep.
+        want = frontier(base_scenario(), "r", [3, 5], range(1, 6))
         real = explorer.segment_models
         unrealizable = FrameLayout(alpha=5.0, fragments="fit")
         steps = []
 
         def core(scenarios, energy):
-            if len(scenarios) <= 2 * 5:  # a bisection step: two points per bracket
+            if len(scenarios) <= 2 * 10:  # a bisection step: two points per bracket
                 steps.append(len(scenarios))
                 if len(steps) == 3:
-                    scenarios = [replace(sc, layout=unrealizable) if len(sc.hops) == 3
-                                 else sc for sc in scenarios]
+                    scenarios = [replace(sc, layout=unrealizable)
+                                 if len(sc.hops) == 3 and sc.hops[0].r == 3 else sc
+                                 for sc in scenarios]
             return real(scenarios, energy)
 
         monkeypatch.setattr(explorer, "segment_models", core)
-        got = frontier(base_scenario(), "r", [3], range(1, 6))
-        assert [p for p in got if p.h != 3] == [p for p in want if p.h != 3]
+        got = frontier(base_scenario(), "r", [3, 5], range(1, 6))
+        assert got[:2] + got[3:] == want[:2] + want[3:]
         stuck, full = got[2], want[2]
+        assert (stuck.family_value, stuck.h) == (3.0, 3)
         assert stuck.flags == ("bracket_unresolved",)
         assert stuck.ber_lo <= full.ber_lo < full.ber_hi <= stuck.ber_hi
         # two halvings of the log-width of one 10-per-decade scan step
@@ -246,6 +249,52 @@ class TestFrontier:
             for h in range(1, 10)
         ]
         assert got == want
+
+    def test_alpha_family_equals_the_scalar_oracle(self):
+        # the CLI's `frontier --family alpha --values 1e-3,1e-2,1e-1,2.0 -r 1
+        # --fragments fit` over h=1..9; alpha 2.0 cannot be laid out at all
+        base = RunConfig(retries=1, fragments="fit").scenario()
+        got = frontier(base, "alpha", [1e-3, 1e-2, 1e-1, 2.0], range(1, 10))
+        want = [
+            replace(
+                scalar_oracle.crossover_ber(
+                    PathScenario(uniform_path(h, base.hops[0].ber, 1),
+                                 replace(base.layout, alpha=alpha),
+                                 base.mss_bytes, base.transfer_bytes)),
+                family="alpha", family_value=alpha,
+            )
+            for alpha in (1e-3, 1e-2, 1e-1, 2.0)
+            for h in range(1, 10)
+        ]
+        assert got == want
+        assert all(p.flags == ("no_crossover",) for p in got[-9:])
+
+    def test_one_scan_call_per_search_then_one_call_per_step(self, monkeypatch):
+        # the bisection steps of all the frontier's searches share their
+        # calls: two values take as many steps as one, not twice as many
+        sizes = []
+        real = explorer.segment_models
+
+        def counted(scenarios, energy):
+            sizes.append(len(scenarios))
+            return real(scenarios, energy)
+
+        monkeypatch.setattr(explorer, "segment_models", counted)
+
+        def calls(values):
+            sizes.clear()
+            points = frontier(base_scenario(), "r", values, range(1, 6))
+            return points, list(sizes)
+
+        n = 61  # the default scan: 1e-7..1e-1 at 10 points per decade
+        points, both = calls([1, 3])
+        assert both[:10] == [2 * n] * 10
+        steps = both[10:]
+        assert steps[0] == 2 * sum(p.crossover_ber is not None for p in points) == 20
+        assert all(a >= b for a, b in zip(steps, steps[1:]))
+        assert max(both) <= 2 * n
+        alone = [len(calls([value])[1]) - 5 for value in (1, 3)]
+        assert len(steps) == max(alone) > 0
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

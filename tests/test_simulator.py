@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -159,6 +160,17 @@ def test_counters_never_wrap():
                         replications=2).sim()
         with pytest.raises(ValueError, match="64-bit counters"):
             simulate(cfg)
+
+
+def test_fragments_past_the_float_range_are_refused():
+    # the dropped-fragment law needs comb(m, m // 2) as a float: it fits up
+    # to m = 1029, and a larger segment is refused instead of overflowing
+    assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+    sc = replace(default_scenario(mss=512), layout=replace(LAYOUT, fragments=1029))
+    assert simulate(SimConfig(scenario=sc, replications=2)).segments == 100
+    sc = replace(sc, layout=replace(LAYOUT, fragments=1030))
+    with pytest.raises(ValueError, match="1030 fragments per segment"):
+        simulate(SimConfig(scenario=sc, replications=2))
 
 
 def test_heterogeneous_attempt_limits_match_model():
