@@ -17,11 +17,12 @@ so neither evaluates points one at a time. Each also bounds the points
 per call, since a call's memory grows with them. A sweep evaluates its
 grid in calls of ``BATCH_POINTS`` points and builds its rows from the
 result records. A frontier scans each (family value, hop count)'s BER
-grid in one call (the long and short MSS are two points per BER: 122
+grid (the long and short MSS are two points per BER: one call of 122
 points for the default 61-point scan), then bisects all of the
-frontier's brackets in lockstep, one call per step. Family values are
-scanned in turn, so the hop models of one value's BER grid are shared
-across its hop counts within the hop-model cache.
+frontier's brackets in lockstep, one step at a time. Its calls, too,
+take ``BATCH_POINTS`` points at most. Family values are scanned in
+turn, so the hop models of one value's BER grid are shared across its
+hop counts within the hop-model cache.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ BER_RANGE = (1e-7, 1e-1)
 POINTS_PER_DECADE = 10
 #: Bisection stops once the bracket's relative width is at most this.
 REL_TOL = 1e-3
-#: Grid points per model call of a sweep
+#: The most points per model call of a sweep, a scan or a bisection step
 BATCH_POINTS = 256
 
 
@@ -170,7 +171,8 @@ def _energy_gaps(scenarios, bers, mss_pair, energy) -> list[float | None]:
 
     Every hop takes that BER. A diverging side counts as infinitely
     expensive; None when neither side is finite (or a layout cannot be
-    realized); no comparison there. One model call for all of them.
+    realized); no comparison there. Model calls of ``BATCH_POINTS``
+    points at most.
     """
     points = []
     for scenario, ber in zip(scenarios, bers):
@@ -179,8 +181,11 @@ def _energy_gaps(scenarios, bers, mss_pair, energy) -> list[float | None]:
             PathScenario(hops, scenario.layout, mss, scenario.transfer_bytes)
             for mss in (max(mss_pair), min(mss_pair))
         ]
-    batch = segment_models(points, energy)
-    joules, errors = batch.column("total_joules"), batch.errors
+    joules, errors = [], []
+    for start in range(0, len(points), BATCH_POINTS):
+        batch = segment_models(points[start:start + BATCH_POINTS], energy)
+        joules += batch.column("total_joules")
+        errors += batch.errors
     gaps = []
     for i in range(0, len(points), 2):
         e_long, e_short = joules[i], joules[i + 1]
@@ -212,8 +217,8 @@ class _Bracket:
 def _crossovers(
     scenarios, mss_pair, energy, ber_range, points_per_decade, rel_tol=REL_TOL
 ) -> list[_Bracket]:
-    """Each scenario's crossover search: a scan call each, then one lockstep
-    bisection of every bracket found, one call per step."""
+    """Each scenario's crossover search: a scan each, then one lockstep
+    bisection of every bracket found, one step at a time."""
     lo, hi = ber_range
     if not 0 < lo < hi < 1:
         raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")

@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 
 __all__ = [
+    "MAX_FLOAT_COMB_N",
     "HopParams",
     "AttemptProbs",
     "HopModel",
@@ -31,6 +32,10 @@ __all__ = [
 #: shared TCP-ACK frame) at every hop count, and bisects a few more; 256
 #: entries hold that grid across hop counts at a fraction of a MiB.
 HOP_MODEL_CACHE_SIZE = 256
+#: The largest n whose central binomial coefficient comb(n, n // 2) is a
+#: float. It bounds the attempt limit, whose ARQ sums weight comb(r, i)
+#: terms, and the simulator's fragments per segment.
+MAX_FLOAT_COMB_N = 1029
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,14 @@ class HopParams:
             ) from None
         if r < 1:
             raise ValueError(f"attempt limit r must be >= 1, got {self.r}")
+        if r > MAX_FLOAT_COMB_N:
+            # the model's bound goes once expected_success_bits sums one
+            # geometric series in 1 - p_succ; the simulator's _HopTables
+            # enumerates the comb(r, i) classes itself
+            raise ValueError(
+                f"attempt limit r must be <= {MAX_FLOAT_COMB_N}, got {r}: the ARQ "
+                "sums have binomial coefficients past the float range"
+            )
         object.__setattr__(self, "r", r)
 
 

@@ -22,18 +22,22 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   dropped-fragment count of each such round from the zero-truncated
   binomial; the hop where each drop happened; and every hop's
   attempt-class counts by multinomial. The work does not grow with the
-  round count, and every counter is an exact integer. A replication
-  whose counters would pass 64-bit integers is refused with a
-  ``ValueError``, as is a segment of 1030 or more fragments, whose
-  binomial coefficients pass the float range.
+  round count. A replication whose fragment sends would pass 64-bit
+  integers is refused with a ``ValueError``, as is a segment of 1030 or
+  more fragments, whose binomial coefficients pass the float range.
 * ``bit`` fidelity, method ``replay``. Every attempt of every round is
   replayed, drawing the raw per-bit error counts and applying the
   correction threshold. ``round_cap`` bounds its work; a segment that hits
   the cap sets ``truncated``.
 
-Replication ``i`` always derives its RNG stream from
-``(master_seed, i)``, so serial and parallel execution produce
-bit-identical reports.
+Replications run in blocks whose size is fixed by the sampler
+(``block``): each numpy call draws one quantity for a whole block, the
+replay's over every (replication, segment) pair still in its round
+loop. Block ``b`` derives its RNG stream from ``(master_seed, b)`` and
+workers run whole blocks, so serial and parallel execution produce
+byte-identical reports. Bits and counters are integers, exact until the
+report divides their totals by the replication count: int64 where a
+float bound shows a sum fits, Python ints past that.
 """
 
 from __future__ import annotations
@@ -41,14 +45,13 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .config import RunConfig
 from .framing import resolve_frames
-from .hopmodel import AttemptProbs, attempt_probs
+from .hopmodel import MAX_FLOAT_COMB_N, AttemptProbs, attempt_probs
 from .pathmodel import EnergyParams, PathScenario
 
 __all__ = [
@@ -62,10 +65,6 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 _INT64_MAX = 2**63 - 1
-#: The most fragments per segment the aggregate draw takes: the largest
-#: binomial coefficient of its dropped-fragment law, comb(m, m // 2), is a
-#: float up to here
-_MAX_FRAGMENTS = 1029
 
 
 class TruncationWarning(RuntimeWarning):
@@ -203,13 +202,33 @@ def _drop_site_pmf(tables: list[_HopTables]) -> np.ndarray:
 
 def _beyond(drops: np.ndarray) -> np.ndarray:
     """For each hop, the frames dropped at a later hop (they crossed this one)."""
-    return np.cumsum(drops[::-1])[::-1] - drops
+    return np.cumsum(drops[..., ::-1], axis=-1)[..., ::-1] - drops
+
+
+def _exact_dot(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``counts @ weights`` for non-negative integer arrays, without int64 wrap.
+
+    Every term is non-negative, so each row's count total times the
+    largest weight bounds its totals: below 2**62 the int64 product is
+    exact; otherwise the totals are summed as Python ints, in an object
+    array.
+    """
+    bound = counts.sum(axis=1, dtype=np.float64).max(initial=0.0) * float(weights.max())
+    if bound < 2.0**62:
+        return counts @ weights
+    columns = weights.T.tolist()
+    return np.array(
+        [[sum(map(operator.mul, row, col)) for col in columns] for row in counts.tolist()],
+        dtype=object,
+    )
 
 
 class _Aggregate:
     """Frame fidelity: one exact draw of every outcome-class count per replication."""
 
     method = "aggregate"
+    #: replications drawn by each numpy call
+    block = 16
 
     def __init__(self, scenario: PathScenario):
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
@@ -234,6 +253,7 @@ class _Aggregate:
         self.class_pmf = np.array(
             [np.pad(t.delivered_pmf, (p, 0)) for t, p in zip(tables, pads)]
         )
+        self.rows = np.arange(len(tables))
         self.drop_class = np.asarray(pads)  # column of each row's class 0
         frame_bits = [frames.d_data_bits] * len(data) + [frames.d_ack_bits] * len(ack)
         per_class = {
@@ -243,13 +263,13 @@ class _Aggregate:
             "partial_failures": [t.partials for t in tables],
             "duplicates_suppressed": [np.maximum(t.arrivals - 1, 0) for t in tables],
         }
-        # Python ints, so the totals stay exact however many rounds there are
-        self.class_weights = {
-            name: np.concatenate(
-                [np.pad(v, (p, 0)) for v, p in zip(values, pads)]
-            ).tolist()
-            for name, values in per_class.items()
-        }
+        # (row, class) x total: a replication's totals are its flattened
+        # class counts times this matrix
+        self.weighted = tuple(per_class)
+        self.class_weights = np.stack([
+            np.concatenate([np.pad(v, (p, 0)) for v, p in zip(values, pads)])
+            for values in per_class.values()
+        ], axis=1)
 
         log_frag, log_ack = _log_pass(data), _log_pass(ack)
         self.p_round = math.exp(m * log_frag + log_ack)
@@ -258,7 +278,7 @@ class _Aggregate:
         p_fail = p_frag_lost + p_ack_lost
         self.p_frag_round = p_frag_lost / p_fail if p_fail > 0 else 0.0
         # dropped fragments in a round that lost at least one: Binomial(m, p) | >= 1
-        if m > _MAX_FRAGMENTS:
+        if m > MAX_FLOAT_COMB_N:
             raise ValueError(
                 f"{m} fragments per segment: the law of a round's dropped fragments "
                 "has binomial coefficients past the float range"
@@ -270,47 +290,50 @@ class _Aggregate:
         self.data_drop_pmf = _drop_site_pmf(data)
         self.ack_drop_pmf = _drop_site_pmf(ack)
 
-    def run(self, rng):
+    def _segment_sends(self, rng, n: int) -> np.ndarray:
+        """Each replication's segment rounds, refused past 64-bit fragment sends."""
+        if self.p_round > 0.0:  # else no round can succeed
+            # numpy saturates a geometric draw at the int64 maximum (p below
+            # ~1e-19), so such a draw fails the check too
+            rounds = rng.geometric(self.p_round, size=(n, self.segments))
+            sends = _exact_dot(rounds, np.ones((self.segments, 1), np.int64))[:, 0]
+            if max(sends.tolist()) * self.m < _INT64_MAX:
+                return sends.astype(np.int64)
+        raise ValueError(
+            f"segment rounds succeed with probability {self.p_round:.3g}: one "
+            "replication would send more fragments than 64-bit counters hold"
+        )
+
+    def run_block(self, rng, n: int):
+        """n replications' (bits, counters, truncated): integer arrays of n,
+        and False, as the draw applies no round cap."""
         m, n_seg = self.m, self.segments
-        if self.p_round > 0.0:
-            sends = sum(rng.geometric(self.p_round, size=n_seg).tolist())
-        else:
-            sends = _INT64_MAX  # no round can succeed
-        # numpy saturates a geometric draw at the int64 maximum (p below ~1e-19),
-        # so such a draw fails this check too
-        if sends * m >= _INT64_MAX:
-            raise ValueError(
-                f"segment rounds succeed with probability {self.p_round:.3g}: one "
-                "replication would send more fragments than 64-bit counters hold"
-            )
+        sends = self._segment_sends(rng, n)
         failed = sends - n_seg
-        frag_rounds = int(rng.binomial(failed, self.p_frag_round))
-        lost = int(rng.multinomial(frag_rounds, self.lost_pmf) @ self.lost_sizes)
+        frag_rounds = rng.binomial(failed, self.p_frag_round)
+        lost = rng.multinomial(frag_rounds, self.lost_pmf) @ self.lost_sizes
         data_drops = rng.multinomial(lost, self.data_drop_pmf)
         ack_drops = rng.multinomial(failed - frag_rounds, self.ack_drop_pmf)
         crossed = np.concatenate([
-            sends * m - lost + _beyond(data_drops),
+            (sends * m - lost)[:, None] + _beyond(data_drops),
             n_seg + _beyond(ack_drops),
-        ])
+        ], axis=1)
         counts = rng.multinomial(crossed, self.class_pmf)
-        drops = np.concatenate([data_drops, ack_drops])
-        counts[np.arange(len(drops)), self.drop_class] += drops
-        flat = counts.ravel().tolist()
-        totals = {
-            name: sum(map(operator.mul, flat, weights))
-            for name, weights in self.class_weights.items()
-        }
+        counts[:, self.rows, self.drop_class] += np.concatenate([data_drops, ack_drops], axis=1)
+        totals = dict(zip(self.weighted, _exact_dot(counts.reshape(n, -1), self.class_weights).T))
         bits = totals.pop("bits")
         totals["hop_drops"] = lost + failed - frag_rounds
         totals["segment_sends"] = sends
         totals["segment_retx"] = failed
-        return float(bits), totals, False
+        return bits, totals, False
 
 
 class _Replay:
     """Bit fidelity: every attempt of every round, event by event."""
 
     method = "replay"
+    #: replications whose segments share each round's numpy calls
+    block = 2
 
     def __init__(self, scenario: PathScenario, round_cap: int):
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
@@ -325,90 +348,99 @@ class _Replay:
         self.ack_hops = tuple(reversed(scenario.hops))  # TCP ACK travels back
         self.segments = scenario.segments
         self.round_cap = round_cap
+        self.r_max = max(hp.r for hp in scenario.hops)
 
     def _phase_bit(self, rng, hops, d_bits, c_bits, shape):
-        """Bit-fidelity hop summaries: raw binomial error draws per attempt."""
-        att = np.empty(shape + (self.h,), np.int64)
-        arr = np.empty_like(att)
-        par = np.empty_like(att)
-        dlv = np.empty(shape + (self.h,), bool)
+        """Each traversal's attempts, arrivals and whether one attempt succeeded.
+
+        Raw binomial error draws per attempt; each array has ``shape`` plus
+        one axis per hop. Arrivals count the data copies that reached the
+        receiver. A hop with fewer attempts than the path's most leaves the
+        rest of its attempt axis failed.
+        """
+        data_ok = np.zeros(shape + (self.h, self.r_max), bool)
+        succ = np.zeros_like(data_ok)
         for j, hp in enumerate(hops):
             r = hp.r
-            nerr = rng.binomial(d_bits, hp.ber, size=shape + (r,))
-            data_ok = nerr <= c_bits
-            ack_lost = rng.binomial(self.a, hp.ber, size=shape + (r,)) > 0
-            succ = data_ok & ~ack_lost
-            any_succ = succ.any(axis=-1)
-            first = succ.argmax(axis=-1)
-            attempts = np.where(any_succ, first + 1, r)
-            used = np.arange(r) < attempts[..., None]
-            arrivals = (data_ok & used).sum(axis=-1)
-            att[..., j] = attempts
-            arr[..., j] = arrivals
-            par[..., j] = arrivals - any_succ
-            dlv[..., j] = arrivals > 0
-        return att, arr, par, dlv
+            data_ok[..., j, :r] = rng.binomial(d_bits, hp.ber, size=shape + (r,)) <= c_bits
+            succ[..., j, :r] = rng.binomial(self.a, hp.ber, size=shape + (r,)) == 0
+        succ &= data_ok
+        any_succ = succ.any(axis=-1)
+        attempts = np.where(any_succ, succ.argmax(axis=-1) + 1, [hp.r for hp in hops])
+        arrivals = (data_ok & (np.arange(self.r_max) < attempts[..., None])).sum(axis=-1)
+        return attempts, arrivals, any_succ
 
-    def _chain(self, dlv):
+    @staticmethod
+    def _reached(arrivals):
         """(reached, all_delivered): which hops are actually attempted."""
-        ok = np.logical_and.accumulate(dlv, axis=-1)
-        reached = np.ones_like(dlv)
+        ok = np.logical_and.accumulate(arrivals > 0, axis=-1)
+        reached = np.ones_like(ok)
         reached[..., 1:] = ok[..., :-1]
         return reached, ok[..., -1]
 
+    @staticmethod
+    def _spent(phase, reached, axes):
+        """Per segment, over the hops attempted: attempts, arrivals, partial
+        failures, drops and duplicates (every arrival after a hop's first)."""
+        attempts, arrivals, any_succ = phase
+
+        def total(x):
+            return x.sum(axis=axes, where=reached)
+
+        arrived, drops = total(arrivals), total(arrivals == 0)
+        return np.stack([total(attempts), arrived, arrived - total(any_succ), drops,
+                         arrived - reached.sum(axis=axes) + drops])
+
     def round_batch(self, rng, n):
-        """One full segment round for n segments: (bits, ok, summed counters)."""
-        m = self.m
-        att, arr, par, dlv = self._phase_bit(
-            rng, self.data_hops, self.d_data, self.c_data, (n, m)
-        )
-        reached, frag_ok = self._chain(dlv)
-        data_bits = ((att * self.d_data + arr * self.a) * reached).sum(axis=(1, 2))
+        """One full round for n segments: (totals, ok).
+
+        ``totals`` has one int64 column per segment and these rows: data
+        attempts, TCP-ACK attempts, arrivals, partial failures, drops and
+        duplicates. ``ok`` says which segments got their TCP ACK.
+        """
+        data = self._phase_bit(rng, self.data_hops, self.d_data, self.c_data, (n, self.m))
+        reached, frag_ok = self._reached(data[1])
         seg_ok = frag_ok.all(axis=1)
+        ack = self._phase_bit(rng, self.ack_hops, self.d_ack, self.c_ack, (n,))
+        reached_ack, ack_through = self._reached(ack[1])
+        reached_ack &= seg_ok[:, None]  # the TCP ACK is only sent if the data arrived
+        data = self._spent(data, reached, (1, 2))
+        ack = self._spent(ack, reached_ack, 1)
+        return np.concatenate([data[:1], ack[:1], data[1:] + ack[1:]]), seg_ok & ack_through
 
-        att2, arr2, par2, dlv2 = self._phase_bit(
-            rng, self.ack_hops, self.d_ack, self.c_ack, (n,)
-        )
-        reached2, ack_through = self._chain(dlv2)
-        reached2 &= seg_ok[:, None]  # the TCP ACK is only sent if the data arrived
-        ack_bits = ((att2 * self.d_ack + arr2 * self.a) * reached2).sum(axis=1)
-        ok = seg_ok & ack_through
-
-        bits = data_bits + ack_bits
-        axes = (1, 2)
-        c = {
-            "link_attempts": (att * reached).sum(axis=axes) + (att2 * reached2).sum(axis=1),
-            "link_failures": ((att - arr) * reached).sum(axis=axes)
-            + ((att2 - arr2) * reached2).sum(axis=1),
-            "partial_failures": (par * reached).sum(axis=axes)
-            + (par2 * reached2).sum(axis=1),
-            "hop_drops": (reached & ~dlv).sum(axis=axes)
-            + (reached2 & ~dlv2).sum(axis=1),
-            "duplicates_suppressed": (np.maximum(arr - 1, 0) * reached).sum(axis=axes)
-            + (np.maximum(arr2 - 1, 0) * reached2).sum(axis=1),
-        }
-        return bits, ok, {k: float(v.sum()) for k, v in c.items()}
-
-    def run(self, rng):
+    def run_block(self, rng, n: int):
+        """n replications' (bits, counters, truncated): integer arrays of n,
+        and whether a segment hit the round cap."""
         n_seg = self.segments
-        bits = np.zeros(n_seg)
-        sends = np.zeros(n_seg, dtype=np.int64)
-        counters = dict.fromkeys(COUNTER_NAMES, 0.0)
+        totals = np.zeros((6, n * n_seg), np.int64)  # per (replication, segment) pair
+        sends = np.zeros(n * n_seg, dtype=np.int64)
         truncated = False
-        active = np.arange(n_seg)
+        active = np.arange(n * n_seg)
         while active.size:
-            round_bits, ok, c = self.round_batch(rng, active.size)
-            bits[active] += round_bits
+            round_totals, ok = self.round_batch(rng, active.size)
+            totals[:, active] += round_totals
             sends[active] += 1
-            for k, v in c.items():
-                counters[k] += v
             capped = ~ok & (sends[active] >= self.round_cap)
-            if capped.any():
-                truncated = True
+            truncated |= bool(capped.any())
             active = active[~(ok | capped)]
-        counters["segment_sends"] = float(sends.sum())
-        counters["segment_retx"] = float(sends.sum() - n_seg)
-        return float(bits.sum()), counters, truncated
+        data_att, ack_att, arrivals, partials, drops, duplicates = (
+            totals.reshape(6, n, n_seg).sum(axis=2)
+        )
+        frame_bits = np.array([[self.d_data], [self.d_ack], [self.a]])
+        bits = _exact_dot(np.stack([data_att, ack_att, arrivals], axis=1), frame_bits)[:, 0]
+        segment_sends = sends.reshape(n, n_seg).sum(axis=1)
+        return bits, {
+            "link_attempts": data_att + ack_att,
+            "link_failures": data_att + ack_att - arrivals,
+            "partial_failures": partials,
+            "hop_drops": drops,
+            "duplicates_suppressed": duplicates,
+            "segment_sends": segment_sends,
+            "segment_retx": segment_sends - n_seg,
+        }, truncated
+
+
+_SAMPLERS = {"frame": _Aggregate, "bit": _Replay}
 
 
 def _sampler(config: SimConfig) -> _Aggregate | _Replay:
@@ -417,53 +449,59 @@ def _sampler(config: SimConfig) -> _Aggregate | _Replay:
     return _Replay(config.scenario, config.round_cap)
 
 
+def _run_blocks(sampler, config: SimConfig, start: int, stop: int):
+    """Blocks start..stop-1 of the run; block b draws from (master_seed, b).
+
+    Returns each replication's bits, each counter's exact total, and
+    whether the round cap fired.
+    """
+    size, reps = sampler.block, config.replications
+    bits, totals, truncated = [], dict.fromkeys(COUNTER_NAMES, 0), False
+    for b in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, b]))
+        block_bits, counters, block_truncated = sampler.run_block(
+            rng, min(size, reps - b * size)
+        )
+        bits.append(block_bits)
+        for k, v in counters.items():
+            totals[k] += sum(v.tolist())
+        truncated |= block_truncated
+    return np.concatenate(bits), totals, truncated
+
+
 def _run_chunk(config: SimConfig, start: int, stop: int):
-    sampler = _sampler(config)
-    bits = np.empty(stop - start)
-    counters = {k: np.empty(stop - start) for k in COUNTER_NAMES}
-    truncated = False
-    for i, rep in enumerate(range(start, stop)):
-        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, rep]))
-        b, c, t = sampler.run(rng)
-        bits[i] = b
-        for k in COUNTER_NAMES:
-            counters[k][i] = c[k]
-        truncated |= t
-    return bits, counters, truncated
+    """A worker's share of the blocks, with a sampler of its own."""
+    return _run_blocks(_sampler(config), config, start, stop)
 
 
 def simulate(config: SimConfig) -> SimReport:
     """Run the Monte Carlo and aggregate replication statistics.
 
     Deterministic for a given (config, master_seed) regardless of
-    ``workers``: replication i's stream depends only on (master_seed, i)
-    and aggregation follows replication order.
+    ``workers``: block b's stream depends only on (master_seed, b), each
+    worker runs whole blocks, and the totals are exact integers until the
+    final division, so the order in which they are added does not matter.
     """
-    sampler = _sampler(config)
     reps = config.replications
-
-    if config.workers == 1 or reps == 1:
-        chunks = [(0, reps)]
+    kind = _SAMPLERS[config.fidelity]
+    n_blocks = -(-reps // kind.block)
+    workers = min(config.workers, n_blocks)
+    if workers == 1:
+        chunks = [_run_blocks(_sampler(config), config, 0, n_blocks)]
     else:
-        n = min(config.workers, reps)
-        bounds = np.linspace(0, reps, n + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        # imported here: a serial run, the common case, does without it
+        from concurrent.futures import ProcessPoolExecutor
 
-    if len(chunks) == 1:
-        results = [_run_chunk(config, *chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_run_chunk, config, a, b) for a, b in chunks]
-            results = [f.result() for f in futures]
+        bounds = np.linspace(0, n_blocks, workers + 1, dtype=int).tolist()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_chunk, config, a, b)
+                       for a, b in zip(bounds[:-1], bounds[1:])]
+            chunks = [f.result() for f in futures]
 
-    bits = np.concatenate([r[0] for r in results])
-    counters = {
-        k: np.concatenate([r[1][k] for r in results]) for k in COUNTER_NAMES
-    }
-    truncated = any(r[2] for r in results)
-
-    mean = float(bits.mean())
-    stddev = float(bits.std(ddof=1)) if reps > 1 else 0.0
+    bits = np.concatenate([c[0] for c in chunks])
+    truncated = any(c[2] for c in chunks)
+    mean_bits = sum(bits.tolist()) / reps  # exact integer total, rounded once
+    stddev = float(bits.astype(np.float64).std(ddof=1)) if reps > 1 else 0.0
     stderr = stddev / math.sqrt(reps)
 
     flags = []
@@ -478,17 +516,19 @@ def simulate(config: SimConfig) -> SimReport:
 
     return SimReport(
         replications=reps,
-        segments=sampler.segments,
-        mean_total_bits=mean,
+        segments=config.scenario.segments,
+        mean_total_bits=mean_bits,
         stddev_total_bits=stddev,
         stderr_total_bits=stderr,
         ci95_half_width=1.96 * stderr,
-        mean_total_joules=mean * config.energy.uj_per_bit() * 1e-6,
-        method=sampler.method,
+        mean_total_joules=mean_bits * config.energy.uj_per_bit() * 1e-6,
+        method=kind.method,
         fidelity=config.fidelity,
         truncated=truncated,
         master_seed=config.master_seed,
         rng_algorithm=RNG_ALGORITHM,
         flags=tuple(flags),
-        counters=SimCounters(**{k: float(counters[k].mean()) for k in COUNTER_NAMES}),
+        counters=SimCounters(
+            **{k: sum(c[1][k] for c in chunks) / reps for k in COUNTER_NAMES}
+        ),
     )

@@ -299,6 +299,8 @@ class TestExitCodes:
         (("frontier", "--family", "r", "--values", "3", "--h-range", "1:2:3"), "'1:2:3'"),
         (("sweep", "--axis", "ber", "--grid", "1e-4", "--mss-list", "64:x"), "'64:x'"),
         (("frontier", "--family", "r", "--values", "3", "--ber-range", "1e-6"), "'1e-6'"),
+        (("model", "-r", "1030"), "r must be <= 1029, got 1030"),
+        (("simulate", "-r", "1030", "--reps", "2"), "r must be <= 1029, got 1030"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

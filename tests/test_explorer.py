@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from lln_energy import explorer
-from lln_energy.cli import _strict_trips
+from lln_energy.cli import _strict_trips, main
 from lln_energy.config import RunConfig
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
 from lln_energy.framing import FrameLayout, resolve_frames
@@ -295,6 +295,35 @@ class TestFrontier:
         assert max(both) <= 2 * n
         alone = [len(calls([value])[1]) - 5 for value in (1, 3)]
         assert len(steps) == max(alone) > 0
+
+    def test_bisection_steps_split_at_batch_points(self, monkeypatch, tmp_path):
+        # a step sends two points per bracket of the whole frontier (720 for
+        # `--values 1,...,40`); past BATCH_POINTS it splits into calls of at
+        # most that many, and the output stays byte-identical
+        argv = ["frontier", "--family", "r", "--values", "1,2,3,4,5,6,7,8",
+                "--h-range", "1:3"]
+        sizes = []
+        real = explorer.segment_models
+
+        def counted(scenarios, energy):
+            sizes.append(len(scenarios))
+            return real(scenarios, energy)
+
+        monkeypatch.setattr(explorer, "segment_models", counted)
+
+        def run(batch_points):
+            monkeypatch.setattr(explorer, "BATCH_POINTS", batch_points)
+            sizes.clear()
+            out = tmp_path / f"{batch_points}.csv"
+            assert main([*argv, "--output", str(out)]) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            return rows, list(sizes)
+
+        whole, sizes_whole = run(10**6)
+        searches = 8 * 3
+        assert sizes_whole[searches] == 2 * searches  # each search has a bracket
+        chunked, sizes_chunked = run(20)
+        assert chunked == whole and max(sizes_chunked) == 20
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

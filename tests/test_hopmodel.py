@@ -8,6 +8,7 @@ about the closed form.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -218,3 +219,10 @@ class TestHopModel:
                 HopParams(ber=1e-3, r=r)
         hp = HopParams(ber=1e-3, r=np.int64(3))
         assert hp == HopParams(ber=1e-3, r=3) and type(hp.r) is int
+
+    def test_attempt_limit_past_the_float_range_is_refused(self):
+        # the ARQ sums weight comb(r, i), a float up to r = 1029 only
+        assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+        assert HopParams(ber=3e-4, r=1029).r == 1029
+        with pytest.raises(ValueError, match="r must be <= 1029, got 1030"):
+            HopParams(ber=3e-4, r=1030)

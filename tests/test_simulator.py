@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import pytest
 
+from lln_energy import simulator
 from lln_energy.config import RunConfig
-from lln_energy.framing import FrameLayout
+from lln_energy.framing import FrameLayout, resolve_frames
 from lln_energy.hopmodel import HopParams
 from lln_energy.pathmodel import PathScenario, segment_model, uniform_path
 from lln_energy.simulator import SimConfig, TruncationWarning, simulate
@@ -40,6 +41,36 @@ def test_deterministic_and_parallel_invariant():
         for c in (cfg, cfg, SimConfig(**{**cfg.__dict__, "workers": 3}))
     ]
     assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("fidelity", ["frame", "bit"])
+def test_workers_share_out_whole_blocks(fidelity):
+    # three whole blocks and a partial one: serial, 2- and 3-worker reports
+    # are byte-identical, as each block draws from (master_seed, block)
+    block = simulator._SAMPLERS[fidelity].block
+    cfg = SimConfig(scenario=default_scenario(mss=512, transfer=2048),
+                    replications=3 * block + 1, master_seed=8, fidelity=fidelity)
+    records = [json.dumps(simulate(replace(cfg, workers=w)).to_record())
+               for w in (1, 2, 3)]
+    assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("fidelity", ["frame", "bit"])
+def test_bits_past_int64_stay_exact(fidelity):
+    # ~4e15-bit coded frames: one replication sends ~2.2e19 bits, past int64,
+    # while its 800 fragment sends are nowhere near; noiseless, so the total
+    # is known exactly, and a wrapped int64 sum would miss it
+    cfg = RunConfig(ber=0.0, alpha=4e12, replications=3, fidelity=fidelity)
+    sc = cfg.scenario()
+    frames = resolve_frames(sc.mss_bytes, sc.layout)
+    a = sc.layout.ll_ack_bits
+    per_rep = sc.segments * len(sc.hops) * (
+        frames.m * (frames.d_data_bits + a) + frames.d_ack_bits + a
+    )
+    assert per_rep > 2**63 > sc.segments * frames.m
+    rep = simulate(cfg.sim())
+    assert rep.mean_total_bits == per_rep * 3 / 3
+    assert rep.counters.segment_sends == sc.segments
 
 
 def test_different_seeds_differ():
