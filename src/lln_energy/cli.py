@@ -42,10 +42,11 @@ from .config import (
     parse_fragments,
     validate_config,
 )
-from .explorer import BER_RANGE, MSS_PAIR, POINTS_PER_DECADE, SweepSpec, frontier, sweep
+from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
+                       SWEEP_AXES, SweepSpec, frontier, sweep)
 from .framing import LayoutError
 from .pathmodel import segment_model
-from .simulator import RNG_ALGORITHM, simulate
+from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
 
@@ -94,7 +95,7 @@ def _add_sim(p: _Parser):
     p.add_argument("--reps", type=int, dest="replications",
                    help="Monte Carlo replications")
     p.add_argument("--seed", type=int, help="master RNG seed")
-    p.add_argument("--fidelity", choices=("frame", "bit"))
+    p.add_argument("--fidelity", choices=FIDELITIES)
     p.add_argument("--workers", type=int, help="parallel replication workers")
 
 
@@ -117,14 +118,13 @@ def build_parser() -> _Parser:
         if name in ("simulate", "validate"):
             _add_sim(p)
         if name == "sweep":
-            p.add_argument("--axis", choices=("ber", "r", "alpha", "h", "mss"),
-                           required=True)
+            p.add_argument("--axis", choices=SWEEP_AXES, required=True)
             p.add_argument("--grid", required=True,
                            help='"lo:hi:log:N", "lo:hi:lin:N", or comma list')
             p.add_argument("--mss-list", default=_MSS_PAIR,
                            help="MSS values compared at each grid point")
         if name == "frontier":
-            p.add_argument("--family", choices=("r", "alpha"), required=True)
+            p.add_argument("--family", choices=FRONTIER_FAMILIES, required=True)
             p.add_argument("--values", required=True,
                            help="family values, e.g. 1,2,3,4,5,7 or 1e-3,1e-2")
             p.add_argument("--h-range", default="1:9", help='hop counts "lo:hi" or list')

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("ber", "r", "alpha", "h", "mss")
+FRONTIER_FAMILIES = ("r", "alpha")
 
 #: Defaults of the sweeps, crossovers and frontiers, shared with the CLI:
 #: the short and long MSS compared, and the geometric BER scan.
@@ -222,6 +223,8 @@ def _crossovers(
     lo, hi = ber_range
     if not 0 < lo < hi < 1:
         raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
+    if points_per_decade < 1:
+        raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
@@ -293,9 +296,11 @@ def frontier(
     keep their gaps; ordering is (family value, h). All the crossovers
     are searched together (see the module docstring).
     """
-    if family not in ("r", "alpha"):
-        raise ValueError(f'family must be "r" or "alpha", got {family!r}')
+    if family not in FRONTIER_FAMILIES:
+        raise ValueError(f"family must be one of {FRONTIER_FAMILIES}, got {family!r}")
     keys = [(float(v), h) for v in family_values for h in h_values]
+    if not keys:
+        raise ValueError("a frontier needs at least one family value and one hop count")
     mss = scenario.mss_bytes
     variants = [_variant(_variant(scenario, family, v, mss), "h", h, mss) for v, h in keys]
     searches = _crossovers(variants, mss_pair, energy, ber_range, points_per_decade)

@@ -33,8 +33,8 @@ __all__ = [
 #: entries hold that grid across hop counts at a fraction of a MiB.
 HOP_MODEL_CACHE_SIZE = 256
 #: The largest n whose central binomial coefficient comb(n, n // 2) is a
-#: float. It bounds the attempt limit, whose ARQ sums weight comb(r, i)
-#: terms, and the simulator's fragments per segment.
+#: float. The simulator weighs attempt classes by comb(r, i) and dropped
+#: fragments by comb(m, d), so it bounds r and m; the model needs neither.
 MAX_FLOAT_COMB_N = 1029
 
 
@@ -62,12 +62,9 @@ class HopParams:
         if r < 1:
             raise ValueError(f"attempt limit r must be >= 1, got {self.r}")
         if r > MAX_FLOAT_COMB_N:
-            # the model's bound goes once expected_success_bits sums one
-            # geometric series in 1 - p_succ; the simulator's _HopTables
-            # enumerates the comb(r, i) classes itself
             raise ValueError(
-                f"attempt limit r must be <= {MAX_FLOAT_COMB_N}, got {r}: the ARQ "
-                "sums have binomial coefficients past the float range"
+                f"attempt limit r must be <= {MAX_FLOAT_COMB_N}, got {r}: past it the "
+                "simulator's attempt-class weights comb(r, i) leave the float range"
             )
         object.__setattr__(self, "r", r)
 
@@ -174,34 +171,33 @@ def expected_success_bits(
 ) -> float | None:
     """Expected bits sent in <= r attempts, given the data frame got through.
 
-    Sums over the two ways delivery can happen: every attempt failed or
-    partially failed (at least one partial, data arrived but no ACK ever
-    returned), or attempt ``k`` was the first outright success with ``i``
-    partial failures before it. Each partial or successful attempt costs an
-    extra ACK on top of the data frame. Returns None when delivery is
-    impossible (every attempt fails with certainty).
+    Delivery happens one of two ways: no attempt succeeded outright but at
+    least one partially failed (data arrived, no ACK ever returned), or
+    attempt ``k`` was the first outright success. Every attempt sends the
+    data frame; each partial or successful one adds an ACK. With
+    u = pf + pp, the first way has probability u^r - pf^r and weighs its
+    partials r*pp*u^(r-1); a first success at k has probability ps*u^(k-1)
+    and weighs the partials before it ps*(k-1)*pp*u^(k-2). One pass over k
+    sums them, building u^k - pf^k as D_k = u*D_(k-1) + pp*pf^(k-1), whose
+    non-negative terms do not cancel when pf is close to u. Returns None
+    when delivery is impossible (every attempt fails with certainty).
     """
     pf, pp, ps = probs.p_fail, probs.p_partial, probs.p_succ
     denom = 1.0 - pf**r
     if denom <= 0.0:
         return None
-    no_succ = 0.0
-    for i in range(1, r + 1):
-        no_succ += (
-            math.comb(r, i) * pp**i * pf ** (r - i) * (r * d_bits + i * a_bits)
-        )
+    u = pf + pp
+    u_before = 0.0  # u^(k-2)
+    u_k = 1.0  # u^(k-1)
+    pf_k = 1.0  # pf^(k-1)
+    diff = 0.0  # D_(k-1) = u^(k-1) - pf^(k-1)
     with_succ = 0.0
     for k in range(1, r + 1):
-        inner = 0.0
-        for i in range(k):
-            inner += (
-                math.comb(k - 1, i)
-                * pp**i
-                * pf ** (k - 1 - i)
-                * (k * d_bits + (i + 1) * a_bits)
-            )
-        with_succ += ps * inner
-    return (no_succ + with_succ) / denom
+        with_succ += (k * d_bits + a_bits) * u_k + a_bits * (k - 1) * pp * u_before
+        diff = u * diff + pp * pf_k
+        pf_k *= pf
+        u_before, u_k = u_k, u_k * u
+    return (r * d_bits * diff + a_bits * r * pp * u_before + ps * with_succ) / denom
 
 
 @functools.lru_cache(maxsize=HOP_MODEL_CACHE_SIZE)

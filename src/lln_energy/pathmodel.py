@@ -397,7 +397,7 @@ def _segment_columns(given: dict[str, list], energy: EnergyParams) -> dict:
         retry_bits = np.where(p_s < 1.0, s_f * (1.0 / p_s - 1.0), 0.0)
         s = np.where(p_s > 0.0, retry_bits + s_s, math.inf)
         total_bits = segments * s
-        total_joules = total_bits * energy.uj_per_bit() * 1e-6
+        total_joules = energy.joules(total_bits)
 
     # p_s = 0, or a p_s so small that the expected bits pass the float range;
     # s and the totals are non-negative, so "< inf" is false just for inf and NaN

@@ -87,8 +87,8 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        if self.fidelity not in ("frame", "bit"):
-            raise ValueError(f'fidelity must be "frame" or "bit", got {self.fidelity!r}')
+        if self.fidelity not in FIDELITIES:
+            raise ValueError(f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
         if self.round_cap < 1:
             raise ValueError("round_cap must be >= 1")
         if self.workers < 1:
@@ -230,7 +230,8 @@ class _Aggregate:
     #: replications drawn by each numpy call
     block = 16
 
-    def __init__(self, scenario: PathScenario):
+    def __init__(self, config: SimConfig):
+        scenario = config.scenario
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         a = scenario.layout.ll_ack_bits
         self.m = m = frames.m
@@ -335,7 +336,8 @@ class _Replay:
     #: replications whose segments share each round's numpy calls
     block = 2
 
-    def __init__(self, scenario: PathScenario, round_cap: int):
+    def __init__(self, config: SimConfig):
+        scenario = config.scenario
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         self.m = frames.m
         self.h = len(scenario.hops)
@@ -347,7 +349,7 @@ class _Replay:
         self.data_hops = tuple(scenario.hops)
         self.ack_hops = tuple(reversed(scenario.hops))  # TCP ACK travels back
         self.segments = scenario.segments
-        self.round_cap = round_cap
+        self.round_cap = config.round_cap
         self.r_max = max(hp.r for hp in scenario.hops)
 
     def _phase_bit(self, rng, hops, d_bits, c_bits, shape):
@@ -441,20 +443,18 @@ class _Replay:
 
 
 _SAMPLERS = {"frame": _Aggregate, "bit": _Replay}
+#: The fidelities ``SimConfig`` accepts, one sampler each
+FIDELITIES = tuple(_SAMPLERS)
 
 
-def _sampler(config: SimConfig) -> _Aggregate | _Replay:
-    if config.fidelity == "frame":
-        return _Aggregate(config.scenario)
-    return _Replay(config.scenario, config.round_cap)
-
-
-def _run_blocks(sampler, config: SimConfig, start: int, stop: int):
+def _run_blocks(config: SimConfig, start: int, stop: int):
     """Blocks start..stop-1 of the run; block b draws from (master_seed, b).
 
+    A worker runs its share of the blocks with a sampler of its own.
     Returns each replication's bits, each counter's exact total, and
     whether the round cap fired.
     """
+    sampler = _SAMPLERS[config.fidelity](config)
     size, reps = sampler.block, config.replications
     bits, totals, truncated = [], dict.fromkeys(COUNTER_NAMES, 0), False
     for b in range(start, stop):
@@ -467,11 +467,6 @@ def _run_blocks(sampler, config: SimConfig, start: int, stop: int):
             totals[k] += sum(v.tolist())
         truncated |= block_truncated
     return np.concatenate(bits), totals, truncated
-
-
-def _run_chunk(config: SimConfig, start: int, stop: int):
-    """A worker's share of the blocks, with a sampler of its own."""
-    return _run_blocks(_sampler(config), config, start, stop)
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -487,14 +482,14 @@ def simulate(config: SimConfig) -> SimReport:
     n_blocks = -(-reps // kind.block)
     workers = min(config.workers, n_blocks)
     if workers == 1:
-        chunks = [_run_blocks(_sampler(config), config, 0, n_blocks)]
+        chunks = [_run_blocks(config, 0, n_blocks)]
     else:
         # imported here: a serial run, the common case, does without it
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = np.linspace(0, n_blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, config, a, b)
+            futures = [pool.submit(_run_blocks, config, a, b)
                        for a, b in zip(bounds[:-1], bounds[1:])]
             chunks = [f.result() for f in futures]
 
@@ -521,7 +516,7 @@ def simulate(config: SimConfig) -> SimReport:
         stddev_total_bits=stddev,
         stderr_total_bits=stderr,
         ci95_half_width=1.96 * stderr,
-        mean_total_joules=mean_bits * config.energy.uj_per_bit() * 1e-6,
+        mean_total_joules=config.energy.joules(mean_bits),
         method=kind.method,
         fidelity=config.fidelity,
         truncated=truncated,

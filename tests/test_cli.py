@@ -301,6 +301,13 @@ class TestExitCodes:
         (("frontier", "--family", "r", "--values", "3", "--ber-range", "1e-6"), "'1e-6'"),
         (("model", "-r", "1030"), "r must be <= 1029, got 1030"),
         (("simulate", "-r", "1030", "--reps", "2"), "r must be <= 1029, got 1030"),
+        (("frontier", "--family", "r", "--values", "3", "--points-per-decade", "0"),
+         "points_per_decade must be >= 1, got 0"),
+        (("frontier", "--family", "r", "--values", "3", "--points-per-decade", "-2"),
+         "points_per_decade must be >= 1, got -2"),
+        (("frontier", "--family", "r", "--values", "3", "--h-range", "3:1"),
+         "at least one family value and one hop count"),
+        (("frontier", "--family", "r", "--values", ","), "at least one family value"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

@@ -328,3 +328,16 @@ class TestFrontier:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             frontier(base_scenario(), "mtu", [1], [1])
+
+    @pytest.mark.parametrize("points_per_decade", [0, -3])
+    def test_rejects_a_scan_without_points_per_decade(self, points_per_decade):
+        # a non-positive density would scan only the range's two ends
+        with pytest.raises(ValueError, match="points_per_decade must be >= 1"):
+            frontier(base_scenario(), "r", [3], [1], points_per_decade=points_per_decade)
+        with pytest.raises(ValueError, match="points_per_decade must be >= 1"):
+            crossover_ber(base_scenario(), points_per_decade=points_per_decade)
+
+    @pytest.mark.parametrize("values, hops", [([], [1, 2]), ([3], []), ([3], range(3, 1))])
+    def test_rejects_an_empty_frontier(self, values, hops):
+        with pytest.raises(ValueError, match="at least one family value and one hop count"):
+            frontier(base_scenario(), "r", values, hops)

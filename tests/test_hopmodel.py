@@ -3,13 +3,15 @@
 Frozen reference values were computed with mpmath at 50 decimal digits
 (see oracle helpers below); the ARQ expectation is checked against a
 brute-force enumeration of every attempt sequence, which knows nothing
-about the closed form.
+about the closed form, and against the binomial double sum over attempt
+classes, evaluated with mpmath at 50 digits.
 """
 
 import itertools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,30 @@ def enum_success_bits(pf, pp, r, d, a):
             total += p * (k * d + arrived * a)
             p_delivered += p
     return total / p_delivered
+
+
+def mp_success_bits(pf, pp, ps, r, d, a):
+    """E[bits | data delivered] as the O(r^2) double sum over attempt classes,
+    at 50 digits on the given float probabilities.
+
+    Either no attempt succeeded outright and i >= 1 of the r were partial,
+    or attempt k was the first success after i partials; C(r, i) and
+    C(k-1, i) count the orders. The library sums the same classes in one
+    pass over k, with no binomial coefficients.
+    """
+    with mpmath.workdps(50):
+        pp_pow = [mpmath.mpf(pp) ** i for i in range(r + 1)]
+        pf_pow = [mpmath.mpf(pf) ** i for i in range(r + 1)]
+        no_succ = mpmath.fdot(
+            (math.comb(r, i) * (r * d + i * a) * pp_pow[i], pf_pow[r - i])
+            for i in range(1, r + 1)
+        )
+        with_succ = mpmath.fdot(
+            (math.comb(k - 1, i) * (k * d + (i + 1) * a) * pp_pow[i], pf_pow[k - 1 - i])
+            for k in range(1, r + 1)
+            for i in range(k)
+        )
+        return (no_succ + mpmath.mpf(ps) * with_succ) / (1 - pf_pow[r])
 
 
 class TestFrameErrorProb:
@@ -179,6 +205,25 @@ class TestHopModel:
                 want = enum_success_bits(pf, pp, r, d, a)
                 assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 16, 64, 150])
+    def test_matches_the_binomial_double_sum(self, r):
+        d, a = 952, 40
+        for pf in (0.0, 1e-9, 0.05, 0.4, 0.8):
+            for pp in (0.0, 1e-9, 0.05, 0.15, 0.5):
+                if pf + pp >= 1.0:
+                    continue
+                ps = 1.0 - pf - pp
+                got = expected_success_bits(AttemptProbs(pf, pp, ps), r, d, a)
+                want = mp_success_bits(pf, pp, ps, r, d, a)
+                assert abs(got - want) <= 1e-13 * want
+
+    def test_attempts_past_any_chance_of_use_change_nothing(self):
+        # at B = 3e-4 an attempt fails with ~0.26, so the terms of attempts
+        # past 200 are below 1e-110 of the total
+        short = hop_model(952, 0, 40, HopParams(3e-4, 200)).h_s
+        longest = hop_model(952, 0, 40, HopParams(3e-4, 1029)).h_s
+        assert longest == pytest.approx(short, rel=1e-12)
+
     @given(
         d=st.integers(1, 2000),
         a=st.integers(1, 100),
@@ -221,7 +266,7 @@ class TestHopModel:
         assert hp == HopParams(ber=1e-3, r=3) and type(hp.r) is int
 
     def test_attempt_limit_past_the_float_range_is_refused(self):
-        # the ARQ sums weight comb(r, i), a float up to r = 1029 only
+        # the simulator's attempt classes weigh comb(r, i), a float up to r = 1029 only
         assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
         assert HopParams(ber=3e-4, r=1029).r == 1029
         with pytest.raises(ValueError, match="r must be <= 1029, got 1030"):
