@@ -11,27 +11,26 @@ enough; points where one side diverges still carry a definite sign (the
 divergent side loses). A midpoint where neither side can be evaluated
 ends that bisection where it stands, flagged ``bracket_unresolved``.
 
-Both run on ``pathmodel.segment_models``, whose numpy pass costs more
-than a scalar evaluation for one point but little more for hundreds,
-so neither evaluates points one at a time. Each also bounds the points
-per call, since a call's memory grows with them. A sweep evaluates its
-grid in calls of ``BATCH_POINTS`` points and builds its rows from the
-result records. A frontier scans each (family value, hop count)'s BER
-grid (the long and short MSS are two points per BER: one call of 122
-points for the default 61-point scan), then bisects all of the
-frontier's brackets in lockstep, one step at a time. Its calls, too,
-take ``BATCH_POINTS`` points at most. Family values are scanned in
-turn, so the hop models of one value's BER grid are shared across its
-hop counts within the hop-model cache.
+Both run on ``pathmodel.segment_models``, passing the base scenario and
+a column per quantity that varies (a sweep's axis and MSS; a frontier's
+family value, hop count, BER and MSS), not a scenario per point. A pass
+costs little more for hundreds of points than for one, and its memory
+grows with them, so every call takes ``BATCH_POINTS`` points. A frontier
+streams the BER scans of all its (family value, hop count) searches
+through such calls, two points (long and short MSS) per BER, then
+bisects all of its brackets in lockstep, one step at a time. Searches
+run value by value, so the hop models of one value's BER grid are
+shared across its hop counts within the hop-model cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .framing import LayoutError
-from .hopmodel import HopParams
 from .pathmodel import EnergyParams, PathScenario, segment_models
 
 __all__ = [
@@ -80,40 +79,15 @@ class SweepSpec:
             raise ValueError("mss_list must be non-empty")
 
 
-def _at_ber(hops: tuple[HopParams, ...], ber: float) -> tuple[HopParams, ...]:
-    """The hops with their BER set to ``ber``: one HopParams per attempt limit,
-    so a homogeneous path stays one repeated hop."""
-    made = {r: HopParams(ber, r) for r in {hp.r for hp in hops}}
-    return tuple(made[hp.r] for hp in hops)
-
-
-def _variant(scenario: PathScenario, axis: str, value, mss: int) -> PathScenario:
-    """Base scenario with one axis changed; hop axes apply to every hop.
-
-    ``r`` and ``h`` take whole values only (3.0 counts as 3); ``mss`` floors,
-    so a linear grid over it may be fractional.
-    """
-    hops = scenario.hops
-    layout = scenario.layout
+def _axis_column(axis: str, values) -> list:
+    """``values`` as the core's ``axis`` column: ``r`` and ``h`` whole only
+    (3.0 counts as 3), ``mss`` floored (a linear grid over it may be
+    fractional), ``ber`` and ``alpha`` floats."""
     if axis in ("r", "h"):
-        if not float(value).is_integer():
-            raise ValueError(f"{axis} must be a whole number, got {value!r}")
-        value = int(value)
-    if axis == "ber":
-        hops = _at_ber(hops, float(value))
-    elif axis == "r":
-        hops = tuple(replace(hp, r=value) for hp in hops)
-    elif axis == "alpha":
-        layout = replace(layout, alpha=float(value))
-    elif axis == "h":
-        if len(set(hops)) > 1:
-            raise ValueError("the h axis needs a homogeneous path; its hops differ")
-        hops = tuple(hops[0] for _ in range(value))
-    elif axis == "mss":
-        mss = int(value)
-    return PathScenario(
-        hops=hops, layout=layout, mss_bytes=mss, transfer_bytes=scenario.transfer_bytes
-    )
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"{axis} must be a whole number, got {value!r}")
+    return [(int if axis in ("r", "h", "mss") else float)(value) for value in values]
 
 
 def sweep(spec: SweepSpec) -> list[dict]:
@@ -123,20 +97,18 @@ def sweep(spec: SweepSpec) -> list[dict]:
     be realized at a point (e.g. alpha too large to fit the MTU) yields a
     row flagged ``layout_error`` instead of aborting the sweep.
     """
-    mss_values = (None,) if spec.axis == "mss" else spec.mss_list
-    points = [(value, mss) for value in spec.grid for mss in mss_values]
+    mss_list = (None,) if spec.axis == "mss" else spec.mss_list
+    labels = [value for value in spec.grid for _ in mss_list]
+    columns = {spec.axis: [v for v in _axis_column(spec.axis, spec.grid) for _ in mss_list]}
+    if spec.axis != "mss":
+        columns["mss"] = list(mss_list) * len(spec.grid)
     rows = []
-    for start in range(0, len(points), BATCH_POINTS):
-        chunk = points[start:start + BATCH_POINTS]
-        scenarios = [
-            _variant(spec.scenario, spec.axis, value, mss or spec.scenario.mss_bytes)
-            for value, mss in chunk
-        ]
-        records = segment_models(scenarios, spec.energy).records()
-        for (value, _), scenario, rec in zip(chunk, scenarios, records):
+    for start in range(0, len(labels), BATCH_POINTS):
+        chunk = {name: col[start:start + BATCH_POINTS] for name, col in columns.items()}
+        records = segment_models(spec.scenario, spec.energy, **chunk).records()
+        for value, mss, rec in zip(labels[start:start + BATCH_POINTS], chunk["mss"], records):
             if isinstance(rec, LayoutError):
-                rows.append({"axis": spec.axis, "value": value,
-                             "mss_bytes": scenario.mss_bytes,
+                rows.append({"axis": spec.axis, "value": value, "mss_bytes": mss,
                              "flags": "layout_error", "error": str(rec)})
             else:
                 rows.append({"axis": spec.axis, "value": value, **rec})
@@ -167,39 +139,31 @@ class FrontierPoint:
         return {**vars(self), "flags": ";".join(self.flags)}
 
 
-def _energy_gaps(scenarios, bers, mss_pair, energy) -> list[float | None]:
-    """energy(long) - energy(short) of each scenario at its BER; sign only.
+def _energy_gaps(base, points, mss_pair, energy) -> Iterator[float | None]:
+    """energy(long) - energy(short) at each (search, BER) point; sign only.
 
-    Every hop takes that BER. A diverging side counts as infinitely
-    expensive; None when neither side is finite (or a layout cannot be
-    realized); no comparison there. Model calls of ``BATCH_POINTS``
-    points at most.
-    """
-    points = []
-    for scenario, ber in zip(scenarios, bers):
-        hops = _at_ber(scenario.hops, ber)
-        points += [
-            PathScenario(hops, scenario.layout, mss, scenario.transfer_bytes)
-            for mss in (max(mss_pair), min(mss_pair))
-        ]
-    joules, errors = [], []
-    for start in range(0, len(points), BATCH_POINTS):
-        batch = segment_models(points[start:start + BATCH_POINTS], energy)
-        joules += batch.column("total_joules")
-        errors += batch.errors
-    gaps = []
-    for i in range(0, len(points), 2):
-        e_long, e_short = joules[i], joules[i + 1]
-        unevaluable = errors[i] is not None or errors[i + 1] is not None
-        if unevaluable or (e_long is None and e_short is None):
-            gaps.append(None)
-        elif e_long is None:
-            gaps.append(math.inf)
-        elif e_short is None:
-            gaps.append(-math.inf)
-        else:
-            gaps.append(e_long - e_short)
-    return gaps
+    A search maps core columns to its values (a frontier's family value
+    and h); every hop takes the BER. A diverging side counts as infinitely
+    expensive; None when neither side is finite or a layout cannot be
+    realized. Points are drawn as needed, two model points each, in calls
+    of ``BATCH_POINTS`` model points."""
+    both = (max(mss_pair), min(mss_pair))
+    points = iter(points)
+    while chunk := list(islice(points, BATCH_POINTS // 2)):
+        columns = {name: [search[name] for search, _ in chunk for _ in both]
+                   for name in chunk[0][0]}
+        batch = segment_models(base, energy, ber=[ber for _, ber in chunk for _ in both],
+                               mss=list(both) * len(chunk), **columns)
+        joules, errors = batch.column("total_joules"), batch.errors
+        for e_long, e_short, *errs in zip(joules[::2], joules[1::2], errors[::2], errors[1::2]):
+            if any(errs) or (e_long is None and e_short is None):
+                yield None
+            elif e_long is None:
+                yield math.inf
+            elif e_short is None:
+                yield -math.inf
+            else:
+                yield e_long - e_short
 
 
 @dataclass
@@ -216,9 +180,10 @@ class _Bracket:
 
 
 def _crossovers(
-    scenarios, mss_pair, energy, ber_range, points_per_decade, rel_tol=REL_TOL
+    base, searches, mss_pair, energy, ber_range, points_per_decade, rel_tol=REL_TOL
 ) -> list[_Bracket]:
-    """Each scenario's crossover search: a scan each, then one lockstep
+    """Each search's crossover (see ``_energy_gaps`` for a search): the
+    scans of all of them, streamed through the core, then one lockstep
     bisection of every bracket found, one step at a time."""
     lo, hi = ber_range
     if not 0 < lo < hi < 1:
@@ -228,9 +193,11 @@ def _crossovers(
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
-    searches = []
-    for sc in scenarios:  # one scan call per scenario bounds a call to 2n points
-        gaps = _energy_gaps([sc] * n, grid, mss_pair, energy)
+    gaps = _energy_gaps(base, ((search, b) for search in searches for b in grid),
+                        mss_pair, energy)
+    brackets = []
+    for _ in searches:
+        # zip takes the grid first, so it stops at this search's n gaps
         scan = [(b, g) for b, g in zip(grid, gaps) if g is not None]
         # each sign change between neighbouring evaluable points, and whether
         # the long MSS goes from cheaper to dearer there
@@ -239,16 +206,17 @@ def _crossovers(
         rising = [(a, b) for a, b, to_dearer in changes if to_dearer]
         if rising:
             flags = ["multiple_crossovers"] if len(changes) > 1 else []
-            searches.append(_Bracket(*rising[0], flags))
+            brackets.append(_Bracket(*rising[0], flags))
         else:
-            searches.append(_Bracket(None, None, ["no_crossover"]))
+            brackets.append(_Bracket(None, None, ["no_crossover"]))
 
-    active = [(sc, br) for sc, br in zip(scenarios, searches) if br.lo is not None]
-    while active := [(sc, br) for sc, br in active
+    active = [(search, br) for search, br in zip(searches, brackets) if br.lo is not None]
+    while active := [(search, br) for search, br in active
                      if "bracket_unresolved" not in br.flags
                      and (br.hi - br.lo) / br.lo > rel_tol]:
         mids = [math.sqrt(br.lo * br.hi) for _, br in active]
-        step = _energy_gaps([sc for sc, _ in active], mids, mss_pair, energy)
+        step = _energy_gaps(base, [(search, mid) for (search, _), mid in zip(active, mids)],
+                            mss_pair, energy)
         for (_, br), mid, g in zip(active, mids, step):
             if g is None:
                 br.flags.append("bracket_unresolved")
@@ -256,7 +224,7 @@ def _crossovers(
                 br.hi = mid
             else:
                 br.lo = mid
-    return searches
+    return brackets
 
 
 def crossover_ber(
@@ -276,8 +244,8 @@ def crossover_ber(
     is returned, flagged ``bracket_unresolved``. The scenario's own hops
     fix h and r; its layout fixes alpha and the fragment mode.
     """
-    (search,) = _crossovers([scenario], mss_pair, energy, ber_range, points_per_decade, rel_tol)
-    return search.point(len(scenario.hops))
+    (br,) = _crossovers(scenario, [{}], mss_pair, energy, ber_range, points_per_decade, rel_tol)
+    return br.point(len(scenario.hops))
 
 
 def frontier(
@@ -298,11 +266,10 @@ def frontier(
     """
     if family not in FRONTIER_FAMILIES:
         raise ValueError(f"family must be one of {FRONTIER_FAMILIES}, got {family!r}")
-    keys = [(float(v), h) for v in family_values for h in h_values]
-    if not keys:
+    values, hs = list(family_values), list(h_values)
+    if not values or not hs:
         raise ValueError("a frontier needs at least one family value and one hop count")
-    mss = scenario.mss_bytes
-    variants = [_variant(_variant(scenario, family, v, mss), "h", h, mss) for v, h in keys]
-    searches = _crossovers(variants, mss_pair, energy, ber_range, points_per_decade)
-    return [search.point(len(sc.hops), family, v)
-            for (v, _), sc, search in zip(keys, variants, searches)]
+    hs = _axis_column("h", hs)
+    searches = [{family: v, "h": h} for v in _axis_column(family, values) for h in hs]
+    brackets = _crossovers(scenario, searches, mss_pair, energy, ber_range, points_per_decade)
+    return [br.point(s["h"], family, float(s[family])) for s, br in zip(searches, brackets)]

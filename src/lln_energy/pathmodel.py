@@ -13,31 +13,32 @@ deliver, a success probability of zero) or that pass the float range are
 reported as ``None`` plus an entry in ``ModelReport.flags`` rather than as
 infinities.
 
-``segment_models`` evaluates many scenarios, each with its own hops and
-frames, in one numpy pass; the hop models stay scalar and cached. Only
-IEEE ``+ - * /`` run in numpy, in the order of the scalar formulas: a
-per-hop loop rather than ``np.sum`` or ``np.prod``, with no mask (see
-``_path``). ``q**m``, ``log`` and ``expm1`` are per-element ``math`` calls,
-because numpy's vectorized versions can differ from libm in the last
-bit. Every field therefore equals a scalar evaluation of the same
-formulas bit for bit. ``segment_model`` is the one-point case; a numpy
-pass costs more than a scalar evaluation would for one point, so callers
-with many points batch. A pass holds a few hops x scenarios float64
-arrays, so callers bound the scenarios per call to bound its memory.
+``segment_models`` evaluates many points in one numpy pass: a base
+scenario plus per-point columns of BER, attempt limit, hop count, alpha
+and MSS, with no scenario object per point. Frames resolve once per
+distinct (MSS, alpha), the scalar, cached hop model runs once per
+distinct (frame, BER, r), and ``_path`` reads them through a table and
+an index. Only IEEE ``+ - * /`` run in numpy, in the scalar formulas'
+order (a per-hop loop, no mask); ``q**m``, ``log`` and ``expm1`` are
+per-element ``math`` calls, as numpy's can differ from libm in the last
+bit. So every field equals a scalar evaluation bit for bit.
+``segment_model`` is the one-point case; callers with many points batch
+them, and bound the points per call to bound a pass's memory.
 
 The result, ``ModelBatch``, is one store: a column per ``ModelReport``
 field. A computed field's column is a float64 array in which NaN means
-None (undefined, or a scenario whose frames do not resolve); a defined
+None (undefined, or a point whose frames do not resolve); a defined
 field is never NaN, which the tests' ``==`` against the scalar oracle
-checks. A column converts to Python values only when it is read, so a
-caller that reads one field pays for that one.
+checks. A column converts to Python values, and the per-hop model
+tuples are built, only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -165,54 +166,6 @@ def _path(table: np.ndarray, index: np.ndarray):
     return q, e_s, total, dead != 0.0
 
 
-def _shared(distinct: set):
-    """The one member of ``distinct``, else None (the hops differ)."""
-    return next(iter(distinct)) if len(distinct) == 1 else None
-
-
-def _hop_models(d: int, c: int, a: int, hops) -> tuple[HopModel, ...]:
-    """Each hop's model; a path of one repeated hop takes one lookup.
-
-    That is every homogeneous path, so every path unless ``hop_bers``
-    gives the hops different BERs. It, and the one table column of
-    ``_hop_table``, make the per-hop work of such a path per-path work.
-    """
-    if hops[1:] == hops[:-1]:  # stops at the first hop that differs
-        return (hop_model(d, c, a, hops[0]),) * len(hops)
-    return tuple(hop_model(d, c, a, hp) for hp in hops)
-
-
-def _hop_table(paths: tuple[tuple[HopModel, ...], ...], width: int):
-    """(table, index) of ``_path`` for these paths of hop models.
-
-    Table column 0 is a no-op hop that pads shorter paths to ``width``:
-    f = 0 and h_s = h_f = 0 leave every sum and product bit for bit
-    unchanged; an empty path is all padding. Each distinct model object
-    takes one column.
-    """
-    column = {}  # id(model) -> table column; the paths keep the models alive
-    table = [(0.0, 0.0, 0.0, 0.0)]
-    index = []
-    for models in paths:
-        if models and models[1:] == models[:-1]:  # one repeated hop
-            index += [_column(models[0], column, table)] * len(models)
-        else:
-            index += [_column(hm, column, table) for hm in models]
-        index += [0] * (width - len(models))
-    return (
-        np.array(table).T,
-        np.array(index).reshape(len(paths), width).T,
-    )
-
-
-def _column(hm: HopModel, column: dict, table: list) -> int:
-    k = column.get(id(hm))
-    if k is None:
-        k = column[id(hm)] = len(table)
-        table.append((hm.f, 0.0 if hm.degenerate else hm.h_s, hm.h_f, float(hm.degenerate)))
-    return k
-
-
 @dataclass(frozen=True)
 class ModelReport:
     """Every intermediate and final expectation for one scenario."""
@@ -255,10 +208,9 @@ class ModelReport:
         """Flat key/value record (one CSV row / JSON-lines object).
 
         The columns are the fields in order, less the per-hop models, which
-        ``per_hop=True`` flattens after ``flags``. ``vars`` holds exactly
-        the fields in order: a frozen dataclass sets no other attribute.
+        ``per_hop=True`` flattens after ``flags``.
         """
-        rec = _record(vars(self))
+        rec = _record(getattr(self, name) for name in _RECORD_FIELDS)
         if per_hop:
             for side, hops in (("data", self.data_hops), ("ack", self.ack_hops)):
                 for name in ("f", "h_s", "h_f"):
@@ -266,17 +218,32 @@ class ModelReport:
         return rec
 
 
-def _record(report_fields: dict) -> dict:
-    """A ModelReport's fields as a record: per-hop models dropped, flags joined."""
-    rec = dict(report_fields)
-    del rec["data_hops"], rec["ack_hops"]
+_REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
+#: A record's fields: the report's, less the per-hop models
+_RECORD_FIELDS = tuple(name for name in _REPORT_FIELDS if name not in ("data_hops", "ack_hops"))
+
+
+def _record(values) -> dict:
+    """The values of ``_RECORD_FIELDS`` as a record, flags joined."""
+    rec = dict(zip(_RECORD_FIELDS, values))
     rec["flags"] = ";".join(rec["flags"])
     return rec
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
-#: The fields read off each scenario, its frames and its hop models
-_GIVEN = _REPORT_FIELDS[:_REPORT_FIELDS.index("q_s")] + ("segments",)
+class _HopPaths(Sequence):
+    """A ``data_hops`` or ``ack_hops`` column: each point's HopModel tuple,
+    built on read from the models by table column and ``_path``'s index;
+    None where ``lengths``, the points' hop counts, reads None."""
+
+    def __init__(self, models: list, index: np.ndarray, lengths: list[int | None]):
+        self.models, self.index, self.lengths = models, index, lengths
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> tuple[HopModel, ...] | None:
+        h = self.lengths[i]
+        return None if h is None else tuple(self.models[k] for k in self.index[:h, i].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,95 +251,155 @@ class ModelBatch:
     """``segment_models``' result: one column per ``ModelReport`` field.
 
     ``columns`` maps each field, in field order, to its values over the
-    scenarios: a list for the fields read off the scenario, a float64
-    array, NaN where the field is None, for the computed ones.
-    ``errors[i]`` is the ``LayoutError`` raised resolving scenario i's
-    frames, else None; every field of that scenario is then None.
+    points: a list for the given fields, a ``_HopPaths`` for the per-hop
+    models, a float64 array, NaN where the field is None, for the computed
+    ones. ``errors[i]`` is the ``LayoutError`` raised resolving point i's
+    frames, else None; every field of that point is then None.
     """
 
-    columns: dict[str, list | np.ndarray]
+    columns: dict[str, Sequence]
     errors: list[LayoutError | None]
 
     def column(self, name: str) -> list:
-        """Field ``name`` of every scenario, None where undefined or errored."""
+        """Field ``name`` of every point, None where undefined or errored."""
         values = self.columns[name]
-        if isinstance(values, np.ndarray):
-            return [None if v != v else v for v in values.tolist()]  # NaN is None
-        return list(values)
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        return [None if v != v else v for v in values]  # NaN is None
 
     def report(self, i: int) -> ModelReport:
-        """Scenario i's ModelReport; raises its LayoutError, if any."""
+        """Point i's ModelReport; raises its LayoutError, if any."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        return ModelReport(**{name: self.column(name)[i] for name in self.columns})
+        row = {name: values.item(i) if isinstance(values, np.ndarray) else values[i]
+               for name, values in self.columns.items()}
+        return ModelReport(**{name: None if v != v else v for name, v in row.items()})
 
     def records(self) -> Iterator[dict | LayoutError]:
-        """Each scenario's ``ModelReport.to_record()`` in turn, or its LayoutError."""
-        rows = zip(*map(self.column, self.columns))
+        """Each point's ``ModelReport.to_record()`` in turn, or its LayoutError."""
+        rows = zip(*map(self.column, _RECORD_FIELDS))
         for err, row in zip(self.errors, rows):
-            yield err if err is not None else _record(dict(zip(self.columns, row)))
+            yield err if err is not None else _record(row)
 
 
-def segment_model(
-    scenario: PathScenario, energy: EnergyParams = EnergyParams()
-) -> ModelReport:
+def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> ModelReport:
     """Full expected-cost model for one scenario (see ``segment_models``)."""
-    return segment_models([scenario], energy).report(0)
+    return segment_models(scenario, energy).report(0)
 
 
 def segment_models(
-    scenarios: Sequence[PathScenario], energy: EnergyParams = EnergyParams()
+    base: PathScenario,
+    energy: EnergyParams = EnergyParams(),
+    *,
+    ber: Sequence[float] | None = None,
+    r: Sequence[int] | None = None,
+    h: Sequence[int] | None = None,
+    alpha: Sequence[float] | None = None,
+    mss: Sequence[int] | None = None,
 ) -> ModelBatch:
-    """Full expected-cost model for each scenario, in one numpy pass.
+    """Full expected-cost model at each point, in one numpy pass.
 
-    Data fragments cross the hops in order; the TCP ACK crosses them in
-    reverse. A segment round succeeds with probability q_s^m * q_s_ack;
-    s_f conditions on the round failing, s composes the unbounded-retry
-    total, and the transfer multiplies by ceil(transfer/mss) segments.
-    A scenario whose frames cannot be resolved gets its LayoutError in
-    ``errors`` instead of failing the batch.
+    The points are ``base`` with the given columns applied, one value per
+    point; with no column there is one point, ``base``. ``ber`` and ``r``
+    set every hop's, ``alpha`` the layout's, ``mss`` the segment size; ``h``
+    makes the path that many copies of the base's hop, so its hops must
+    agree in BER, and in ``r`` unless a column sets it. A bad value raises,
+    checked once per distinct value by ``HopParams`` (ber, r),
+    ``PathScenario`` (h, MSS) or ``FrameLayout`` (alpha); a point whose
+    frames cannot be resolved gets its LayoutError in ``errors`` instead.
+
+    Data fragments cross the hops in order, the TCP ACK in reverse. A
+    round succeeds with probability q_s^m * q_s_ack; s_f conditions on it
+    failing, s composes the unbounded-retry total, and the transfer
+    multiplies by ceil(transfer/mss) segments.
     """
-    rows, errors = [], []  # each scenario's _GIVEN fields, all None if errored
-    for sc in scenarios:
+    given = [col for col in (ber, r, h, alpha, mss) if col is not None]
+    n = len(given[0]) if given else 1
+    if any(len(col) != n for col in given):
+        raise ValueError(f"the columns must have one length, got {[len(c) for c in given]}")
+    hops = base.hops
+    ber_shared = len({hp.ber for hp in hops}) == 1
+    r_shared = len({hp.r for hp in hops}) == 1
+    if h is not None and not (ber_shared and (r_shared or r is not None)):
+        raise ValueError("the h axis needs a homogeneous path; its hops differ")
+    hs = [len(hops)] * n if h is None else list(h)
+    alphas = [base.layout.alpha] * n if alpha is None else list(alpha)
+    msss = [base.mss_bytes] * n if mss is None else list(mss)
+    # PathScenario checks each distinct h and MSS, FrameLayout each alpha
+    segment_counts = {(k, m): (base if (k, m) == (len(hops), base.mss_bytes) else PathScenario(
+        hops if h is None else hops[:1] * k, base.layout, m, base.transfer_bytes)).segments
+        for k, m in dict.fromkeys(zip(hs, msss))}
+    keys = list(zip(msss, alphas))
+    frames = {}  # (mss, alpha) -> its frames or their LayoutError, and frame sizes
+    for m, a in dict.fromkeys(keys):
+        layout = base.layout if a == base.layout.alpha else replace(base.layout, alpha=a)
         try:
-            frames = resolve_frames(sc.mss_bytes, sc.layout)
+            fr = resolve_frames(m, layout)
+            frames[m, a] = fr, (fr.d_data_bits, fr.c_data_bits), (fr.d_ack_bits, fr.c_ack_bits)
         except LayoutError as exc:
-            rows.append((None,) * len(_GIVEN))
-            errors.append(exc)
-            continue
-        a = sc.layout.ll_ack_bits
-        rows.append((
-            sc.mss_bytes, sc.transfer_bytes, len(sc.hops),
-            _shared({hp.ber for hp in sc.hops}), _shared({hp.r for hp in sc.hops}),
-            sc.layout.alpha, frames.m,
-            frames.d_data_bits, frames.c_data_bits, frames.d_ack_bits, frames.c_ack_bits, a,
-            _hop_models(frames.d_data_bits, frames.c_data_bits, a, sc.hops),
-            _hop_models(frames.d_ack_bits, frames.c_ack_bits, a, sc.hops[::-1]),
-            sc.segments,
-        ))
-        errors.append(None)
-    given = dict(zip(_GIVEN, [list(col) for col in zip(*rows)] or [[] for _ in _GIVEN]))
-    columns = {**given, **_segment_columns(given, energy)}
+            frames[m, a] = exc, (), ()
+    point_frames = [frames[key][0] for key in keys]
+    errors = [fr if isinstance(fr, LayoutError) else None for fr in point_frames]
+    # a row of (ber, r) per hop position that can differ, one for a repeated hop
+    one_hop = h is not None or (ber_shared or ber is not None) and (r_shared or r is not None)
+    pairs = [  # each hop position's (ber, r) at every point
+        list(zip(repeat(hp.ber, n) if ber is None else ber, repeat(hp.r, n) if r is None else r))
+        for hp in (hops[:1] if one_hop else hops)
+    ]
+    params = {pair: HopParams(*pair) for pair in dict.fromkeys(chain.from_iterable(pairs))}
+
+    # One table for the data and the ACK hops: a column per distinct (frame,
+    # ber, r), column 0 the no-op hop that pads shorter paths and fills those
+    # of points whose frames did not resolve. The index holds the data paths,
+    # then the ACK paths, which cross the hops in reverse.
+    table_ids = {}  # (d, c, ber, r) -> table column
+    bits = [frames[key][1] for key in keys] + [frames[key][2] for key in keys]
+    index = np.array([
+        [table_ids.setdefault(frame + pair, len(table_ids) + 1) if frame else 0
+         for frame, pair in zip(bits, there + back)]
+        for there, back in zip(pairs, pairs[::-1])
+    ], dtype=int)
+    lengths = [0 if err else k for k, err in zip(hs, errors)] * 2
+    width = max([len(index), *lengths])
+    index = index.repeat(width // len(index), axis=0)  # a repeated hop's row, h times
+    if min(lengths, default=width) < width:  # shorter paths end in no-op hops
+        index = np.where(np.arange(width)[:, None] < lengths, index, 0)
+    a = base.layout.ll_ack_bits
+    models = [None] + [hop_model(*key[:2], a, params[key[2:]]) for key in table_ids]
+    table = np.array([(0.0, 0.0, 0.0, 0.0)] + [(
+        hm.f, 0.0 if hm.degenerate else hm.h_s, hm.h_f, float(hm.degenerate)) for hm in models[1:]
+    ]).T
+
+    columns = {
+        "mss_bytes": msss,
+        "transfer_bytes": [base.transfer_bytes] * n,
+        "h": hs,
+        "ber": list(ber) if ber is not None else [hops[0].ber if ber_shared else None] * n,
+        "r": list(r) if r is not None else [hops[0].r if r_shared else None] * n,
+        "alpha": alphas,
+        **{name: [getattr(fr, name, None) for fr in point_frames]
+           for name in ("m", "d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits")},
+        "a_bits": [a] * n,
+        "segments": [segment_counts[key] for key in zip(hs, msss)],
+    }
+    if any(errors):  # a point whose frames did not resolve reads None throughout
+        columns = {name: [None if err else v for v, err in zip(values, errors)]
+                   for name, values in columns.items()}
+    columns["data_hops"] = _HopPaths(models, index[:, :n], columns["h"])
+    columns["ack_hops"] = _HopPaths(models, index[:, n:], columns["h"])
+    # float(int) rounds as Python's int * float does, and None becomes NaN
+    m, segments = (np.array(columns[name], dtype=float) for name in ("m", "segments"))
+    columns.update(_segment_columns(_path(table, index), m, segments, energy))
     return ModelBatch({name: columns[name] for name in _REPORT_FIELDS}, errors)
 
 
-def _segment_columns(given: dict[str, list], energy: EnergyParams) -> dict:
-    """The computed columns and ``flags``, from the given columns.
-
-    An errored scenario, None in every given column, runs as an empty path
-    with m = NaN and reads NaN in every computed column, None in ``flags``.
-    """
-    # the data paths and the ACK paths side by side, in one set of columns
-    n = len(given["h"])
-    paths = [hops or () for hops in given["data_hops"] + given["ack_hops"]]
-    q, e, fail_both, dead = _path(*_hop_table(paths, max(map(len, paths), default=0)))
-    q_s, q_s_ack = q[:n], q[n:]
-    e_s, e_s_ack = e[:n], e[n:]
-    fail, fail_ack = fail_both[:n], fail_both[n:]
-    dead_data, dead_ack = dead[:n], dead[n:]
-    # float(int) rounds as Python's int * float does, and None becomes NaN
-    m = np.array(given["m"], dtype=float)
-    segments = np.array(given["segments"], dtype=float)
+def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyParams) -> dict:
+    """The computed columns and ``flags``, from ``_path``'s result over the
+    data paths then the ACK paths, and each point's m and segment count. A
+    point whose frames did not resolve (an empty path, m = NaN) reads NaN
+    in every computed column, None in ``flags``."""
+    n = len(m)
+    (q_s, q_s_ack), (e_s, e_s_ack), (fail, fail_ack), (dead_data, dead_ack) = (
+        (x[:n], x[n:]) for x in path)
     resolved = ~np.isnan(m)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -403,21 +430,26 @@ def _segment_columns(given: dict[str, list], energy: EnergyParams) -> dict:
     # s and the totals are non-negative, so "< inf" is false just for inf and NaN
     finite = total_bits < math.inf
     defined = {  # each computed field, and where the scalar formulas define it
-        "q_s": (q_s, True),
-        "q_s_ack": (q_s_ack, True),
+        "q_s": (q_s, resolved),
+        "q_s_ack": (q_s_ack, resolved),
         "e_s": (e_s, ~dead_data),
         "e_f": (e_f, 1.0 - q_s > 0.0),
         "e_s_ack": (e_s_ack, ~dead_ack),
         "e_f_ack": (e_f_ack, 1.0 - q_s_ack > 0.0),
         "i_f": (i_f, (q_s > 0.0) & (q_s < 1.0)),
-        "p_s": (p_s, True),
+        "p_s": (p_s, resolved),
         "s_s": (s_s, ~(dead_data | dead_ack)),
         "s_f": (s_f, p_s < 1.0),
         "s": (s, s < math.inf),
         "total_bits": (total_bits, finite),
         "total_joules": (total_joules, finite),
     }
-    columns = {name: np.where(ok & resolved, x, math.nan) for name, (x, ok) in defined.items()}
+    # one (fields x points) array; each field's column is a row of it
+    columns = dict(zip(defined, np.where(
+        np.array([ok for _, ok in defined.values()]) & resolved,
+        np.array([x for x, _ in defined.values()]),
+        math.nan,
+    )))
     columns["flags"] = [
         (FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok) if live else None
         for dead, ok, live in zip(

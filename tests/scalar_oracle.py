@@ -8,6 +8,7 @@ scalar model's, operation for operation.
 """
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 from lln_energy.explorer import FrontierPoint
@@ -20,6 +21,17 @@ from lln_energy.pathmodel import (
     ModelReport,
     PathScenario,
 )
+
+
+def point_scenario(base: PathScenario, columns: dict, i: int) -> PathScenario:
+    """Point i of a ``segment_models(base, **columns)`` call, as a scenario:
+    ``ber`` and ``r`` set every hop, ``h`` repeats the base's first hop,
+    ``alpha`` sets the layout's, ``mss`` the segment size."""
+    at = {name: values[i] for name, values in columns.items()}
+    hops = base.hops[:1] * at["h"] if "h" in at else base.hops
+    hops = tuple(HopParams(at.get("ber", hp.ber), at.get("r", hp.r)) for hp in hops)
+    layout = replace(base.layout, alpha=at["alpha"]) if "alpha" in at else base.layout
+    return PathScenario(hops, layout, at.get("mss", base.mss_bytes), base.transfer_bytes)
 
 
 def path_success_prob(hop_failure_probs: Sequence[float]) -> float:

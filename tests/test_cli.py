@@ -308,6 +308,12 @@ class TestExitCodes:
         (("frontier", "--family", "r", "--values", "3", "--h-range", "3:1"),
          "at least one family value and one hop count"),
         (("frontier", "--family", "r", "--values", ","), "at least one family value"),
+        (("sweep", "--axis", "ber", "--grid", "1e-4,1.5"), "ber must be in [0, 1), got 1.5"),
+        (("sweep", "--axis", "h", "--grid", "0,2"), "scenario needs at least one hop"),
+        (("sweep", "--axis", "r", "--grid", "0,2"), "attempt limit r must be >= 1, got 0"),
+        (("sweep", "--axis", "mss", "--grid", "0.5,64"), "mss_bytes must be >= 1, got 0"),
+        (("frontier", "--family", "r", "--values", "3", "--h-range", "0:2"),
+         "scenario needs at least one hop"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

@@ -10,9 +10,9 @@ from lln_energy import explorer
 from lln_energy.cli import _strict_trips, main
 from lln_energy.config import RunConfig
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
-from lln_energy.framing import FrameLayout, resolve_frames
+from lln_energy.framing import FrameLayout, LayoutError, resolve_frames
 from lln_energy.hopmodel import HopParams, hop_model
-from lln_energy.pathmodel import EnergyParams, PathScenario, segment_model, uniform_path
+from lln_energy.pathmodel import EnergyParams, PathScenario, segment_models, uniform_path
 
 import scalar_oracle
 
@@ -25,9 +25,12 @@ def base_scenario(r=3, h=5, **layout_kw):
 
 
 def energy_at(ber, mss, scenario):
-    from lln_energy.explorer import _variant
+    return segment_models(scenario, ber=[ber], mss=[mss]).column("total_joules")[0]
 
-    return segment_model(_variant(scenario, "ber", ber, mss)).total_joules
+
+def core_points(columns) -> int:
+    """The points of a ``segment_models`` call, from its columns."""
+    return len(next(iter(columns.values())))
 
 
 class TestSweep:
@@ -84,9 +87,9 @@ class TestSweep:
         sizes = []
         real = explorer.segment_models
 
-        def counted(scenarios, energy):
-            sizes.append(len(scenarios))
-            return real(scenarios, energy)
+        def counted(base, energy, **columns):
+            sizes.append(core_points(columns))
+            return real(base, energy, **columns)
 
         monkeypatch.setattr(explorer, "BATCH_POINTS", 4)
         monkeypatch.setattr(explorer, "segment_models", counted)
@@ -104,6 +107,38 @@ class TestSweep:
                 replace(sc, hops=tuple(HopParams(ber, r) for r in rs), mss_bytes=512)
             )
             assert row == {"axis": "ber", "value": ber, **want.to_record()}
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("alpha", [10 ** (-3 + 3.5 * i / 39) for i in range(40)]),  # up to 3.2: layout errors
+        ("mss", [16 + 1008 * i / 39 for i in range(40)]),
+        ("r", [1, 2, 3, 4, 5, 6, 7]),
+    ])
+    def test_heterogeneous_path_equals_the_scalar_oracle(self, axis, grid):
+        # the 9-hop hop_bers path of the CI's README step; the core keys its
+        # per-hop rows once per call, and every row equals the oracle's
+        hop_bers = (1e-5, 3e-5, 1e-4, 2e-4, 3e-4, 5e-4, 1e-4, 3e-5, 1e-5)
+        base = RunConfig(hops=9, hop_bers=hop_bers, fragments="fit").scenario()
+        rows = sweep(SweepSpec(scenario=base, axis=axis, grid=grid))
+        mss_list = (None,) if axis == "mss" else (64, 512)
+        points = [(value, mss) for value in grid for mss in mss_list]
+        assert len(rows) == len(points)
+        errors = 0
+        for row, (value, mss) in zip(rows, points):
+            if axis == "alpha":
+                sc = replace(base, layout=replace(base.layout, alpha=value), mss_bytes=mss)
+            elif axis == "mss":
+                sc = replace(base, mss_bytes=int(value))
+            else:
+                sc = replace(base, hops=tuple(HopParams(hp.ber, value) for hp in base.hops),
+                             mss_bytes=mss)
+            try:
+                want = {"axis": axis, "value": value, **scalar_oracle.segment_model(sc).to_record()}
+            except LayoutError as exc:
+                errors += 1
+                want = {"axis": axis, "value": value, "mss_bytes": sc.mss_bytes,
+                        "flags": "layout_error", "error": str(exc)}
+            assert row == want
+        assert (errors > 0) == (axis == "alpha")
 
     def test_r_axis_and_h_axis(self):
         rows = sweep(SweepSpec(scenario=base_scenario(), axis="r", grid=(1, 3),
@@ -150,9 +185,9 @@ class TestCrossover:
         # dearer change is always the 1e-7..1e-6 bracket, and any later
         # change, either way, flags the scan
         for signs, multiple in (("-+-+", True), ("-+--", True), ("-+++", False)):
-            def gaps(scenarios, bers, mss_pair, energy, signs=signs):
-                return [1.0 if signs[round(math.log10(b / 1e-7))] == "+" else -1.0
-                        for b in bers]
+            def gaps(base, points, mss_pair, energy, signs=signs):
+                return (1.0 if signs[round(math.log10(b / 1e-7))] == "+" else -1.0
+                        for _, b in points)
 
             monkeypatch.setattr(explorer, "_energy_gaps", gaps)
             pt = crossover_ber(base_scenario(), ber_range=(1e-7, 1e-4),
@@ -169,22 +204,24 @@ class TestCrossover:
 
     def test_unevaluable_midpoint_stops_only_its_bisection(self, monkeypatch):
         # At the third bisection step the r=3, h=3 search finds neither MSS
-        # evaluable; its bracket stays where the first two steps left it,
-        # flagged, while every other search of the frontier, r=5's h=3 among
-        # them, bisects on in lockstep.
+        # evaluable (alpha 1e308 codes frames past 2**53 bits); its bracket
+        # stays where the first two steps left it, flagged, while every
+        # other search of the frontier, r=5's h=3 among them, bisects on in
+        # lockstep.
         want = frontier(base_scenario(), "r", [3, 5], range(1, 6))
         real = explorer.segment_models
-        unrealizable = FrameLayout(alpha=5.0, fragments="fit")
         steps = []
 
-        def core(scenarios, energy):
-            if len(scenarios) <= 2 * 10:  # a bisection step: two points per bracket
-                steps.append(len(scenarios))
+        def core(base, energy, **columns):
+            n = core_points(columns)
+            if n <= 2 * 10:  # a bisection step: two points per bracket
+                steps.append(n)
                 if len(steps) == 3:
-                    scenarios = [replace(sc, layout=unrealizable)
-                                 if len(sc.hops) == 3 and sc.hops[0].r == 3 else sc
-                                 for sc in scenarios]
-            return real(scenarios, energy)
+                    columns["alpha"] = [
+                        1e308 if (h, r) == (3, 3) else base.layout.alpha
+                        for h, r in zip(columns["h"], columns["r"])
+                    ]
+            return real(base, energy, **columns)
 
         monkeypatch.setattr(explorer, "segment_models", core)
         got = frontier(base_scenario(), "r", [3, 5], range(1, 6))
@@ -269,15 +306,16 @@ class TestFrontier:
         assert got == want
         assert all(p.flags == ("no_crossover",) for p in got[-9:])
 
-    def test_one_scan_call_per_search_then_one_call_per_step(self, monkeypatch):
-        # the bisection steps of all the frontier's searches share their
-        # calls: two values take as many steps as one, not twice as many
+    def test_scan_streams_in_full_calls_then_one_call_per_step(self, monkeypatch):
+        # the scans of all the frontier's searches stream through calls of
+        # BATCH_POINTS points, and their bisection steps share their calls:
+        # two values take as many steps as one, not twice as many
         sizes = []
         real = explorer.segment_models
 
-        def counted(scenarios, energy):
-            sizes.append(len(scenarios))
-            return real(scenarios, energy)
+        def counted(base, energy, **columns):
+            sizes.append(core_points(columns))
+            return real(base, energy, **columns)
 
         monkeypatch.setattr(explorer, "segment_models", counted)
 
@@ -286,14 +324,18 @@ class TestFrontier:
             points = frontier(base_scenario(), "r", values, range(1, 6))
             return points, list(sizes)
 
-        n = 61  # the default scan: 1e-7..1e-1 at 10 points per decade
+        def scan_calls(searches):
+            points = 2 * 61 * searches  # the default scan: 61 BERs, two MSS each
+            full, rest = divmod(points, explorer.BATCH_POINTS)
+            return [explorer.BATCH_POINTS] * full + [rest] * (rest > 0)
+
         points, both = calls([1, 3])
-        assert both[:10] == [2 * n] * 10
-        steps = both[10:]
+        scan = scan_calls(10)
+        assert both[:len(scan)] == scan == [256, 256, 256, 256, 196]
+        steps = both[len(scan):]
         assert steps[0] == 2 * sum(p.crossover_ber is not None for p in points) == 20
         assert all(a >= b for a, b in zip(steps, steps[1:]))
-        assert max(both) <= 2 * n
-        alone = [len(calls([value])[1]) - 5 for value in (1, 3)]
+        alone = [len(calls([value])[1]) - len(scan_calls(5)) for value in (1, 3)]
         assert len(steps) == max(alone) > 0
 
     def test_bisection_steps_split_at_batch_points(self, monkeypatch, tmp_path):
@@ -305,9 +347,9 @@ class TestFrontier:
         sizes = []
         real = explorer.segment_models
 
-        def counted(scenarios, energy):
-            sizes.append(len(scenarios))
-            return real(scenarios, energy)
+        def counted(base, energy, **columns):
+            sizes.append(core_points(columns))
+            return real(base, energy, **columns)
 
         monkeypatch.setattr(explorer, "segment_models", counted)
 
@@ -321,9 +363,36 @@ class TestFrontier:
 
         whole, sizes_whole = run(10**6)
         searches = 8 * 3
-        assert sizes_whole[searches] == 2 * searches  # each search has a bracket
+        assert sizes_whole[0] == 2 * 61 * searches  # the whole scan in one call
+        assert sizes_whole[1] == 2 * searches  # each search has a bracket
         chunked, sizes_chunked = run(20)
         assert chunked == whole and max(sizes_chunked) == 20
+
+    def test_a_dense_scan_streams_in_bounded_calls(self, monkeypatch):
+        # 500 points per decade scan 3001 BERs, 6002 model points per search;
+        # they stream through the core BATCH_POINTS at a time, so a call's
+        # memory does not grow with the density, and the output equals that
+        # of one unchunked scan call
+        sizes = []
+        real = explorer.segment_models
+
+        def counted(base, energy, **columns):
+            sizes.append(core_points(columns))
+            return real(base, energy, **columns)
+
+        monkeypatch.setattr(explorer, "segment_models", counted)
+
+        def run(batch_points):
+            monkeypatch.setattr(explorer, "BATCH_POINTS", batch_points)
+            sizes.clear()
+            points = frontier(base_scenario(), "r", [3], [2, 5], points_per_decade=500)
+            return points, list(sizes)
+
+        whole, sizes_whole = run(10**6)
+        assert sizes_whole[0] == 2 * 3001 * 2
+        chunked, sizes_chunked = run(256)
+        assert chunked == whole
+        assert max(sizes_chunked) == 256
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

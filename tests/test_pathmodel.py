@@ -336,9 +336,10 @@ PATHS = st.one_of(
     st.tuples(HOPS, st.integers(1, 9)).map(lambda hop_h: (hop_h[0],) * hop_h[1]),
     st.lists(HOPS, min_size=1, max_size=9).map(tuple),
 )
+ALPHAS = st.one_of(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5, 2.0]), st.floats(0.0, 3.0))
 LAYOUTS = st.builds(
     FrameLayout,
-    alpha=st.one_of(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5, 2.0]), st.floats(0.0, 3.0)),
+    alpha=ALPHAS,
     fragments=st.one_of(st.sampled_from(["auto", "fit"]), st.integers(1, 16)),
 )
 SCENARIOS = st.builds(
@@ -348,13 +349,31 @@ SCENARIOS = st.builds(
     mss_bytes=st.integers(1, 1024),
     transfer_bytes=st.sampled_from([1, 51200, 10**6]),
 )
+COLUMN_VALUES = {
+    "ber": BERS, "r": st.integers(1, 7), "h": st.integers(1, 9), "alpha": ALPHAS,
+    "mss": st.integers(1, 1024),
+}
+
+
+@st.composite
+def core_calls(draw):
+    """A base scenario and 1-4 points of some of the columns; a call with
+    an ``h`` column repeats the base's first hop."""
+    base = draw(SCENARIOS)
+    names = draw(st.sets(st.sampled_from(sorted(COLUMN_VALUES))))
+    n = draw(st.integers(1, 4))
+    if "h" in names:
+        base = replace(base, hops=base.hops[:1])
+    columns = {name: draw(st.lists(COLUMN_VALUES[name], min_size=n, max_size=n))
+               for name in names}
+    return base, columns
 
 
 class TestBatchedCore:
     """``segment_models`` equals the scalar oracle field for field, with ==."""
 
     @given(
-        scenarios=st.lists(SCENARIOS, min_size=1, max_size=4),
+        call=core_calls(),
         energy=st.builds(
             EnergyParams,
             tx_uj_per_bit=st.floats(0.0, 1.0),
@@ -363,13 +382,16 @@ class TestBatchedCore:
         ),
     )
     @settings(max_examples=30, deadline=None)
-    def test_every_field_equals_the_scalar_oracle(self, scenarios, energy):
-        # one call holds paths of different lengths, so shorter ones are padded
-        batch = segment_models(scenarios, energy)
+    def test_every_field_equals_the_scalar_oracle(self, call, energy):
+        # an h column gives one call paths of different lengths, so shorter
+        # ones are padded
+        base, columns = call
+        batch = segment_models(base, energy, **columns)
         records = list(batch.records())
-        for i, sc in enumerate(scenarios):
+        for i in range(len(batch.errors)):
             try:
-                want = scalar_oracle.segment_model(sc, energy)
+                want = scalar_oracle.segment_model(
+                    scalar_oracle.point_scenario(base, columns, i), energy)
             except LayoutError as exc:
                 assert str(batch.errors[i]) == str(exc)
                 assert records[i] is batch.errors[i]
@@ -382,24 +404,43 @@ class TestBatchedCore:
             assert records[i] == want.to_record()
 
     def test_dense_seeded_grid_equals_the_scalar_oracle(self):
-        # One call over 500 seeded scenarios. A last-bit drift (numpy's
+        # 600 seeded points in twelve calls of 50. A last-bit drift (numpy's
         # vectorized power, log or expm1 in place of libm's, or another
         # operation order) shows on a few rows in a thousand, too rarely
-        # for the property test's examples to catch every time.
+        # for the property test's examples to catch every time. A call's
+        # base fixes the fragment mode. A base of one repeated hop takes
+        # every column; one whose hops differ takes alpha, MSS and at most
+        # one of ber and r, so its hops still differ. Alpha 2.0 cannot be
+        # laid out by "fit", so those calls hold layout errors.
         rng = random.Random(7)
-        scenarios = []
-        for _ in range(500):
-            hop = lambda: HopParams(10 ** rng.uniform(-8, math.log10(0.5)), rng.randint(1, 7))
-            h = rng.randint(1, 9)
-            hops = (hop(),) * h if rng.random() < 0.7 else tuple(hop() for _ in range(h))
-            layout = FrameLayout(
-                alpha=rng.choice([0.0, 1e-3, 1e-2, 0.1, rng.uniform(0.0, 1.0)]),
-                fragments=rng.choice(["auto", "fit", rng.randint(1, 12)]),
-            )
-            scenarios.append(PathScenario(hops, layout, rng.randint(1, 1024)))
-        batch = segment_models(scenarios)
-        for i, sc in enumerate(scenarios):
-            assert batch.report(i) == scalar_oracle.segment_model(sc), sc
+        draw = {
+            "ber": lambda: 10 ** rng.uniform(-8, math.log10(0.5)),
+            "r": lambda: rng.randint(1, 7),
+            "h": lambda: rng.randint(1, 9),
+            "alpha": lambda: rng.choice([0.0, 1e-3, 1e-2, 0.1, 2.0, rng.uniform(0.0, 1.0)]),
+            "mss": lambda: rng.randint(1, 1024),
+        }
+        calls = (("ber", "r", "h", "alpha", "mss"), ("alpha", "mss"),
+                 ("r", "alpha", "mss"), ("ber", "alpha", "mss"))
+        errors = 0
+        for k in range(12):
+            names = calls[k % 4]
+            hops = [HopParams(draw["ber"](), draw["r"]()) for _ in range(rng.randint(2, 9))]
+            fragments = ("auto", "fit", rng.randint(1, 12))[k % 3]
+            base = PathScenario(hops[:1] if "h" in names else hops,
+                                FrameLayout(fragments=fragments), 512)
+            columns = {name: [draw[name]() for _ in range(50)] for name in names}
+            batch = segment_models(base, **columns)
+            for i in range(50):
+                sc = scalar_oracle.point_scenario(base, columns, i)
+                try:
+                    want = scalar_oracle.segment_model(sc)
+                except LayoutError as exc:
+                    assert str(batch.errors[i]) == str(exc)
+                    errors += 1
+                    continue
+                assert batch.report(i) == want, sc
+        assert errors > 0
 
     @pytest.mark.parametrize("ber, h, mss, flags", [
         (0.05, 1, 64, ("degenerate_hop", "diverges")),  # p_fail rounds to 1
@@ -413,29 +454,28 @@ class TestBatchedCore:
         assert got.flags == flags
 
     def test_layout_errors_keep_their_slots(self):
-        scenarios = [
-            PathScenario(hops=uniform_path(h, 1e-4 * h, 3), layout=LAYOUT, mss_bytes=64)
-            for h in range(1, 10)
-        ]
-        bad = PathScenario(
-            hops=uniform_path(2, 1e-4), layout=FrameLayout(alpha=5.0, fragments="fit"),
-            mss_bytes=64,
-        )
-        batch = segment_models(scenarios[:5] + [bad] + scenarios[5:])
+        base = PathScenario(uniform_path(2, 1e-4), FrameLayout(fragments="fit"), 64)
+        hs = [1, 2, 3, 4, 5, 2, 6, 7, 8, 9]
+        columns = {"h": hs, "ber": [1e-4 * h for h in hs], "r": [3] * 10,
+                   "alpha": [0.0] * 5 + [5.0] + [0.0] * 4}
+        batch = segment_models(base, **columns)
         assert isinstance(batch.errors[5], LayoutError)
         assert batch.column("total_bits")[5] is None
         assert batch.column("q_s")[5] is None and batch.column("m")[5] is None
-        assert [batch.report(i) for i in (*range(5), *range(6, 10))] == [
-            scalar_oracle.segment_model(sc) for sc in scenarios
+        assert batch.column("data_hops")[5] is None
+        good = (*range(5), *range(6, 10))
+        assert [batch.report(i) for i in good] == [
+            scalar_oracle.segment_model(scalar_oracle.point_scenario(base, columns, i))
+            for i in good
         ]
-        assert segment_models([]).column("total_bits") == []
+        assert segment_models(base, ber=[]).column("total_bits") == []
 
     def test_an_all_errored_batch_reads_none(self):
         bad = PathScenario(
             hops=uniform_path(2, 1e-4), layout=FrameLayout(alpha=5.0, fragments="fit"),
             mss_bytes=64,
         )
-        batch = segment_models([bad, replace(bad, mss_bytes=512)])
+        batch = segment_models(bad, mss=[64, 512])
         assert all(isinstance(err, LayoutError) for err in batch.errors)
         assert list(batch.columns) == [f.name for f in fields(ModelReport)]
         for name in batch.columns:
@@ -444,3 +484,8 @@ class TestBatchedCore:
         for i in range(2):
             with pytest.raises(LayoutError):
                 batch.report(i)
+
+    def test_columns_must_have_one_length(self):
+        base = PathScenario(uniform_path(2, 1e-4), LAYOUT, 64)
+        with pytest.raises(ValueError, match="one length"):
+            segment_models(base, ber=[1e-4, 1e-3], mss=[64])
