@@ -81,12 +81,13 @@ class SweepSpec:
 
 def _axis_column(axis: str, values) -> list:
     """``values`` as the core's ``axis`` column: ``r`` and ``h`` whole only
-    (3.0 counts as 3), ``mss`` floored (a linear grid over it may be
-    fractional), ``ber`` and ``alpha`` floats."""
-    if axis in ("r", "h"):
-        for value in values:
-            if not float(value).is_integer():
-                raise ValueError(f"{axis} must be a whole number, got {value!r}")
+    (3.0 counts as 3), ``mss`` finite and floored (a linear grid over it may
+    be fractional), ``ber`` and ``alpha`` floats."""
+    for value in values:
+        if axis in ("r", "h") and not float(value).is_integer():
+            raise ValueError(f"{axis} must be a whole number, got {value!r}")
+        if axis == "mss" and not math.isfinite(value):
+            raise ValueError(f"mss must be finite, got {value!r}")
     return [(int if axis in ("r", "h", "mss") else float)(value) for value in values]
 
 

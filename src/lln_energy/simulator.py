@@ -25,19 +25,21 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   round count. A replication whose fragment sends would pass 64-bit
   integers is refused with a ``ValueError``, as is a segment of 1030 or
   more fragments, whose binomial coefficients pass the float range.
-* ``bit`` fidelity, method ``replay``. Every attempt of every round is
+* ``bit`` fidelity, method ``replay``. Every attempt that happens is
   replayed, drawing the raw per-bit error counts and applying the
-  correction threshold. ``round_cap`` bounds its work; a segment that hits
-  the cap sets ``truncated``.
+  correction threshold: hop by hop, attempt by attempt, over the frames
+  still in flight, so a frame draws no attempt after its hop's first
+  success and none past the hop that dropped it. ``round_cap`` bounds its
+  work; a segment that hits the cap sets ``truncated``.
 
-Replications run in blocks whose size is fixed by the sampler
-(``block``): each numpy call draws one quantity for a whole block, the
-replay's over every (replication, segment) pair still in its round
-loop. Block ``b`` derives its RNG stream from ``(master_seed, b)`` and
-workers run whole blocks, so serial and parallel execution produce
-byte-identical reports. Bits and counters are integers, exact until the
-report divides their totals by the replication count: int64 where a
-float bound shows a sum fits, Python ints past that.
+Replications run in blocks of 16 (each sampler's ``block``): each numpy
+call draws one quantity for a whole block, the replay's for every frame
+of the block still at that hop and attempt. Block ``b`` derives its RNG
+stream from ``(master_seed, b)`` and workers run whole blocks, so serial
+and parallel execution produce byte-identical reports. Bits and counters
+are integers, exact until the report divides their totals by the
+replication count: int64 where a float bound shows a sum fits, Python
+ints past that.
 """
 
 from __future__ import annotations
@@ -330,113 +332,104 @@ class _Aggregate:
 
 
 class _Replay:
-    """Bit fidelity: every attempt of every round, event by event."""
+    """Bit fidelity: every attempt that happens, event by event."""
 
     method = "replay"
-    #: replications whose segments share each round's numpy calls
-    block = 2
+    #: replications whose frames share each attempt's numpy calls
+    block = 16
 
     def __init__(self, config: SimConfig):
         scenario = config.scenario
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         self.m = frames.m
-        self.h = len(scenario.hops)
-        self.d_data = frames.d_data_bits
-        self.c_data = frames.c_data_bits
-        self.d_ack = frames.d_ack_bits
-        self.c_ack = frames.c_ack_bits
-        self.a = scenario.layout.ll_ack_bits
-        self.data_hops = tuple(scenario.hops)
-        self.ack_hops = tuple(reversed(scenario.hops))  # TCP ACK travels back
+        self.a = a = scenario.layout.ll_ack_bits
+        # bits sent per data attempt, TCP-ACK attempt and arrival (its link ACK)
+        self.frame_bits = np.array([[frames.d_data_bits], [frames.d_ack_bits], [a]])
+        # each phase: its hops (the TCP ACK travels back), raw frame bits and
+        # the bit errors the frame's code corrects
+        self.data = (tuple(scenario.hops), frames.d_data_bits, frames.c_data_bits)
+        self.ack = (tuple(reversed(scenario.hops)), frames.d_ack_bits, frames.c_ack_bits)
         self.segments = scenario.segments
         self.round_cap = config.round_cap
-        self.r_max = max(hp.r for hp in scenario.hops)
 
-    def _phase_bit(self, rng, hops, d_bits, c_bits, shape):
-        """Each traversal's attempts, arrivals and whether one attempt succeeded.
+    def _phase(self, rng, phase, owners, reps, counts, attempts):
+        """Carry frames across the phase's hops; the owners of those through.
 
-        Raw binomial error draws per attempt; each array has ``shape`` plus
-        one axis per hop. Arrivals count the data copies that reached the
-        receiver. A hop with fewer attempts than the path's most leaves the
-        rest of its attempt axis failed.
+        ``owners`` holds each frame's segment, and ``reps`` each segment's
+        replication, a column of ``counts``. Each event adds one to its
+        replication's column: an attempt to row ``attempts``; a failed data
+        copy, a lost link ACK, a drop and a late delivery (a frame out of
+        attempts whose data got through at least once) to rows 2 to 5.
         """
-        data_ok = np.zeros(shape + (self.h, self.r_max), bool)
-        succ = np.zeros_like(data_ok)
-        for j, hp in enumerate(hops):
-            r = hp.r
-            data_ok[..., j, :r] = rng.binomial(d_bits, hp.ber, size=shape + (r,)) <= c_bits
-            succ[..., j, :r] = rng.binomial(self.a, hp.ber, size=shape + (r,)) == 0
-        succ &= data_ok
-        any_succ = succ.any(axis=-1)
-        attempts = np.where(any_succ, succ.argmax(axis=-1) + 1, [hp.r for hp in hops])
-        arrivals = (data_ok & (np.arange(self.r_max) < attempts[..., None])).sum(axis=-1)
-        return attempts, arrivals, any_succ
+        hops, d_bits, c_bits = phase
+        n = counts.shape[1]
 
-    @staticmethod
-    def _reached(arrivals):
-        """(reached, all_delivered): which hops are actually attempted."""
-        ok = np.logical_and.accumulate(arrivals > 0, axis=-1)
-        reached = np.ones_like(ok)
-        reached[..., 1:] = ok[..., :-1]
-        return reached, ok[..., -1]
+        def tally(row, frames):
+            counts[row] += np.bincount(reps[frames], minlength=n)
 
-    @staticmethod
-    def _spent(phase, reached, axes):
-        """Per segment, over the hops attempted: attempts, arrivals, partial
-        failures, drops and duplicates (every arrival after a hop's first)."""
-        attempts, arrivals, any_succ = phase
+        for hp in hops:
+            pending = np.arange(owners.size)  # frames still trying this hop
+            arrived = np.zeros(owners.size, bool)
+            for _ in range(hp.r):
+                if not pending.size:
+                    break
+                tally(attempts, owners[pending])
+                ok = rng.binomial(d_bits, hp.ber, size=pending.size) <= c_bits
+                got = pending[ok]
+                arrived[got] = True
+                acked = rng.binomial(self.a, hp.ber, size=got.size) == 0
+                tally(2, owners[pending[~ok]])
+                tally(3, owners[got[~acked]])
+                ok[ok] = acked  # a frame leaves the attempt loop at its first success
+                pending = pending[~ok]
+            tally(4, owners[~arrived])
+            tally(5, owners[pending[arrived[pending]]])
+            owners = owners[arrived]  # a frame that arrived nowhere leaves the path
+        return owners
 
-        def total(x):
-            return x.sum(axis=axes, where=reached)
+    def round_batch(self, rng, reps, counts):
+        """One full round for segments of replications ``reps``: which
+        segments got their TCP ACK.
 
-        arrived, drops = total(arrivals), total(arrivals == 0)
-        return np.stack([total(attempts), arrived, arrived - total(any_succ), drops,
-                         arrived - reached.sum(axis=axes) + drops])
-
-    def round_batch(self, rng, n):
-        """One full round for n segments: (totals, ok).
-
-        ``totals`` has one int64 column per segment and these rows: data
-        attempts, TCP-ACK attempts, arrivals, partial failures, drops and
-        duplicates. ``ok`` says which segments got their TCP ACK.
+        The round's events add to ``counts``, one int64 column per
+        replication, in these rows: data attempts, TCP-ACK attempts, failed
+        data copies, lost link ACKs, drops and late deliveries.
         """
-        data = self._phase_bit(rng, self.data_hops, self.d_data, self.c_data, (n, self.m))
-        reached, frag_ok = self._reached(data[1])
-        seg_ok = frag_ok.all(axis=1)
-        ack = self._phase_bit(rng, self.ack_hops, self.d_ack, self.c_ack, (n,))
-        reached_ack, ack_through = self._reached(ack[1])
-        reached_ack &= seg_ok[:, None]  # the TCP ACK is only sent if the data arrived
-        data = self._spent(data, reached, (1, 2))
-        ack = self._spent(ack, reached_ack, 1)
-        return np.concatenate([data[:1], ack[:1], data[1:] + ack[1:]]), seg_ok & ack_through
+        n = reps.size
+        frags = np.repeat(np.arange(n), self.m)
+        through = self._phase(rng, self.data, frags, reps, counts, 0)
+        seg_ok = np.bincount(through, minlength=n) == self.m
+        # the TCP ACK is only sent if every fragment arrived
+        through = self._phase(rng, self.ack, np.flatnonzero(seg_ok), reps, counts, 1)
+        ok = np.zeros(n, bool)
+        ok[through] = True
+        return ok
 
     def run_block(self, rng, n: int):
         """n replications' (bits, counters, truncated): integer arrays of n,
         and whether a segment hit the round cap."""
         n_seg = self.segments
-        totals = np.zeros((6, n * n_seg), np.int64)  # per (replication, segment) pair
-        sends = np.zeros(n * n_seg, dtype=np.int64)
+        totals = np.zeros((6, n), np.int64)
+        sends = np.zeros(n * n_seg, dtype=np.int64)  # per (replication, segment) pair
         truncated = False
         active = np.arange(n * n_seg)
         while active.size:
-            round_totals, ok = self.round_batch(rng, active.size)
-            totals[:, active] += round_totals
+            ok = self.round_batch(rng, active // n_seg, totals)
             sends[active] += 1
             capped = ~ok & (sends[active] >= self.round_cap)
             truncated |= bool(capped.any())
             active = active[~(ok | capped)]
-        data_att, ack_att, arrivals, partials, drops, duplicates = (
-            totals.reshape(6, n, n_seg).sum(axis=2)
-        )
-        frame_bits = np.array([[self.d_data], [self.d_ack], [self.a]])
-        bits = _exact_dot(np.stack([data_att, ack_att, arrivals], axis=1), frame_bits)[:, 0]
+        data_att, ack_att, failures, partials, drops, late = totals
+        arrivals = data_att + ack_att - failures
+        bits = _exact_dot(np.stack([data_att, ack_att, arrivals], axis=1), self.frame_bits)[:, 0]
         segment_sends = sends.reshape(n, n_seg).sum(axis=1)
         return bits, {
             "link_attempts": data_att + ack_att,
-            "link_failures": data_att + ack_att - arrivals,
+            "link_failures": failures,
             "partial_failures": partials,
             "hop_drops": drops,
-            "duplicates_suppressed": duplicates,
+            # every arrival after a hop's first: partials less the late deliveries
+            "duplicates_suppressed": partials - late,
             "segment_sends": segment_sends,
             "segment_retx": segment_sends - n_seg,
         }, truncated

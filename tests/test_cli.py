@@ -314,6 +314,7 @@ class TestExitCodes:
         (("sweep", "--axis", "mss", "--grid", "0.5,64"), "mss_bytes must be >= 1, got 0"),
         (("frontier", "--family", "r", "--values", "3", "--h-range", "0:2"),
          "scenario needs at least one hop"),
+        (("sweep", "--axis", "mss", "--grid", "64,inf"), "mss must be finite, got inf"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

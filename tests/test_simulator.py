@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lln_energy import simulator
@@ -146,6 +147,32 @@ def test_aggregate_agrees_with_bit_replay():
     assert abs(log_ratio) <= 4 * se_log_sd
 
 
+def test_replay_draws_only_the_attempts_that_happen():
+    # one data- or TCP-ACK-frame draw per link attempt, and one link-ACK draw
+    # per arrival: none after a hop's first success or past a drop
+    sc = default_scenario(ber=6e-4, mss=512, transfer=2048)
+    frames = resolve_frames(sc.mss_bytes, sc.layout)
+    sizes = (frames.d_data_bits, frames.d_ack_bits, sc.layout.ll_ack_bits)
+    assert len(set(sizes)) == 3
+    draws = dict.fromkeys(sizes, 0)
+
+    class Spy:
+        def __init__(self):
+            self.rng = np.random.default_rng(6)
+
+        def binomial(self, n, p, size):
+            draws[n] += int(np.prod(size))
+            return self.rng.binomial(n, p, size=size)
+
+    n = 4
+    _, counters, _ = simulator._Replay(SimConfig(scenario=sc, fidelity="bit")).run_block(Spy(), n)
+    attempts = int(counters["link_attempts"].sum())
+    arrivals = attempts - int(counters["link_failures"].sum())
+    assert counters["segment_retx"].sum() > 0 and arrivals < attempts
+    assert draws[frames.d_data_bits] + draws[frames.d_ack_bits] == attempts
+    assert draws[sc.layout.ll_ack_bits] == arrivals
+
+
 def test_aggregate_samples_heavy_tails():
     # round success ~1e-12: ~1e12 rounds per segment, far past the default
     # 1e6-round cap, which the aggregate draw does not apply
@@ -202,6 +229,23 @@ def test_fragments_past_the_float_range_are_refused():
     sc = replace(sc, layout=replace(LAYOUT, fragments=1030))
     with pytest.raises(ValueError, match="1030 fragments per segment"):
         simulate(SimConfig(scenario=sc, replications=2))
+
+
+def test_bit_and_frame_fidelity_agree_on_a_heterogeneous_path():
+    # hops that differ in both BER and attempt limit: the replay walks each
+    # hop's own r. Means within 3 combined standard errors; segment sends
+    # too, each side's from the geometric round law at the model's p_s
+    hops = (HopParams(2e-4, 1), HopParams(6e-4, 4), HopParams(1e-4, 2), HopParams(4e-4, 3))
+    sc = PathScenario(hops=hops, layout=LAYOUT, mss_bytes=512, transfer_bytes=5120)
+    model = segment_model(sc)
+    reps = 400
+    frame, bit = (simulate(SimConfig(scenario=sc, replications=reps, master_seed=23,
+                                     fidelity=fidelity))
+                  for fidelity in ("frame", "bit"))
+    combined = (frame.stderr_total_bits**2 + bit.stderr_total_bits**2) ** 0.5
+    assert abs(frame.mean_total_bits - bit.mean_total_bits) <= 3 * combined
+    se_sends = (2 * model.segments * (1 - model.p_s) / model.p_s**2 / reps) ** 0.5
+    assert abs(frame.counters.segment_sends - bit.counters.segment_sends) <= 3 * se_sends
 
 
 def test_heterogeneous_attempt_limits_match_model():
