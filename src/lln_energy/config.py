@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .framing import FrameLayout
 from .hopmodel import HopParams
-from .pathmodel import EnergyParams, PathScenario
+from .pathmodel import EnergyParams, PathScenario, check_hop_count
 
 if TYPE_CHECKING:
     from .simulator import SimConfig
@@ -94,6 +94,7 @@ class RunConfig:
             raise ConfigError(
                 f"hop_bers lists {len(self.hop_bers)} hops but hops = {self.hops}"
             )
+        check_hop_count(self.hops)  # before a tuple of that many hops is built
         bers = self.hop_bers or (self.ber,) * self.hops
         return tuple(HopParams(ber=b, r=self.retries) for b in bers)
 

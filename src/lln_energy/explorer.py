@@ -18,9 +18,9 @@ costs little more for hundreds of points than for one, and its memory
 grows with them, so every call takes ``BATCH_POINTS`` points. A frontier
 streams the BER scans of all its (family value, hop count) searches
 through such calls, two points (long and short MSS) per BER, then
-bisects all of its brackets in lockstep, one step at a time. Searches
-run value by value, so the hop models of one value's BER grid are
-shared across its hop counts within the hop-model cache.
+bisects all of its brackets in lockstep, one step at a time. Within a
+call the hop models are keyed by distinct (frame, BER, r), so the hop
+counts of one value's BER grid that share a call share its hop models.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .framing import LayoutError
-from .pathmodel import EnergyParams, PathScenario, segment_models
+from .pathmodel import EnergyParams, PathScenario, check_hop_count, segment_models
 
 __all__ = [
     "SweepSpec",
@@ -81,11 +81,14 @@ class SweepSpec:
 
 def _axis_column(axis: str, values) -> list:
     """``values`` as the core's ``axis`` column: ``r`` and ``h`` whole only
-    (3.0 counts as 3), ``mss`` finite and floored (a linear grid over it may
-    be fractional), ``ber`` and ``alpha`` floats."""
+    (3.0 counts as 3), ``h`` a hop count a path may have, checked before a
+    search or a call reaches it, ``mss`` finite and floored (a linear grid
+    over it may be fractional), ``ber`` and ``alpha`` floats."""
     for value in values:
         if axis in ("r", "h") and not float(value).is_integer():
             raise ValueError(f"{axis} must be a whole number, got {value!r}")
+        if axis == "h":
+            check_hop_count(int(value))
         if axis == "mss" and not math.isfinite(value):
             raise ValueError(f"mss must be finite, got {value!r}")
     return [(int if axis in ("r", "h", "mss") else float)(value) for value in values]
@@ -106,13 +109,14 @@ def sweep(spec: SweepSpec) -> list[dict]:
     rows = []
     for start in range(0, len(labels), BATCH_POINTS):
         chunk = {name: col[start:start + BATCH_POINTS] for name, col in columns.items()}
-        records = segment_models(spec.scenario, spec.energy, **chunk).records()
-        for value, mss, rec in zip(labels[start:start + BATCH_POINTS], chunk["mss"], records):
+        values = labels[start:start + BATCH_POINTS]
+        records = segment_models(spec.scenario, spec.energy, **chunk).records(
+            axis=[spec.axis] * len(values), value=values)
+        for value, mss, rec in zip(values, chunk["mss"], records):
             if isinstance(rec, LayoutError):
-                rows.append({"axis": spec.axis, "value": value, "mss_bytes": mss,
-                             "flags": "layout_error", "error": str(rec)})
-            else:
-                rows.append({"axis": spec.axis, "value": value, **rec})
+                rec = {"axis": spec.axis, "value": value, "mss_bytes": mss,
+                       "flags": "layout_error", "error": str(rec)}
+            rows.append(rec)
     return rows
 
 

@@ -11,10 +11,8 @@ acknowledgement always rides in a single frame of its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "LayoutError",
@@ -34,10 +32,6 @@ AUTO_FRAGMENT_CHUNK_BYTES = 64
 #: Largest coded frame, in bits: the model takes bit counts as floats, which
 #: hold integers exactly up to 2**53.
 MAX_FRAME_BITS = 2**53
-
-#: (mss, layout) resolutions kept by ``resolve_frames``'s LRU cache; a
-#: frontier or sweep reuses only the few MSS values it compares per layout.
-RESOLVE_FRAMES_CACHE_SIZE = 16
 
 
 class LayoutError(ValueError):
@@ -120,11 +114,12 @@ class ResolvedFrames:
 def _fec_expand(k_bits: int, alpha: float) -> tuple[int, int]:
     """(d, c) for k information bits: d = k + ceil(alpha*k), c = (d-k)//2.
 
-    The redundancy bit count is taken as an exact ceiling of alpha*k
-    (Fraction arithmetic) so stairstep boundaries do not wobble with
+    The redundancy bit count is the exact ceiling of alpha*k, in integers
+    from alpha's ratio num/den, so stairstep boundaries do not wobble with
     floating-point rounding; c never overstates the correction power.
     """
-    redundancy = math.ceil(Fraction(alpha) * k_bits) if alpha > 0.0 else 0
+    num, den = alpha.as_integer_ratio()
+    redundancy = -(-num * k_bits // den)
     d = k_bits + redundancy
     if d > MAX_FRAME_BITS:
         raise LayoutError(
@@ -143,15 +138,12 @@ def _data_frame_bits(payload_bits: int, m: int, layout: FrameLayout) -> tuple[in
     return k, d, c
 
 
-@functools.lru_cache(maxsize=RESOLVE_FRAMES_CACHE_SIZE)
 def resolve_frames(mss_bytes: int, layout: FrameLayout) -> ResolvedFrames:
     """Resolve an MSS and layout into on-the-wire frame sizes.
 
     The segment carried end-to-end is mss payload plus one TCP and one IP
     header; the returned sizes describe its m identical data fragments and
-    the single TCP-ACK frame going the other way. Memoized: the result is a
-    pure function of the frozen layout and is itself frozen, so callers
-    share it; a ``LayoutError`` is not cached and is raised on every call.
+    the single TCP-ACK frame going the other way.
     """
     if mss_bytes < 1:
         raise LayoutError(f"mss_bytes must be >= 1, got {mss_bytes}")

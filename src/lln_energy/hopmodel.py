@@ -7,44 +7,63 @@ uncorrectable and the receiver stays silent (failure), the frame is decoded
 but its ``a``-bit link-layer acknowledgement is lost so the sender retries
 needlessly (partial failure), or both directions get through (success). The
 sender stops at the first success, or gives up after ``r`` attempts.
+
+Every quantity is computed over arrays, one element per (d, c, a, ber, r)
+key: ``hop_model_array`` and the three ``*_array`` steps under it. Only
+IEEE ``+ - * /`` run in numpy, each element in the order of the scalar
+formulas; ``lgamma``, ``log``, ``log1p``, ``exp`` and ``**`` are
+per-element ``math`` calls, as numpy's may differ from libm in the last
+bit. Integer products (``k*d + a``, ``r*d``, ``a*r``) are exact before
+their one conversion to float. So every element equals the scalar
+evaluation bit for bit. The scalar names (``frame_error_prob``,
+``attempt_probs``, ``expected_success_bits``, ``hop_model``) are one-point
+calls of the array ones.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "MAX_FLOAT_COMB_N",
     "HopParams",
     "AttemptProbs",
     "HopModel",
+    "HopArrays",
     "frame_error_prob",
+    "frame_error_prob_array",
     "attempt_probs",
+    "attempt_probs_array",
     "expected_success_bits",
+    "expected_success_bits_array",
     "hop_model",
+    "hop_model_array",
 ]
 
-#: Hop models kept by ``hop_model``'s LRU cache. A frontier scans 61 BERs
-#: for 3 distinct frames (the data frame at each compared MSS and their
-#: shared TCP-ACK frame) at every hop count, and bisects a few more; 256
-#: entries hold that grid across hop counts at a fraction of a MiB.
-HOP_MODEL_CACHE_SIZE = 256
 #: The largest n whose central binomial coefficient comb(n, n // 2) is a
 #: float. The simulator weighs attempt classes by comb(r, i) and dropped
 #: fragments by comb(m, d), so it bounds r and m; the model needs neither.
 MAX_FLOAT_COMB_N = 1029
+
+#: The tail recurrence divides its running sum by this once it passes it
+_RESCALE = 1e250
+#: Terms of the tail recurrence per key and round: the first round's, and
+#: the most cells (keys x terms) of any round
+_FIRST_TERMS = 16
+_MAX_CELLS = 2**14
 
 
 @dataclass(frozen=True)
 class HopParams:
     """Per-hop link parameters: bit error rate and ARQ attempt limit.
 
-    ``r`` must be integral and is stored as a plain int, because
-    ``hop_model`` caches on these fields: a float or numpy ``r`` would
-    otherwise share the cache entry of the int it equals.
+    ``r`` must be integral and is stored as a plain int, so that equal
+    hops compare and hash equal whatever integer type built them.
     """
 
     ber: float
@@ -96,6 +115,275 @@ class HopModel:
     degenerate: bool = False
 
 
+class HopArrays(NamedTuple):
+    """``hop_model_array``'s result: one float64 array per ``HopModel`` field,
+    one element per key; ``h_s`` is NaN where the hop is degenerate."""
+
+    f: np.ndarray
+    h_s: np.ndarray
+    h_f: np.ndarray
+    p_fail: np.ndarray
+    p_partial: np.ndarray
+    p_succ: np.ndarray
+
+    def model(self, i: int) -> HopModel:
+        """Key i's ``HopModel``."""
+        h_s = self.h_s.item(i)
+        degenerate = h_s != h_s  # NaN
+        probs = AttemptProbs(self.p_fail.item(i), self.p_partial.item(i), self.p_succ.item(i))
+        return HopModel(self.f.item(i), None if degenerate else h_s, self.h_f.item(i), probs,
+                        degenerate)
+
+
+def _columns(*ints, floats=()) -> list[np.ndarray]:
+    """The columns as 1-D arrays of one length (a length-1 column repeats):
+    ``ints`` int64, ``floats`` float64."""
+    cols = [np.asarray(x, dtype=np.int64).reshape(-1) for x in ints]
+    cols += [np.asarray(x, dtype=float).reshape(-1) for x in floats]
+    n = max(map(len, cols))
+    return [x if len(x) == n else x.repeat(n) for x in cols]
+
+
+def _check_keys(d, c, ber, a=None) -> None:
+    """Refuse a frame of no bits, correctable bits outside [0, d], a BER
+    outside [0, 1) or an ACK of no bits, naming the first such key."""
+    bad = (d < 1) | (c < 0) | (c > d) | ~((0.0 <= ber) & (ber < 1.0))
+    if a is not None:
+        bad |= a < 1
+    if not bad.any():
+        return
+    i = bad.argmax()
+    d, c, ber = d.item(i), c.item(i), ber.item(i)
+    if a is not None and a.item(i) < 1:
+        raise ValueError(f"ack frame size must be >= 1 bit, got {a.item(i)}")
+    if d < 1:
+        raise ValueError(f"frame size must be positive, got {d}")
+    if not 0 <= c <= d:
+        raise ValueError(f"correctable bits {c} outside [0, {d}]")
+    raise ValueError(f"ber must be in [0, 1), got {ber}")
+
+
+def _exact(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (r, d, a) columns in a dtype in which r*d + a, and so each
+    integer product of them that the ARQ sums form, is exact: float64 below
+    2**53, int64 below 2**63, Python ints past that."""
+    r, d, a = (int(x.max(initial=0)) for x in columns)
+    bound = r * (d + a)
+    dtype = float if bound < 2**53 else np.int64 if bound < 2**63 else object
+    return tuple(x.astype(dtype) for x in columns)
+
+
+def frame_error_prob_array(d_bits, c_bits, ber) -> np.ndarray:
+    """``frame_error_prob`` of each (d, c, ber), in one pass."""
+    d, c, ber = _columns(d_bits, c_bits, floats=(ber,))
+    _check_keys(d, c, ber)
+    return _frame_error_probs(d, c, ber, _log1p_neg(ber))
+
+
+def _log1p_neg(ber: np.ndarray) -> np.ndarray:
+    """log1p(-ber) of each element, a ``math`` call each."""
+    return np.array([math.log1p(-b) for b in ber.tolist()])
+
+
+def _frame_error_probs(d, c, ber, log_q) -> np.ndarray:
+    """Each element's binomial tail, summed on whichever side is the
+    smaller sum, as the scalar does; every tail runs its recurrence
+    together with the others (``_binom_range_sums``). ``log_q`` is each
+    element's log1p(-ber)."""
+    live = np.flatnonzero((ber != 0.0) & (c != d))
+    out = np.zeros(len(d))
+    if live.size:
+        if live.size < len(d):
+            d, c, ber, log_q = d[live], c[live], ber[live], log_q[live]
+        # the result is large: the complementary lower tail is the small sum
+        lower = c < d * ber
+        low = _binom_range_sums(d, np.where(lower, 0, c + 1), np.where(lower, c, d), ber, log_q)
+        out[live] = np.minimum(1.0, np.where(lower, np.maximum(0.0, 1.0 - low), low))
+    return out
+
+
+def _binom_range_sums(d, lo, hi, p, log_q) -> np.ndarray:
+    """sum_{i=lo}^{hi} C(d,i) p^i (1-p)^(d-i) of each element, by term recurrence.
+
+    Each first term is taken in log space, lgamma(d+1) - lgamma(lo+1) -
+    lgamma(d-lo+1) + lo*log(p) + (d-lo)*log1p(-p), and the recurrence
+    (``_term_sums``) runs in a scaled linear space, so a sum survives
+    (1-p)^d underflowing. Where lo = 0 the first four terms add up to
+    exactly 0.0 (lgamma(1) is 0.0, and 0*log(p) a zero), so only the
+    elements with lo > 0 call ``lgamma`` and ``log``.
+    """
+    head = np.zeros(len(d))
+    upper = np.flatnonzero(lo)
+    if upper.size:
+        head[upper] = [
+            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(b)
+            for n, k, b in zip(d[upper].tolist(), lo[upper].tolist(), p[upper].tolist())]
+    offset = head + (d - lo) * log_q
+    live = np.flatnonzero(lo < hi)
+    if live.size:
+        offset = offset + np.array([
+            math.log(x) for x in _term_sums(d, lo, hi, p, offset, live).tolist()])
+    else:  # every sum is its first term, 1.0
+        offset = offset + math.log(1.0)
+    return np.array([math.exp(x) for x in offset.tolist()])
+
+
+def _term_sums(d, lo, hi, p, offset, live) -> np.ndarray:
+    """Each row's running sum of terms, the first term 1.0, at the end of
+    its recurrence; ``offset`` takes each row's rescales.
+
+    The recurrence runs over a term axis: ``np.multiply.accumulate`` and
+    ``np.add.accumulate`` are sequential, so a row of terms gives the
+    scalar loop's running term and sum. The ``live`` rows, those with
+    terms past the first, run in rounds of one (rows x terms) matrix,
+    whose width follows the longest run of the round before, until each
+    row's first event: its terms decaying past the mode (it is done), the
+    end of its range, or its sum passing 1e250. Then it is rescaled, as
+    the scalar loop does, and finishes on its own (``_rescaled_sum``): its
+    next terms start from the rescaled one, and a long lower tail
+    rescales every few hundred terms.
+    """
+    t = np.ones(len(d))
+    acc = np.ones(len(d))
+    ratio = p / (1.0 - p)
+    mode = d * p
+    pos = lo.copy()
+    scaled = []
+    width = _FIRST_TERMS
+    while live.size:
+        left = hi[live] - pos[live]
+        width = max(1, min(width, _MAX_CELLS // live.size, int(left.max())))
+        steps = np.arange(width)
+        i = pos[live, None] + steps
+        terms = np.empty((live.size, width + 1))
+        terms[:, 0] = t[live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(ratio[live, None] * (d[live, None] - i), i + 1.0, out=terms[:, 1:])
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            sums = terms.copy()
+            sums[:, 0] = acc[live]
+            np.add.accumulate(sums, axis=1, out=sums)
+            terms, sums = terms[:, 1:], sums[:, 1:]
+            over = sums > _RESCALE
+            event = over | ((i > mode[live, None]) & (terms < sums * 1e-20))
+        event &= steps < left[:, None]
+        hit = event.any(axis=1)
+        last = np.where(hit, event.argmax(axis=1), np.minimum(width, left) - 1)
+        rows = np.arange(live.size)
+        t[live] = terms[rows, last]
+        acc[live] = sums[rows, last]
+        pos[live] += last + 1
+        rescaled = hit & over[rows, last]
+        scaled += live[rescaled].tolist()
+        live = live[~hit & (pos[live] < hi[live])]
+        width = 2 * int(last.max()) + 2
+    for k in scaled:
+        acc[k], offset[k] = _rescaled_sum(
+            d.item(k), pos.item(k), hi.item(k), ratio.item(k),
+            t.item(k) / _RESCALE, acc.item(k) / _RESCALE, offset.item(k) + math.log(_RESCALE))
+    return acc
+
+
+def _rescaled_sum(d, pos, hi, ratio, t, acc, offset) -> tuple[float, float]:
+    """One row of ``_binom_range_sums`` from term ``pos`` on, given its
+    running term, sum and offset: the scalar loop in chunks of terms, each
+    chunk ending where its sum passes 1e250. The sum of a chunk never
+    falls, so one binary search finds that. Only a lower tail, every term
+    below the mode, grows that far, so the early stop past the mode never
+    applies. Returns (sum, offset)."""
+    width = _FIRST_TERMS
+    with np.errstate(over="ignore"):
+        while pos < hi:
+            i = np.arange(pos, min(hi, pos + width))
+            terms = np.empty(len(i) + 1)
+            terms[0] = t
+            np.divide(ratio * (d - i), i + 1.0, out=terms[1:])
+            np.multiply.accumulate(terms, out=terms)
+            sums = terms.copy()
+            sums[0] = acc
+            np.add.accumulate(sums, out=sums)
+            end = int(sums.searchsorted(_RESCALE, side="right"))  # its first sum past 1e250
+            if end == len(sums):
+                t, acc = terms.item(-1), sums.item(-1)
+                pos += len(i)
+                width *= 2
+            else:
+                t, acc = terms.item(end) / _RESCALE, sums.item(end) / _RESCALE
+                offset += math.log(_RESCALE)
+                pos += end
+                width = 2 * end
+    return acc, offset
+
+
+def attempt_probs_array(d_bits, c_bits, a_bits, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``attempt_probs`` of each (d, c, a, ber): the (p_fail, p_partial,
+    p_succ) arrays."""
+    d, c, a, ber = _columns(d_bits, c_bits, a_bits, floats=(ber,))
+    _check_keys(d, c, ber, a)
+    return _attempt_probs(d, c, a, ber)
+
+
+def _attempt_probs(d, c, a, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``attempt_probs_array`` on checked columns."""
+    log_q = _log1p_neg(ber)
+    p_fail = _frame_error_probs(d, c, ber, log_q)
+    ack_ok = np.array([math.exp(x) for x in (a * log_q).tolist()])  # a*log1p(-ber), a as float
+    got_data = 1.0 - p_fail
+    return p_fail, got_data * (1.0 - ack_ok), got_data * ack_ok
+
+
+def expected_success_bits_array(p_fail, p_partial, p_succ, r, d_bits, a_bits) -> np.ndarray:
+    """``expected_success_bits`` of each key; NaN where delivery is impossible."""
+    r, d, a, pf, pp, ps = _columns(r, d_bits, a_bits, floats=(p_fail, p_partial, p_succ))
+    pf_r = np.array([x**k for x, k in zip(pf.tolist(), r.tolist())])
+    return _success_bits(pf, pp, ps, r, pf_r, _exact(r, d, a))
+
+
+def _success_bits(pf, pp, ps, r, pf_r, exact) -> np.ndarray:
+    """The one pass over k of ``expected_success_bits``, every key at once,
+    given each key's pf**r, and its (r, d, a) as ``_exact`` gives them.
+    Each key's sums are read at k = its own r."""
+    r_x, d, a = exact
+    limits = set(r.tolist())
+    u = pf + pp
+    u_before = np.zeros(len(u))  # u^(k-2)
+    u_k = np.ones(len(u))  # u^(k-1)
+    pf_k = u_k  # pf^(k-1); the loop rebinds, never writes, these arrays
+    diff = with_succ = u_before  # D_(k-1) = u^(k-1) - pf^(k-1), and the sum
+    kda, ak = d + a, a - a  # k*d + a and a*(k-1), at k = 1
+    sums = np.empty((3, len(u)))  # diff, u^(r-1) and with_succ at k = r
+    for k in range(1, max(limits, default=0) + 1):
+        with_succ = with_succ + (kda.astype(float, copy=False) * u_k
+                                 + ak.astype(float, copy=False) * pp * u_before)
+        diff = u * diff + pp * pf_k
+        pf_k = pf_k * pf
+        u_before, u_k = u_k, u_k * u
+        kda, ak = kda + d, ak + a
+        if k in limits:
+            np.copyto(sums, (diff, u_before, with_succ), where=r == k)
+    diff, u_before, with_succ = sums
+    denom = 1.0 - pf_r
+    bits = ((r_x * d).astype(float, copy=False) * diff
+            + (a * r_x).astype(float, copy=False) * pp * u_before + ps * with_succ)
+    return np.divide(bits, denom, out=np.full(len(u), math.nan), where=denom > 0.0)
+
+
+def hop_model_array(d_bits, c_bits, a_bits, ber, r) -> HopArrays:
+    """``hop_model`` of each (d, c, a, ber, r), in one pass over the keys.
+
+    The keys are not checked here: ``hop_model`` checks its one key, and
+    the model's keys come from ``HopParams`` (ber, r), ``FrameLayout`` (a)
+    and ``resolve_frames`` (d, c), which check them.
+    """
+    d, c, a, r, ber = _columns(d_bits, c_bits, a_bits, r, floats=(ber,))
+    p_fail, p_partial, p_succ = _attempt_probs(d, c, a, ber)
+    f = np.array([x**k for x, k in zip(p_fail.tolist(), r.tolist())])
+    exact = _exact(r, d, a)
+    h_s = _success_bits(p_fail, p_partial, p_succ, r, f, exact)
+    h_f = (exact[0] * exact[1]).astype(float, copy=False)
+    return HopArrays(f, h_s, h_f, p_fail, p_partial, p_succ)
+
+
 def frame_error_prob(d_bits: int, c_bits: int, ber: float) -> float:
     """Probability that more than ``c_bits`` of a ``d_bits`` frame arrive corrupted.
 
@@ -103,49 +391,7 @@ def frame_error_prob(d_bits: int, c_bits: int, ber: float) -> float:
     Whichever tail of the distribution is the smaller sum is evaluated
     directly, so results near 0 and near 1 both keep full precision.
     """
-    if d_bits < 1:
-        raise ValueError(f"frame size must be positive, got {d_bits}")
-    if not 0 <= c_bits <= d_bits:
-        raise ValueError(f"correctable bits {c_bits} outside [0, {d_bits}]")
-    if not 0.0 <= ber < 1.0:
-        raise ValueError(f"ber must be in [0, 1), got {ber}")
-    if ber == 0.0 or c_bits == d_bits:
-        return 0.0
-    if c_bits < d_bits * ber:
-        # result is large; the complementary lower tail is the small sum
-        low = _binom_range_sum(d_bits, 0, c_bits, ber)
-        return min(1.0, max(0.0, 1.0 - low))
-    return min(1.0, _binom_range_sum(d_bits, c_bits + 1, d_bits, ber))
-
-
-def _binom_range_sum(d: int, lo: int, hi: int, p: float) -> float:
-    """sum_{i=lo}^{hi} C(d,i) p^i (1-p)^(d-i), by term recurrence.
-
-    The first term is taken in log space and the recurrence runs in a
-    scaled linear space, so the sum survives (1-p)^d underflowing.
-    """
-    log_t0 = (
-        math.lgamma(d + 1)
-        - math.lgamma(lo + 1)
-        - math.lgamma(d - lo + 1)
-        + lo * math.log(p)
-        + (d - lo) * math.log1p(-p)
-    )
-    offset = log_t0
-    t = 1.0
-    acc = 1.0
-    ratio = p / (1.0 - p)
-    mode = d * p
-    for i in range(lo, hi):
-        t *= ratio * (d - i) / (i + 1.0)
-        acc += t
-        if acc > 1e250:
-            t /= 1e250
-            acc /= 1e250
-            offset += math.log(1e250)
-        elif i > mode and t < acc * 1e-20:
-            break  # terms decay geometrically past the mode
-    return math.exp(offset + math.log(acc))
+    return frame_error_prob_array([d_bits], [c_bits], [ber]).item(0)
 
 
 def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptProbs:
@@ -154,16 +400,8 @@ def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptP
     The acknowledgement frame carries no redundancy, so a partial failure
     needs every one of its ``a_bits`` to survive.
     """
-    if a_bits < 1:
-        raise ValueError(f"ack frame size must be >= 1 bit, got {a_bits}")
-    p_fail = frame_error_prob(d_bits, c_bits, ber)
-    ack_ok = math.exp(a_bits * math.log1p(-ber))
-    got_data = 1.0 - p_fail
-    return AttemptProbs(
-        p_fail=p_fail,
-        p_partial=got_data * (1.0 - ack_ok),
-        p_succ=got_data * ack_ok,
-    )
+    probs = attempt_probs_array([d_bits], [c_bits], [a_bits], [ber])
+    return AttemptProbs(*(x.item(0) for x in probs))
 
 
 def expected_success_bits(
@@ -182,34 +420,13 @@ def expected_success_bits(
     non-negative terms do not cancel when pf is close to u. Returns None
     when delivery is impossible (every attempt fails with certainty).
     """
-    pf, pp, ps = probs.p_fail, probs.p_partial, probs.p_succ
-    denom = 1.0 - pf**r
-    if denom <= 0.0:
-        return None
-    u = pf + pp
-    u_before = 0.0  # u^(k-2)
-    u_k = 1.0  # u^(k-1)
-    pf_k = 1.0  # pf^(k-1)
-    diff = 0.0  # D_(k-1) = u^(k-1) - pf^(k-1)
-    with_succ = 0.0
-    for k in range(1, r + 1):
-        with_succ += (k * d_bits + a_bits) * u_k + a_bits * (k - 1) * pp * u_before
-        diff = u * diff + pp * pf_k
-        pf_k *= pf
-        u_before, u_k = u_k, u_k * u
-    return (r * d_bits * diff + a_bits * r * pp * u_before + ps * with_succ) / denom
+    bits = expected_success_bits_array(
+        [probs.p_fail], [probs.p_partial], [probs.p_succ], [r], [d_bits], [a_bits]).item(0)
+    return None if bits != bits else bits
 
 
-@functools.lru_cache(maxsize=HOP_MODEL_CACHE_SIZE)
 def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> HopModel:
-    """Full one-hop model for a frame of ``d_bits`` over the given hop.
-
-    Memoized: the result depends only on the frame sizes and the hop's
-    (ber, r), not on the path around it, and it is frozen, so every path,
-    hop count and MSS that needs the same hop shares one evaluation.
-    """
-    probs = attempt_probs(d_bits, c_bits, a_bits, hop.ber)
-    f = probs.p_fail**hop.r
-    h_f = float(hop.r * d_bits)
-    h_s = expected_success_bits(probs, hop.r, d_bits, a_bits)
-    return HopModel(f=f, h_s=h_s, h_f=h_f, probs=probs, degenerate=h_s is None)
+    """Full one-hop model for a frame of ``d_bits`` over the given hop."""
+    d, c, a, ber = _columns(d_bits, c_bits, a_bits, floats=(hop.ber,))
+    _check_keys(d, c, ber, a)
+    return hop_model_array(d, c, a, ber, hop.r).model(0)

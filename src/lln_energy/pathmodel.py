@@ -16,12 +16,13 @@ infinities.
 ``segment_models`` evaluates many points in one numpy pass: a base
 scenario plus per-point columns of BER, attempt limit, hop count, alpha
 and MSS, with no scenario object per point. Frames resolve once per
-distinct (MSS, alpha), the scalar, cached hop model runs once per
-distinct (frame, BER, r), and ``_path`` reads them through a table and
-an index. Only IEEE ``+ - * /`` run in numpy, in the scalar formulas'
-order (a per-hop loop, no mask); ``q**m``, ``log`` and ``expm1`` are
-per-element ``math`` calls, as numpy's can differ from libm in the last
-bit. So every field equals a scalar evaluation bit for bit.
+distinct (MSS, alpha), one call of the array hop layer
+(``hopmodel.hop_model_array``) evaluates every distinct (frame, BER, r)
+of the call, and ``_path`` reads them through a table and an index. Only
+IEEE ``+ - * /`` run in numpy, in the scalar formulas' order (a per-hop
+loop, no mask); ``q**m``, ``log`` and ``expm1`` are per-element ``math``
+calls, as numpy's can differ from libm in the last bit. So every field
+equals a scalar evaluation bit for bit.
 ``segment_model`` is the one-point case; callers with many points batch
 them, and bound the points per call to bound a pass's memory.
 
@@ -43,13 +44,15 @@ from itertools import chain, repeat
 import numpy as np
 
 from .framing import FrameLayout, LayoutError, resolve_frames
-from .hopmodel import HopModel, HopParams, hop_model
+from .hopmodel import HopArrays, HopModel, HopParams, hop_model_array
 
 __all__ = [
     "PathScenario",
     "EnergyParams",
     "ModelReport",
     "ModelBatch",
+    "MAX_HOPS",
+    "check_hop_count",
     "uniform_path",
     "fragment_failure_sum",
     "segment_model",
@@ -62,11 +65,23 @@ FLAG_DIVERGES = "diverges"
 FLAG_DEGENERATE_HOP = "degenerate_hop"
 
 
+#: The most hops of a path. A hop count is checked against it before any
+#: per-hop tuple or index row of that length is built.
+MAX_HOPS = 1024
+
+
+def check_hop_count(h: int) -> None:
+    """Refuse a path of fewer than one or more than ``MAX_HOPS`` hops."""
+    if h < 1:
+        raise ValueError("scenario needs at least one hop")
+    if h > MAX_HOPS:
+        raise ValueError(f"a path has at most {MAX_HOPS} hops, got {h}")
+
+
 def uniform_path(h: int, ber: float, r: int = HopParams.r) -> tuple[HopParams, ...]:
     """h identical hops; convenience for the homogeneous-path scenarios."""
-    if h < 1:
-        raise ValueError(f"need at least one hop, got {h}")
-    return tuple(HopParams(ber=ber, r=r) for _ in range(h))
+    check_hop_count(h)
+    return (HopParams(ber=ber, r=r),) * h
 
 
 @dataclass(frozen=True)
@@ -80,8 +95,7 @@ class PathScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "hops", tuple(self.hops))
-        if len(self.hops) < 1:
-            raise ValueError("scenario needs at least one hop")
+        check_hop_count(len(self.hops))
         if self.mss_bytes < 1:
             raise ValueError(f"mss_bytes must be >= 1, got {self.mss_bytes}")
         if self.transfer_bytes < 1:
@@ -151,18 +165,18 @@ def _path(table: np.ndarray, index: np.ndarray):
     failure term is then exactly 0.0 and changes nothing, as the scalar
     loop's stop there does, with no mask and no NaN.
     """
-    f, h_s, h_f, degenerate = table
-    keep = 1.0 - f
+    table = np.concatenate([table, [1.0 - table[0]]])  # and each hop's 1 - f
     n = index.shape[1]
     q = np.ones(n)
     e_s = np.zeros(n)
     total = np.zeros(n)
     dead = np.zeros(n)
     for hop in index:
-        total = total + (e_s + h_f[hop]) * q * f[hop]
-        q = q * keep[hop]
-        e_s = e_s + h_s[hop]
-        dead = dead + degenerate[hop]
+        f, h_s, h_f, degenerate, keep = table[:, hop]
+        total = total + (e_s + h_f) * q * f
+        q = q * keep
+        e_s = e_s + h_s
+        dead = dead + degenerate
     return q, e_s, total, dead != 0.0
 
 
@@ -232,18 +246,23 @@ def _record(values) -> dict:
 
 class _HopPaths(Sequence):
     """A ``data_hops`` or ``ack_hops`` column: each point's HopModel tuple,
-    built on read from the models by table column and ``_path``'s index;
-    None where ``lengths``, the points' hop counts, reads None."""
+    built on read from the hop table (``HopArrays``, an element per key)
+    through ``_path``'s index, whose 0 is the no-op hop; None where
+    ``lengths``, the points' hop counts, reads None."""
 
-    def __init__(self, models: list, index: np.ndarray, lengths: list[int | None]):
-        self.models, self.index, self.lengths = models, index, lengths
+    def __init__(self, table: HopArrays, index: np.ndarray, lengths: list[int | None]):
+        self.table, self.index, self.lengths = table, index, lengths
 
     def __len__(self) -> int:
         return len(self.lengths)
 
     def __getitem__(self, i: int) -> tuple[HopModel, ...] | None:
         h = self.lengths[i]
-        return None if h is None else tuple(self.models[k] for k in self.index[:h, i].tolist())
+        if h is None:
+            return None
+        keys = self.index[:h, i].tolist()
+        models = {k: self.table.model(k - 1) for k in set(keys)}
+        return tuple(models[k] for k in keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +282,11 @@ class ModelBatch:
     def column(self, name: str) -> list:
         """Field ``name`` of every point, None where undefined or errored."""
         values = self.columns[name]
-        values = values.tolist() if isinstance(values, np.ndarray) else values
-        return [None if v != v else v for v in values]  # NaN is None
+        if not isinstance(values, np.ndarray):
+            return list(values)
+        if not np.isnan(values).any():
+            return values.tolist()
+        return [None if v != v else v for v in values.tolist()]  # NaN is None
 
     def report(self, i: int) -> ModelReport:
         """Point i's ModelReport; raises its LayoutError, if any."""
@@ -274,11 +296,18 @@ class ModelBatch:
                for name, values in self.columns.items()}
         return ModelReport(**{name: None if v != v else v for name, v in row.items()})
 
-    def records(self) -> Iterator[dict | LayoutError]:
-        """Each point's ``ModelReport.to_record()`` in turn, or its LayoutError."""
-        rows = zip(*map(self.column, _RECORD_FIELDS))
+    def records(self, **lead: Sequence) -> Iterator[dict | LayoutError]:
+        """Each point's ``ModelReport.to_record()`` in turn, or its LayoutError.
+
+        ``lead`` maps names to columns, a value per point, that open each
+        record, ahead of the fields.
+        """
+        flags = [None if f is None else ";".join(f) for f in self.columns["flags"]]
+        names = (*lead, *_RECORD_FIELDS)
+        rows = zip(*lead.values(), *(
+            flags if name == "flags" else self.column(name) for name in _RECORD_FIELDS))
         for err, row in zip(self.errors, rows):
-            yield err if err is not None else _record(row)
+            yield err if err is not None else dict(zip(names, row))
 
 
 def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> ModelReport:
@@ -324,51 +353,60 @@ def segment_models(
     hs = [len(hops)] * n if h is None else list(h)
     alphas = [base.layout.alpha] * n if alpha is None else list(alpha)
     msss = [base.mss_bytes] * n if mss is None else list(mss)
-    # PathScenario checks each distinct h and MSS, FrameLayout each alpha
-    segment_counts = {(k, m): (base if (k, m) == (len(hops), base.mss_bytes) else PathScenario(
-        hops if h is None else hops[:1] * k, base.layout, m, base.transfer_bytes)).segments
-        for k, m in dict.fromkeys(zip(hs, msss))}
-    keys = list(zip(msss, alphas))
-    frames = {}  # (mss, alpha) -> its frames or their LayoutError, and frame sizes
-    for m, a in dict.fromkeys(keys):
+    # PathScenario checks each distinct h (its count first, before a tuple
+    # of that many hops exists) and MSS, FrameLayout each alpha
+    segment_counts = {}
+    for k, m in dict.fromkeys(zip(hs, msss)):
+        check_hop_count(k)
+        segment_counts[k, m] = (base if (k, m) == (len(hops), base.mss_bytes) else PathScenario(
+            hops if h is None else hops[:1] * k, base.layout, m, base.transfer_bytes)).segments
+    frames = {}  # (mss, alpha) -> (m, then (d, c) of the data and the ACK frame) or LayoutError
+    for m, a in dict.fromkeys(zip(msss, alphas)):
         layout = base.layout if a == base.layout.alpha else replace(base.layout, alpha=a)
         try:
             fr = resolve_frames(m, layout)
-            frames[m, a] = fr, (fr.d_data_bits, fr.c_data_bits), (fr.d_ack_bits, fr.c_ack_bits)
         except LayoutError as exc:
-            frames[m, a] = exc, (), ()
-    point_frames = [frames[key][0] for key in keys]
+            frames[m, a] = exc
+        else:
+            frames[m, a] = fr.m, fr.d_data_bits, fr.c_data_bits, fr.d_ack_bits, fr.c_ack_bits
+    point_frames = [frames[key] for key in zip(msss, alphas)]
     errors = [fr if isinstance(fr, LayoutError) else None for fr in point_frames]
+    point_frames = [(None,) * 5 if err else fr for fr, err in zip(point_frames, errors)]
+
     # a row of (ber, r) per hop position that can differ, one for a repeated hop
     one_hop = h is not None or (ber_shared or ber is not None) and (r_shared or r is not None)
     pairs = [  # each hop position's (ber, r) at every point
         list(zip(repeat(hp.ber, n) if ber is None else ber, repeat(hp.r, n) if r is None else r))
         for hp in (hops[:1] if one_hop else hops)
     ]
-    params = {pair: HopParams(*pair) for pair in dict.fromkeys(chain.from_iterable(pairs))}
+    for pair in dict.fromkeys(chain.from_iterable(pairs)):
+        HopParams(*pair)
 
     # One table for the data and the ACK hops: a column per distinct (frame,
     # ber, r), column 0 the no-op hop that pads shorter paths and fills those
     # of points whose frames did not resolve. The index holds the data paths,
     # then the ACK paths, which cross the hops in reverse.
     table_ids = {}  # (d, c, ber, r) -> table column
-    bits = [frames[key][1] for key in keys] + [frames[key][2] for key in keys]
+    bits = [fr[1:3] for fr in point_frames] + [fr[3:] for fr in point_frames]
     index = np.array([
-        [table_ids.setdefault(frame + pair, len(table_ids) + 1) if frame else 0
+        [table_ids.setdefault(frame + pair, len(table_ids) + 1) if frame[0] else 0
          for frame, pair in zip(bits, there + back)]
         for there, back in zip(pairs, pairs[::-1])
-    ], dtype=int)
+    ], dtype=np.int64)
     lengths = [0 if err else k for k, err in zip(hs, errors)] * 2
     width = max([len(index), *lengths])
     index = index.repeat(width // len(index), axis=0)  # a repeated hop's row, h times
     if min(lengths, default=width) < width:  # shorter paths end in no-op hops
         index = np.where(np.arange(width)[:, None] < lengths, index, 0)
+    d, c, bers, rs = zip(*table_ids) if table_ids else ((),) * 4
     a = base.layout.ll_ack_bits
-    models = [None] + [hop_model(*key[:2], a, params[key[2:]]) for key in table_ids]
-    table = np.array([(0.0, 0.0, 0.0, 0.0)] + [(
-        hm.f, 0.0 if hm.degenerate else hm.h_s, hm.h_f, float(hm.degenerate)) for hm in models[1:]
-    ]).T
+    hop_table = hop_model_array(d, c, a, bers, rs)
+    degenerate = np.isnan(hop_table.h_s)
+    table = np.concatenate([np.zeros((4, 1)), [
+        hop_table.f, np.where(degenerate, 0.0, hop_table.h_s), hop_table.h_f, degenerate,
+    ]], axis=1)
 
+    m_col, *bits = list(zip(*point_frames)) or [()] * 5
     columns = {
         "mss_bytes": msss,
         "transfer_bytes": [base.transfer_bytes] * n,
@@ -376,16 +414,16 @@ def segment_models(
         "ber": list(ber) if ber is not None else [hops[0].ber if ber_shared else None] * n,
         "r": list(r) if r is not None else [hops[0].r if r_shared else None] * n,
         "alpha": alphas,
-        **{name: [getattr(fr, name, None) for fr in point_frames]
-           for name in ("m", "d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits")},
+        "m": m_col,
+        **dict(zip(("d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits"), bits)),
         "a_bits": [a] * n,
         "segments": [segment_counts[key] for key in zip(hs, msss)],
     }
     if any(errors):  # a point whose frames did not resolve reads None throughout
         columns = {name: [None if err else v for v, err in zip(values, errors)]
                    for name, values in columns.items()}
-    columns["data_hops"] = _HopPaths(models, index[:, :n], columns["h"])
-    columns["ack_hops"] = _HopPaths(models, index[:, n:], columns["h"])
+    columns["data_hops"] = _HopPaths(hop_table, index[:, :n], columns["h"])
+    columns["ack_hops"] = _HopPaths(hop_table, index[:, n:], columns["h"])
     # float(int) rounds as Python's int * float does, and None becomes NaN
     m, segments = (np.array(columns[name], dtype=float) for name in ("m", "segments"))
     columns.update(_segment_columns(_path(table, index), m, segments, energy))

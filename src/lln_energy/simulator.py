@@ -53,7 +53,7 @@ import numpy as np
 
 from .config import RunConfig
 from .framing import resolve_frames
-from .hopmodel import MAX_FLOAT_COMB_N, AttemptProbs, attempt_probs
+from .hopmodel import MAX_FLOAT_COMB_N, AttemptProbs, attempt_probs_array
 from .pathmodel import EnergyParams, PathScenario
 
 __all__ = [
@@ -238,14 +238,16 @@ class _Aggregate:
         a = scenario.layout.ll_ack_bits
         self.m = m = frames.m
         self.segments = scenario.segments
-        data = [
-            _HopTables(attempt_probs(frames.d_data_bits, frames.c_data_bits, a, hp.ber), hp.r)
-            for hp in scenario.hops
-        ]
-        ack = [  # the TCP ACK travels the path backwards
-            _HopTables(attempt_probs(frames.d_ack_bits, frames.c_ack_bits, a, hp.ber), hp.r)
-            for hp in reversed(scenario.hops)
-        ]
+
+        def tables(hops, d_bits, c_bits) -> list[_HopTables]:
+            """A phase's hops, their attempt probabilities in one call."""
+            probs = attempt_probs_array(d_bits, c_bits, a, [hp.ber for hp in hops])
+            return [_HopTables(AttemptProbs(*p), hp.r)
+                    for hp, *p in zip(hops, *(x.tolist() for x in probs))]
+
+        data = tables(scenario.hops, frames.d_data_bits, frames.c_data_bits)
+        # the TCP ACK travels the path backwards
+        ack = tables(scenario.hops[::-1], frames.d_ack_bits, frames.c_ack_bits)
 
         # One row per hop traversal type (data hops, then ACK hops), padded
         # at the front so the last column is always a real delivered class:

@@ -315,6 +315,11 @@ class TestExitCodes:
         (("frontier", "--family", "r", "--values", "3", "--h-range", "0:2"),
          "scenario needs at least one hop"),
         (("sweep", "--axis", "mss", "--grid", "64,inf"), "mss must be finite, got inf"),
+        (("sweep", "--axis", "h", "--grid", "1,1e9", "--mss-list", "64"),
+         "a path has at most 1024 hops, got 1000000000"),
+        (("model", "--hops", "1000000000"), "a path has at most 1024 hops, got 1000000000"),
+        (("frontier", "--family", "r", "--values", "3", "--h-range", "1:2000"),
+         "a path has at most 1024 hops, got 1025"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

@@ -10,8 +10,8 @@ from lln_energy import explorer
 from lln_energy.cli import _strict_trips, main
 from lln_energy.config import RunConfig
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
-from lln_energy.framing import FrameLayout, LayoutError, resolve_frames
-from lln_energy.hopmodel import HopParams, hop_model
+from lln_energy.framing import FrameLayout, LayoutError
+from lln_energy.hopmodel import HopParams
 from lln_energy.pathmodel import EnergyParams, PathScenario, segment_models, uniform_path
 
 import scalar_oracle
@@ -196,8 +196,8 @@ class TestCrossover:
             assert ("multiple_crossovers" in pt.flags) == multiple, signs
 
     def test_same_point_cold_and_after_a_frontier(self):
-        hop_model.cache_clear()
-        resolve_frames.cache_clear()
+        # a frontier shares hop keys with this search; nothing it computes
+        # outlives its own calls
         cold = crossover_ber(base_scenario(h=3))
         frontier(base_scenario(), "r", [3], range(1, 10))
         assert crossover_ber(base_scenario(h=3)) == cold

@@ -1,6 +1,7 @@
 """Frame resolution tests: fragment counts, FEC sizing, MTU fitting."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from lln_energy.framing import (
     MAX_FRAME_BITS,
     FrameLayout,
     LayoutError,
+    _fec_expand,
     default_fragment_count,
     resolve_frames,
 )
@@ -81,7 +83,7 @@ def test_fit_mode_respects_mtu():
 
 def test_fit_mode_rejects_hopeless_alpha():
     lay = FrameLayout(alpha=10.0, fragments="fit")
-    # resolve_frames caches results, not exceptions: every call refuses
+    # every call refuses
     for _ in range(2):
         with pytest.raises(LayoutError):
             resolve_frames(64, lay)
@@ -149,3 +151,22 @@ def test_resolution_invariants(mss, alpha, frag):
         assert fr.d_data_bits == fr.k_data_bits and fr.c_data_bits == 0
     # pure function: same inputs, same outputs
     assert resolve_frames(mss, lay) == fr
+
+
+@given(
+    alpha=st.one_of(
+        st.floats(0.0, 1e6, allow_subnormal=True),
+        st.floats(0.0, 1e-300, allow_subnormal=True),
+        st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 2.5, 1e308]),
+    ),
+    k=st.integers(1, 2**40),
+)
+@settings(max_examples=300, deadline=None)
+def test_fec_expansion_is_the_exact_ceiling(alpha, k):
+    # ceil(alpha*k) from alpha's integer ratio equals the Fraction formula
+    want = k + (math.ceil(Fraction(alpha) * k) if alpha > 0.0 else 0)
+    if want > MAX_FRAME_BITS:
+        with pytest.raises(LayoutError):
+            _fec_expand(k, alpha)
+    else:
+        assert _fec_expand(k, alpha) == (want, (want - k) // 2)

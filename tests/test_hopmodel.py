@@ -4,11 +4,13 @@ Frozen reference values were computed with mpmath at 50 decimal digits
 (see oracle helpers below); the ARQ expectation is checked against a
 brute-force enumeration of every attempt sequence, which knows nothing
 about the closed form, and against the binomial double sum over attempt
-classes, evaluated with mpmath at 50 digits.
+classes, evaluated with mpmath at 50 digits. The array hop layer equals
+the scalar transcription in ``scalar_oracle`` with ``==``.
 """
 
 import itertools
 import math
+import random
 import sys
 
 import mpmath
@@ -21,10 +23,16 @@ from lln_energy.hopmodel import (
     AttemptProbs,
     HopParams,
     attempt_probs,
+    attempt_probs_array,
     expected_success_bits,
+    expected_success_bits_array,
     frame_error_prob,
+    frame_error_prob_array,
     hop_model,
+    hop_model_array,
 )
+
+import scalar_oracle
 
 
 def enum_success_bits(pf, pp, r, d, a):
@@ -258,7 +266,7 @@ class TestHopModel:
             HopParams(ber=1.0, r=3)
         with pytest.raises(ValueError):
             HopParams(ber=0.1, r=0)
-        # a float r would share hop_model's cache entry with the int it equals
+        # a float r would compare equal to, yet differ in type from, the int it equals
         for r in (3.0, 2.5):
             with pytest.raises(ValueError, match="r must be an integer"):
                 HopParams(ber=1e-3, r=r)
@@ -271,3 +279,96 @@ class TestHopModel:
         assert HopParams(ber=3e-4, r=1029).r == 1029
         with pytest.raises(ValueError, match="r must be <= 1029, got 1030"):
             HopParams(ber=3e-4, r=1030)
+
+
+def assert_equals_the_scalar_oracle(keys):
+    """Every array function over ``keys`` (d, c, a, ber, r) equals the scalar
+    oracle key by key, with ==; the scalar names do too."""
+    d, c, a, ber, r = (list(col) for col in zip(*keys))
+    hops = hop_model_array(d, c, a, ber, r)
+    p_fail = frame_error_prob_array(d, c, ber)
+    probs = attempt_probs_array(d, c, a, ber)
+    h_s = expected_success_bits_array(*probs, r, d, a)
+    for i, (dd, cc, aa, b, rr) in enumerate(keys):
+        want = scalar_oracle.hop_model(dd, cc, aa, HopParams(b, rr))
+        assert hops.model(i) == want, keys[i]
+        assert hop_model(dd, cc, aa, HopParams(b, rr)) == want
+        assert p_fail[i] == want.probs.p_fail == frame_error_prob(dd, cc, b)
+        assert AttemptProbs(*(x.item(i) for x in probs)) == want.probs
+        assert attempt_probs(dd, cc, aa, b) == want.probs
+        got = None if math.isnan(h_s[i]) else h_s.item(i)
+        assert got == want.h_s == expected_success_bits(want.probs, rr, dd, aa)
+
+
+class TestArrayHopLayer:
+    """``hop_model_array`` and the array steps under it, against the scalar
+    transcription they replaced."""
+
+    @given(
+        keys=st.lists(
+            st.tuples(
+                st.integers(1, 4000),
+                st.floats(0.0, 1.0),
+                st.integers(1, 300),
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(0.0, 0.999),
+                    st.floats(-12.0, -0.01).map(lambda x: 10.0**x),
+                ),
+                st.one_of(st.integers(1, 8), st.integers(1, 1029)),
+            ).map(lambda k: (k[0], round(k[1] * k[0]), *k[2:])),
+            min_size=1, max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scalar_oracle(self, keys):
+        assert_equals_the_scalar_oracle(keys)
+
+    def test_dense_seeded_grid_equals_the_scalar_oracle(self):
+        # both tails (c < d*ber sums the lower one), sums past 1e250 that
+        # rescale once or many times, BER 0, c = d, r up to 1029, frames
+        # near 2**53 bits (whose r*d passes int64), and products past 2**53
+        rng = random.Random(14)
+        keys = [(d, c, 40, ber, r)
+                for d in (1, 7, 952, 1048, 5192)
+                for c in sorted({0, 1, 48, d // 4, d})
+                if c <= d
+                for ber in (0.0, 1e-9, 3e-4, 0.05, 0.3, 0.6, 0.999)
+                for r in (1, 3, 7)]
+        keys += [  # long lower tails: 1e250 rescales, a chunk of rows at once
+            (3000, 600, 40, 0.5, 3), (20000, 5000, 40, 0.6, 1), (9000, 2000, 5, 0.45, 2),
+            (4001, 1999, 40, 0.9, 7), (1500, 10, 40, 0.2, 1029),
+        ]
+        # lower tails just below the mean, rescaled several times and summing
+        # to a probability near 1/2, whose every bit shows in p_fail
+        keys += [(d, int(d * ber) - j, 40, ber, 3)
+                 for d in (2000, 3001, 5000, 8000) for ber in (0.3, 0.5, 0.7, 0.9)
+                 for j in (1, 4, 17)]
+        keys += [(2**53 - rng.randrange(100), c, a, ber, r)
+                 for c, a, ber, r in ((0, 40, 1e-16, 1029), (3, 40, 1e-17, 1029),
+                                      (0, 1, 3e-16, 1), (2, 2**40, 1e-18, 7))]
+        keys += [(2**50 + rng.randrange(1000), 0, 40, 1e-15, 100) for _ in range(3)]
+        keys += [(rng.randrange(1, 3000), rng.randrange(0, 200), rng.randrange(1, 100),
+                  rng.choice([0.0, 10 ** rng.uniform(-9, -0.01), rng.uniform(0, 0.99)]),
+                  rng.choice([1, 2, 3, rng.randrange(1, 1030)]))
+                 for _ in range(300)]
+        keys = [(d, min(c, d), a, ber, r) for d, c, a, ber, r in keys]
+        assert any(c < d * ber for d, c, _, ber, _ in keys)
+        assert any(0 < c and c >= d * ber for d, c, _, ber, _ in keys)
+        assert_equals_the_scalar_oracle(keys)
+        rng.shuffle(keys)  # a key's result does not depend on its neighbours
+        assert_equals_the_scalar_oracle(keys)
+
+    def test_long_tail_rescales_and_matches(self):
+        # a lower tail of 20 000 terms rescales its sum past 1e250 dozens of
+        # times; one row alone and beside short rows gives the same bits
+        d, c, ber = 60000, 20000, 0.5
+        want = scalar_oracle.frame_error_prob(d, c, ber)
+        assert frame_error_prob(d, c, ber) == want
+        got = frame_error_prob_array([d, 952, 1048], [c, 0, 48], [ber, 3e-4, 3e-4])
+        assert got[0] == want
+        assert got[2] == scalar_oracle.frame_error_prob(1048, 48, 3e-4)
+
+    def test_empty_columns(self):
+        hops = hop_model_array([], [], 40, [], [])
+        assert all(len(x) == 0 for x in hops)

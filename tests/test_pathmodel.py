@@ -289,8 +289,11 @@ class TestSegmentModel:
 
 
 class TestModelCaches:
+    """No model function keeps results between calls: a call's records
+    depend only on its arguments."""
+
     SCENARIOS = (
-        # heterogeneous hops: each (ber, r) is its own cache entry
+        # heterogeneous hops: each (ber, r) is its own hop key
         PathScenario(
             hops=(HopParams(1e-5, 3), HopParams(1e-3, 2), HopParams(3e-4, 3)),
             layout=LAYOUT, mss_bytes=512,
@@ -306,21 +309,24 @@ class TestModelCaches:
         ),
     )
 
-    def test_cold_warm_and_uncached_records_equal(self, monkeypatch):
-        hop_model.cache_clear()
-        resolve_frames.cache_clear()
+    def test_cold_warm_and_uncached_records_equal(self):
+        # first calls, the same calls again after a batch that shares their
+        # hop keys, and the scalar oracle, which evaluates every hop afresh
         cold = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
+        segment_models(self.SCENARIOS[1], ber=[3e-4, 1e-5], mss=[512, 64])
         warm = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
-        assert hop_model.cache_info().hits > 0
-        monkeypatch.setattr(pathmodel, "hop_model", hop_model.__wrapped__)
-        monkeypatch.setattr(pathmodel, "resolve_frames", resolve_frames.__wrapped__)
-        uncached = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
+        uncached = [scalar_oracle.segment_model(sc).to_record(per_hop=True)
+                    for sc in self.SCENARIOS]
         assert cold == warm == uncached
         assert "degenerate_hop" in cold[2]["flags"]
 
     def test_caches_are_bounded(self):
-        for cached in (hop_model, resolve_frames):
-            assert cached.cache_info().maxsize is not None
+        # bounded by having none: no function of the package memoizes
+        for fn in (hop_model, resolve_frames, segment_model):
+            assert not hasattr(fn, "cache_info")
+        package = Path(pathmodel.__file__).parent
+        assert not [path.name for path in package.glob("*.py")
+                    if "lru_cache" in path.read_text()]
 
 
 # Strategies for the batched core's property test: BER over [0, 0.5] with
