@@ -99,9 +99,7 @@ def _add_sim(p: _Parser):
     p.add_argument("--workers", type=int, help="parallel replication workers")
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The CLI's parser; given a subcommand, with that subcommand's parser
-    alone, which is all that parsing an argument list it starts reads."""
+def build_parser() -> _Parser:
     parser = _Parser(prog="lln-energy", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"lln-energy {__version__}")
@@ -114,8 +112,6 @@ def build_parser(command: str | None = None) -> _Parser:
         ("sweep", "model rows along one parameter axis"),
         ("frontier", "MSS crossover-BER curves"),
     ):
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         _add_io(p)
         _add_common(p)
@@ -296,8 +292,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _CliError as exc:

@@ -220,9 +220,9 @@ def _binom_range_sums(d, lo, hi, p, log_q) -> np.ndarray:
             for n, k, b in zip(d[upper].tolist(), lo[upper].tolist(), p[upper].tolist())]
     offset = head + (d - lo) * log_q
     live = np.flatnonzero(lo < hi)
-    if live.size:
-        offset = offset + np.array([
-            math.log(x) for x in _term_sums(d, lo, hi, p, offset, live).tolist()])
+    if live.size:  # each of these sums takes its rescales into offset
+        sums = _term_sums(d, lo, hi, p, offset, live)
+        offset = offset + np.array([math.log(x) for x in sums.tolist()])
     else:  # every sum is its first term, 1.0
         offset = offset + math.log(1.0)
     return np.array([math.exp(x) for x in offset.tolist()])
@@ -230,89 +230,63 @@ def _binom_range_sums(d, lo, hi, p, log_q) -> np.ndarray:
 
 def _term_sums(d, lo, hi, p, offset, live) -> np.ndarray:
     """Each row's running sum of terms, the first term 1.0, at the end of
-    its recurrence; ``offset`` takes each row's rescales.
+    its recurrence; ``offset`` takes each row's rescales, in place.
 
     The recurrence runs over a term axis: ``np.multiply.accumulate`` and
     ``np.add.accumulate`` are sequential, so a row of terms gives the
     scalar loop's running term and sum. The ``live`` rows, those with
     terms past the first, run in rounds of one (rows x terms) matrix,
-    whose width follows the longest run of the round before, until each
-    row's first event: its terms decaying past the mode (it is done), the
-    end of its range, or its sum passing 1e250. Then it is rescaled, as
-    the scalar loop does, and finishes on its own (``_rescaled_sum``): its
-    next terms start from the rescaled one, and a long lower tail
-    rescales every few hundred terms.
+    whose width follows the longest run of the round before, each row up
+    to its first event: its terms decaying past the mode (it is done),
+    the end of its range (done too), or its sum passing 1e250. There the
+    row's term and sum are divided by 1e250 and its offset takes
+    log(1e250), as in the scalar loop, and it runs on in the next round.
+    A long lower tail rescales every few hundred terms. The state of the
+    rows still running is kept compact, one element each.
     """
-    t = np.ones(len(d))
-    acc = np.ones(len(d))
+    out = np.ones(len(d))
+    d, hi, pos, p, shift = d[live], hi[live], lo[live], p[live], offset[live]
     ratio = p / (1.0 - p)
     mode = d * p
-    pos = lo.copy()
-    scaled = []
+    t = acc = np.ones(live.size)
     width = _FIRST_TERMS
-    while live.size:
-        left = hi[live] - pos[live]
-        width = max(1, min(width, _MAX_CELLS // live.size, int(left.max())))
-        steps = np.arange(width)
-        i = pos[live, None] + steps
-        terms = np.empty((live.size, width + 1))
-        terms[:, 0] = t[live]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(ratio[live, None] * (d[live, None] - i), i + 1.0, out=terms[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            left = hi - pos
+            width = max(1, min(width, _MAX_CELLS // live.size, int(left.max())))
+            steps = np.arange(width)
+            i = pos[:, None] + steps
+            terms = np.empty((live.size, width + 1))
+            terms[:, 0] = t
+            np.divide(ratio[:, None] * (d[:, None] - i), i + 1.0, out=terms[:, 1:])
             np.multiply.accumulate(terms, axis=1, out=terms)
             sums = terms.copy()
-            sums[:, 0] = acc[live]
+            sums[:, 0] = acc
             np.add.accumulate(sums, axis=1, out=sums)
             terms, sums = terms[:, 1:], sums[:, 1:]
-            over = sums > _RESCALE
-            event = over | ((i > mode[live, None]) & (terms < sums * 1e-20))
-        event &= steps < left[:, None]
-        hit = event.any(axis=1)
-        last = np.where(hit, event.argmax(axis=1), np.minimum(width, left) - 1)
-        rows = np.arange(live.size)
-        t[live] = terms[rows, last]
-        acc[live] = sums[rows, last]
-        pos[live] += last + 1
-        rescaled = hit & over[rows, last]
-        scaled += live[rescaled].tolist()
-        live = live[~hit & (pos[live] < hi[live])]
-        width = 2 * int(last.max()) + 2
-    for k in scaled:
-        acc[k], offset[k] = _rescaled_sum(
-            d.item(k), pos.item(k), hi.item(k), ratio.item(k),
-            t.item(k) / _RESCALE, acc.item(k) / _RESCALE, offset.item(k) + math.log(_RESCALE))
-    return acc
-
-
-def _rescaled_sum(d, pos, hi, ratio, t, acc, offset) -> tuple[float, float]:
-    """One row of ``_binom_range_sums`` from term ``pos`` on, given its
-    running term, sum and offset: the scalar loop in chunks of terms, each
-    chunk ending where its sum passes 1e250. The sum of a chunk never
-    falls, so one binary search finds that. Only a lower tail, every term
-    below the mode, grows that far, so the early stop past the mode never
-    applies. Returns (sum, offset)."""
-    width = _FIRST_TERMS
-    with np.errstate(over="ignore"):
-        while pos < hi:
-            i = np.arange(pos, min(hi, pos + width))
-            terms = np.empty(len(i) + 1)
-            terms[0] = t
-            np.divide(ratio * (d - i), i + 1.0, out=terms[1:])
-            np.multiply.accumulate(terms, out=terms)
-            sums = terms.copy()
-            sums[0] = acc
-            np.add.accumulate(sums, out=sums)
-            end = int(sums.searchsorted(_RESCALE, side="right"))  # its first sum past 1e250
-            if end == len(sums):
-                t, acc = terms.item(-1), sums.item(-1)
-                pos += len(i)
-                width *= 2
-            else:
-                t, acc = terms.item(end) / _RESCALE, sums.item(end) / _RESCALE
-                offset += math.log(_RESCALE)
-                pos += end
-                width = 2 * end
-    return acc, offset
+            event = over = sums > _RESCALE
+            if (i[:, -1] > mode).any():  # a term past the mode
+                event = over | ((i > mode[:, None]) & (terms < sums * 1e-20))
+            event = event & (steps < left[:, None])
+            rows = np.arange(live.size)
+            last = event.argmax(axis=1)
+            hit = event[rows, last]
+            last = np.where(hit, last, np.minimum(width, left) - 1)
+            t, acc = terms[rows, last], sums[rows, last]
+            pos = pos + last + 1
+            rescaled = hit & over[rows, last]
+            if rescaled.any():
+                t[rescaled] /= _RESCALE
+                acc[rescaled] /= _RESCALE
+                shift[rescaled] += math.log(_RESCALE)
+            going = (rescaled | ~hit) & (pos < hi)
+            if not going.all():
+                out[live[~going]] = acc[~going]
+                offset[live[~going]] = shift[~going]
+                live, d, hi, pos, ratio, mode, t, acc, shift = (
+                    x[going] for x in (live, d, hi, pos, ratio, mode, t, acc, shift))
+            width = 2 * int(last.max()) + 2
+    return out
 
 
 def attempt_probs_array(d_bits, c_bits, a_bits, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -73,7 +73,7 @@ MAX_HOPS = 1024
 def check_hop_count(h: int) -> None:
     """Refuse a path of fewer than one or more than ``MAX_HOPS`` hops."""
     if h < 1:
-        raise ValueError("scenario needs at least one hop")
+        raise ValueError(f"scenario needs at least one hop, got {h}")
     if h > MAX_HOPS:
         raise ValueError(f"a path has at most {MAX_HOPS} hops, got {h}")
 
@@ -224,7 +224,8 @@ class ModelReport:
         The columns are the fields in order, less the per-hop models, which
         ``per_hop=True`` flattens after ``flags``.
         """
-        rec = _record(getattr(self, name) for name in _RECORD_FIELDS)
+        rec = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        rec["flags"] = _joined(self.flags)
         if per_hop:
             for side, hops in (("data", self.data_hops), ("ack", self.ack_hops)):
                 for name in ("f", "h_s", "h_f"):
@@ -237,11 +238,9 @@ _REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
 _RECORD_FIELDS = tuple(name for name in _REPORT_FIELDS if name not in ("data_hops", "ack_hops"))
 
 
-def _record(values) -> dict:
-    """The values of ``_RECORD_FIELDS`` as a record, flags joined."""
-    rec = dict(zip(_RECORD_FIELDS, values))
-    rec["flags"] = ";".join(rec["flags"])
-    return rec
+def _joined(flags: tuple[str, ...]) -> str:
+    """A record's ``flags`` field: the flags joined by ';'."""
+    return ";".join(flags)
 
 
 class _HopPaths(Sequence):
@@ -302,7 +301,7 @@ class ModelBatch:
         ``lead`` maps names to columns, a value per point, that open each
         record, ahead of the fields.
         """
-        flags = [None if f is None else ";".join(f) for f in self.columns["flags"]]
+        flags = [None if f is None else _joined(f) for f in self.columns["flags"]]
         names = (*lead, *_RECORD_FIELDS)
         rows = zip(*lead.values(), *(
             flags if name == "flags" else self.column(name) for name in _RECORD_FIELDS))

@@ -204,6 +204,18 @@ class TestFragmentFailure:
 
 
 class TestSegmentModel:
+    @pytest.mark.parametrize("make", [
+        lambda h: uniform_path(h, 1e-4),
+        lambda h: PathScenario(hops=(HopParams(1e-4),) * h, layout=LAYOUT, mss_bytes=64),
+    ])
+    def test_hop_count_is_bounded(self, make):
+        for h, says in ((0, "at least one hop, got 0"),
+                        (pathmodel.MAX_HOPS + 1, "at most 1024 hops, got 1025")):
+            with pytest.raises(ValueError, match=says):
+                make(h)
+        make(1)
+        make(pathmodel.MAX_HOPS)
+
     def test_zero_noise_closed_form(self):
         sc = PathScenario(hops=uniform_path(5, 0.0, 3), layout=LAYOUT, mss_bytes=64)
         rep = segment_model(sc)
