@@ -318,7 +318,12 @@ def main(argv: list[str] | None = None) -> int:
 
     meta = _metadata(cfg, include_seed=args.command in ("simulate", "validate"))
     if args.output:
-        with open(args.output, "w", newline="") as fh:
+        try:
+            fh = open(args.output, "w", newline="")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 1
+        with fh:
             _emit(rows, args.format, meta, fh)
     else:
         _emit(rows, args.format, meta, sys.stdout)

@@ -9,15 +9,17 @@ needlessly (partial failure), or both directions get through (success). The
 sender stops at the first success, or gives up after ``r`` attempts.
 
 Every quantity is computed over arrays, one element per (d, c, a, ber, r)
-key: ``hop_model_array`` and the three ``*_array`` steps under it. Only
-IEEE ``+ - * /`` run in numpy, each element in the order of the scalar
-formulas; ``lgamma``, ``log``, ``log1p``, ``exp`` and ``**`` are
-per-element ``math`` calls, as numpy's may differ from libm in the last
-bit. Integer products (``k*d + a``, ``r*d``, ``a*r``) are exact before
-their one conversion to float. So every element equals the scalar
+key, in three steps: the binomial tail (``_frame_error_probs``), the
+attempt outcomes (``_attempt_probs``) and the ARQ sums (``_success_bits``).
+``hop_model_array`` is the one array entry, all three steps over a
+call's keys. Only IEEE ``+ - * /`` run in numpy, each element in the
+order of the scalar formulas; ``lgamma``, ``log``, ``log1p``, ``exp`` and
+``**`` are per-element ``math`` calls, as numpy's may differ from libm in
+the last bit. Integer products (``k*d + a``, ``r*d``, ``a*r``) are exact
+before their one conversion to float. So every element equals the scalar
 evaluation bit for bit. The scalar names (``frame_error_prob``,
-``attempt_probs``, ``expected_success_bits``, ``hop_model``) are one-point
-calls of the array ones.
+``attempt_probs``, ``expected_success_bits``, ``hop_model``) check their
+one key and call the steps on it.
 """
 
 from __future__ import annotations
@@ -36,11 +38,8 @@ __all__ = [
     "HopModel",
     "HopArrays",
     "frame_error_prob",
-    "frame_error_prob_array",
     "attempt_probs",
-    "attempt_probs_array",
     "expected_success_bits",
-    "expected_success_bits_array",
     "hop_model",
     "hop_model_array",
 ]
@@ -173,13 +172,6 @@ def _exact(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(x.astype(dtype) for x in columns)
 
 
-def frame_error_prob_array(d_bits, c_bits, ber) -> np.ndarray:
-    """``frame_error_prob`` of each (d, c, ber), in one pass."""
-    d, c, ber = _columns(d_bits, c_bits, floats=(ber,))
-    _check_keys(d, c, ber)
-    return _frame_error_probs(d, c, ber, _log1p_neg(ber))
-
-
 def _log1p_neg(ber: np.ndarray) -> np.ndarray:
     """log1p(-ber) of each element, a ``math`` call each."""
     return np.array([math.log1p(-b) for b in ber.tolist()])
@@ -187,48 +179,42 @@ def _log1p_neg(ber: np.ndarray) -> np.ndarray:
 
 def _frame_error_probs(d, c, ber, log_q) -> np.ndarray:
     """Each element's binomial tail, summed on whichever side is the
-    smaller sum, as the scalar does; every tail runs its recurrence
-    together with the others (``_binom_range_sums``). ``log_q`` is each
-    element's log1p(-ber)."""
+    smaller sum, as the scalar does. ``log_q`` is each element's
+    log1p(-ber).
+
+    Where c >= d*ber the result is the upper tail, the sum of
+    C(d,i) ber^i (1-ber)^(d-i) over i = c+1..d; else it is 1 less the
+    lower tail, i = 0..c. Each first term is taken in log space,
+    lgamma(d+1) - lgamma(lo+1) - lgamma(d-lo+1) + lo*log(ber) +
+    (d-lo)*log1p(-ber), and the recurrence (``_term_sums``, every tail
+    together) runs in a scaled linear space, so a sum survives (1-ber)^d
+    underflowing. A lower tail starts at lo = 0, where the first four terms
+    add up to exactly 0.0 (lgamma(1) is 0.0, and 0*log(ber) a zero), so
+    only the upper tails call ``lgamma`` and ``log``.
+    """
     live = np.flatnonzero((ber != 0.0) & (c != d))
     out = np.zeros(len(d))
-    if live.size:
-        if live.size < len(d):
-            d, c, ber, log_q = d[live], c[live], ber[live], log_q[live]
-        # the result is large: the complementary lower tail is the small sum
-        lower = c < d * ber
-        low = _binom_range_sums(d, np.where(lower, 0, c + 1), np.where(lower, c, d), ber, log_q)
-        out[live] = np.minimum(1.0, np.where(lower, np.maximum(0.0, 1.0 - low), low))
+    if not live.size:
+        return out
+    if live.size < len(d):
+        d, c, ber, log_q = d[live], c[live], ber[live], log_q[live]
+    upper = c >= d * ber
+    lo, hi = np.where(upper, c + 1, 0), np.where(upper, d, c)
+    head = np.zeros(len(d))
+    head[upper] = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(b)
+        for n, k, b in zip(d[upper].tolist(), lo[upper].tolist(), ber[upper].tolist())]
+    offset = head + (d - lo) * log_q
+    runs = np.flatnonzero(lo < hi)
+    if runs.size:  # each of these sums takes its rescales into offset
+        sums = _term_sums(d, lo, hi, ber, upper, offset, runs)
+        offset = offset + np.array([math.log(x) for x in sums.tolist()])
+    tail = np.array([math.exp(x) for x in offset.tolist()])
+    out[live] = np.minimum(1.0, np.where(upper, tail, np.maximum(0.0, 1.0 - tail)))
     return out
 
 
-def _binom_range_sums(d, lo, hi, p, log_q) -> np.ndarray:
-    """sum_{i=lo}^{hi} C(d,i) p^i (1-p)^(d-i) of each element, by term recurrence.
-
-    Each first term is taken in log space, lgamma(d+1) - lgamma(lo+1) -
-    lgamma(d-lo+1) + lo*log(p) + (d-lo)*log1p(-p), and the recurrence
-    (``_term_sums``) runs in a scaled linear space, so a sum survives
-    (1-p)^d underflowing. Where lo = 0 the first four terms add up to
-    exactly 0.0 (lgamma(1) is 0.0, and 0*log(p) a zero), so only the
-    elements with lo > 0 call ``lgamma`` and ``log``.
-    """
-    head = np.zeros(len(d))
-    upper = np.flatnonzero(lo)
-    if upper.size:
-        head[upper] = [
-            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(b)
-            for n, k, b in zip(d[upper].tolist(), lo[upper].tolist(), p[upper].tolist())]
-    offset = head + (d - lo) * log_q
-    live = np.flatnonzero(lo < hi)
-    if live.size:  # each of these sums takes its rescales into offset
-        sums = _term_sums(d, lo, hi, p, offset, live)
-        offset = offset + np.array([math.log(x) for x in sums.tolist()])
-    else:  # every sum is its first term, 1.0
-        offset = offset + math.log(1.0)
-    return np.array([math.exp(x) for x in offset.tolist()])
-
-
-def _term_sums(d, lo, hi, p, offset, live) -> np.ndarray:
+def _term_sums(d, lo, hi, p, upper, offset, live) -> np.ndarray:
     """Each row's running sum of terms, the first term 1.0, at the end of
     its recurrence; ``offset`` takes each row's rescales, in place.
 
@@ -237,17 +223,20 @@ def _term_sums(d, lo, hi, p, offset, live) -> np.ndarray:
     scalar loop's running term and sum. The ``live`` rows, those with
     terms past the first, run in rounds of one (rows x terms) matrix,
     whose width follows the longest run of the round before, each row up
-    to its first event: its terms decaying past the mode (it is done),
-    the end of its range (done too), or its sum passing 1e250. There the
-    row's term and sum are divided by 1e250 and its offset takes
+    to the end of its range or its tail's event, whichever comes first.
+    An ``upper`` tail starts past the mode, d*p, so its terms decay from
+    the first and its sum, at most d, never nears 1e250: its event is a
+    term below 1e-20 of the sum, and it is done. A lower tail ends below
+    the mode, so its terms only grow: its event is its sum passing 1e250.
+    There the row's term and sum are divided by 1e250 and its offset takes
     log(1e250), as in the scalar loop, and it runs on in the next round.
     A long lower tail rescales every few hundred terms. The state of the
     rows still running is kept compact, one element each.
     """
     out = np.ones(len(d))
     d, hi, pos, p, shift = d[live], hi[live], lo[live], p[live], offset[live]
+    decays = upper[live]
     ratio = p / (1.0 - p)
-    mode = d * p
     t = acc = np.ones(live.size)
     width = _FIRST_TERMS
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,17 +253,15 @@ def _term_sums(d, lo, hi, p, offset, live) -> np.ndarray:
             sums[:, 0] = acc
             np.add.accumulate(sums, axis=1, out=sums)
             terms, sums = terms[:, 1:], sums[:, 1:]
-            event = over = sums > _RESCALE
-            if (i[:, -1] > mode).any():  # a term past the mode
-                event = over | ((i > mode[:, None]) & (terms < sums * 1e-20))
-            event = event & (steps < left[:, None])
+            event = np.where(decays[:, None], terms < sums * 1e-20, sums > _RESCALE)
+            event &= steps < left[:, None]
             rows = np.arange(live.size)
             last = event.argmax(axis=1)
             hit = event[rows, last]
             last = np.where(hit, last, np.minimum(width, left) - 1)
             t, acc = terms[rows, last], sums[rows, last]
             pos = pos + last + 1
-            rescaled = hit & over[rows, last]
+            rescaled = hit & ~decays
             if rescaled.any():
                 t[rescaled] /= _RESCALE
                 acc[rescaled] /= _RESCALE
@@ -283,22 +270,14 @@ def _term_sums(d, lo, hi, p, offset, live) -> np.ndarray:
             if not going.all():
                 out[live[~going]] = acc[~going]
                 offset[live[~going]] = shift[~going]
-                live, d, hi, pos, ratio, mode, t, acc, shift = (
-                    x[going] for x in (live, d, hi, pos, ratio, mode, t, acc, shift))
+                live, d, hi, pos, ratio, decays, t, acc, shift = (
+                    x[going] for x in (live, d, hi, pos, ratio, decays, t, acc, shift))
             width = 2 * int(last.max()) + 2
     return out
 
 
-def attempt_probs_array(d_bits, c_bits, a_bits, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``attempt_probs`` of each (d, c, a, ber): the (p_fail, p_partial,
-    p_succ) arrays."""
-    d, c, a, ber = _columns(d_bits, c_bits, a_bits, floats=(ber,))
-    _check_keys(d, c, ber, a)
-    return _attempt_probs(d, c, a, ber)
-
-
 def _attempt_probs(d, c, a, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``attempt_probs_array`` on checked columns."""
+    """Each key's (p_fail, p_partial, p_succ) arrays."""
     log_q = _log1p_neg(ber)
     p_fail = _frame_error_probs(d, c, ber, log_q)
     ack_ok = np.array([math.exp(x) for x in (a * log_q).tolist()])  # a*log1p(-ber), a as float
@@ -306,17 +285,11 @@ def _attempt_probs(d, c, a, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p_fail, got_data * (1.0 - ack_ok), got_data * ack_ok
 
 
-def expected_success_bits_array(p_fail, p_partial, p_succ, r, d_bits, a_bits) -> np.ndarray:
-    """``expected_success_bits`` of each key; NaN where delivery is impossible."""
-    r, d, a, pf, pp, ps = _columns(r, d_bits, a_bits, floats=(p_fail, p_partial, p_succ))
-    pf_r = np.array([x**k for x, k in zip(pf.tolist(), r.tolist())])
-    return _success_bits(pf, pp, ps, r, pf_r, _exact(r, d, a))
-
-
 def _success_bits(pf, pp, ps, r, pf_r, exact) -> np.ndarray:
     """The one pass over k of ``expected_success_bits``, every key at once,
     given each key's pf**r, and its (r, d, a) as ``_exact`` gives them.
-    Each key's sums are read at k = its own r."""
+    Each key's sums are read at k = its own r; NaN where delivery is
+    impossible."""
     r_x, d, a = exact
     limits = set(r.tolist())
     u = pf + pp
@@ -365,7 +338,9 @@ def frame_error_prob(d_bits: int, c_bits: int, ber: float) -> float:
     Whichever tail of the distribution is the smaller sum is evaluated
     directly, so results near 0 and near 1 both keep full precision.
     """
-    return frame_error_prob_array([d_bits], [c_bits], [ber]).item(0)
+    d, c, ber = _columns(d_bits, c_bits, floats=(ber,))
+    _check_keys(d, c, ber)
+    return _frame_error_probs(d, c, ber, _log1p_neg(ber)).item(0)
 
 
 def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptProbs:
@@ -374,8 +349,9 @@ def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptP
     The acknowledgement frame carries no redundancy, so a partial failure
     needs every one of its ``a_bits`` to survive.
     """
-    probs = attempt_probs_array([d_bits], [c_bits], [a_bits], [ber])
-    return AttemptProbs(*(x.item(0) for x in probs))
+    d, c, a, ber = _columns(d_bits, c_bits, a_bits, floats=(ber,))
+    _check_keys(d, c, ber, a)
+    return AttemptProbs(*(x.item(0) for x in _attempt_probs(d, c, a, ber)))
 
 
 def expected_success_bits(
@@ -394,8 +370,10 @@ def expected_success_bits(
     non-negative terms do not cancel when pf is close to u. Returns None
     when delivery is impossible (every attempt fails with certainty).
     """
-    bits = expected_success_bits_array(
-        [probs.p_fail], [probs.p_partial], [probs.p_succ], [r], [d_bits], [a_bits]).item(0)
+    r, d, a, pf, pp, ps = _columns(r, d_bits, a_bits,
+                                   floats=(probs.p_fail, probs.p_partial, probs.p_succ))
+    pf_r = np.array([pf.item(0) ** r.item(0)])
+    bits = _success_bits(pf, pp, ps, r, pf_r, _exact(r, d, a)).item(0)
     return None if bits != bits else bits
 
 

@@ -16,15 +16,17 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   i.i.d., so a replication's totals depend only on how many hop
   traversals land in each outcome class of the single attempt's (fail,
   partial, success) categorical, not on the order of events. Each
-  replication draws those counts exactly: per-segment round counts from
-  Geometric(p_round), uncapped; the failed rounds split
+  replication draws those counts exactly: its failed rounds, uncapped,
+  as one NegativeBinomial(segments, p_round) draw (its segments'
+  Geometric(p_round) round counts, less one each, summed), split
   into "a fragment was dropped" and "only the TCP ACK was lost"; the
   dropped-fragment count of each such round from the zero-truncated
   binomial; the hop where each drop happened; and every hop's
-  attempt-class counts by multinomial. The work does not grow with the
-  round count. A replication whose fragment sends would pass 64-bit
-  integers is refused with a ``ValueError``, as is a segment of 1030 or
-  more fragments, whose binomial coefficients pass the float range.
+  attempt-class counts by multinomial. Neither the work nor the memory
+  grows with the round or the segment count. A replication whose
+  fragment sends would pass 64-bit integers is refused with a
+  ``ValueError``, as is a segment of 1030 or more fragments, whose
+  binomial coefficients pass the float range.
 * ``bit`` fidelity, method ``replay``. Every attempt that happens is
   replayed, drawing the raw per-bit error counts and applying the
   correction threshold: hop by hop, attempt by attempt, over the frames
@@ -53,7 +55,7 @@ import numpy as np
 
 from .config import RunConfig
 from .framing import resolve_frames
-from .hopmodel import MAX_FLOAT_COMB_N, AttemptProbs, attempt_probs_array
+from .hopmodel import MAX_FLOAT_COMB_N, AttemptProbs, hop_model_array
 from .pathmodel import EnergyParams, PathScenario
 
 __all__ = [
@@ -241,9 +243,9 @@ class _Aggregate:
 
         def tables(hops, d_bits, c_bits) -> list[_HopTables]:
             """A phase's hops, their attempt probabilities in one call."""
-            probs = attempt_probs_array(d_bits, c_bits, a, [hp.ber for hp in hops])
-            return [_HopTables(AttemptProbs(*p), hp.r)
-                    for hp, *p in zip(hops, *(x.tolist() for x in probs))]
+            arrays = hop_model_array(d_bits, c_bits, a, [hp.ber for hp in hops],
+                                     [hp.r for hp in hops])
+            return [_HopTables(arrays.model(i).probs, hp.r) for i, hp in enumerate(hops)]
 
         data = tables(scenario.hops, frames.d_data_bits, frames.c_data_bits)
         # the TCP ACK travels the path backwards
@@ -295,15 +297,16 @@ class _Aggregate:
         self.data_drop_pmf = _drop_site_pmf(data)
         self.ack_drop_pmf = _drop_site_pmf(ack)
 
-    def _segment_sends(self, rng, n: int) -> np.ndarray:
-        """Each replication's segment rounds, refused past 64-bit fragment sends."""
-        if self.p_round > 0.0:  # else no round can succeed
-            # numpy saturates a geometric draw at the int64 maximum (p below
-            # ~1e-19), so such a draw fails the check too
-            rounds = rng.geometric(self.p_round, size=(n, self.segments))
-            sends = _exact_dot(rounds, np.ones((self.segments, 1), np.int64))[:, 0]
-            if max(sends.tolist()) * self.m < _INT64_MAX:
-                return sends.astype(np.int64)
+    def _failed_rounds(self, rng, n: int) -> np.ndarray:
+        """Each replication's failed segment rounds, refused past 64-bit
+        fragment sends: the sum of its segments' Geometric(p_round) round
+        counts less one each, one NegativeBinomial(segments, p_round) draw."""
+        try:  # numpy refuses p = 0 (no round can succeed) and p too small
+            failed = rng.negative_binomial(self.segments, self.p_round, size=n)
+            if (max(failed.tolist()) + self.segments) * self.m < _INT64_MAX:
+                return failed
+        except ValueError:
+            pass
         raise ValueError(
             f"segment rounds succeed with probability {self.p_round:.3g}: one "
             "replication would send more fragments than 64-bit counters hold"
@@ -313,8 +316,8 @@ class _Aggregate:
         """n replications' (bits, counters, truncated): integer arrays of n,
         and False, as the draw applies no round cap."""
         m, n_seg = self.m, self.segments
-        sends = self._segment_sends(rng, n)
-        failed = sends - n_seg
+        failed = self._failed_rounds(rng, n)
+        sends = failed + n_seg
         frag_rounds = rng.binomial(failed, self.p_frag_round)
         lost = rng.multinomial(frag_rounds, self.lost_pmf) @ self.lost_sizes
         data_drops = rng.multinomial(lost, self.data_drop_pmf)

@@ -320,6 +320,8 @@ class TestExitCodes:
         (("model", "--hops", "1000000000"), "a path has at most 1024 hops, got 1000000000"),
         (("frontier", "--family", "r", "--values", "3", "--h-range", "1:2000"),
          "a path has at most 1024 hops, got 1025"),
+        (("model", "--output", "/nonexistent/dir/x.csv"),
+         "cannot write /nonexistent/dir/x.csv"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

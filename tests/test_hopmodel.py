@@ -23,11 +23,8 @@ from lln_energy.hopmodel import (
     AttemptProbs,
     HopParams,
     attempt_probs,
-    attempt_probs_array,
     expected_success_bits,
-    expected_success_bits_array,
     frame_error_prob,
-    frame_error_prob_array,
     hop_model,
     hop_model_array,
 )
@@ -282,27 +279,24 @@ class TestHopModel:
 
 
 def assert_equals_the_scalar_oracle(keys):
-    """Every array function over ``keys`` (d, c, a, ber, r) equals the scalar
-    oracle key by key, with ==; the scalar names do too."""
+    """``hop_model_array`` over ``keys`` (d, c, a, ber, r) equals the scalar
+    oracle key by key, field by field, with ==; the scalar names do too."""
     d, c, a, ber, r = (list(col) for col in zip(*keys))
     hops = hop_model_array(d, c, a, ber, r)
-    p_fail = frame_error_prob_array(d, c, ber)
-    probs = attempt_probs_array(d, c, a, ber)
-    h_s = expected_success_bits_array(*probs, r, d, a)
     for i, (dd, cc, aa, b, rr) in enumerate(keys):
         want = scalar_oracle.hop_model(dd, cc, aa, HopParams(b, rr))
         assert hops.model(i) == want, keys[i]
         assert hop_model(dd, cc, aa, HopParams(b, rr)) == want
-        assert p_fail[i] == want.probs.p_fail == frame_error_prob(dd, cc, b)
-        assert AttemptProbs(*(x.item(i) for x in probs)) == want.probs
+        assert hops.p_fail[i] == want.probs.p_fail == frame_error_prob(dd, cc, b)
+        assert AttemptProbs(hops.p_fail[i], hops.p_partial[i], hops.p_succ[i]) == want.probs
         assert attempt_probs(dd, cc, aa, b) == want.probs
-        got = None if math.isnan(h_s[i]) else h_s.item(i)
+        got = None if math.isnan(hops.h_s[i]) else hops.h_s.item(i)
         assert got == want.h_s == expected_success_bits(want.probs, rr, dd, aa)
 
 
 class TestArrayHopLayer:
-    """``hop_model_array`` and the array steps under it, against the scalar
-    transcription they replaced."""
+    """``hop_model_array``, the hop layer's one array entry, against the
+    scalar transcription it replaced."""
 
     @given(
         keys=st.lists(
@@ -365,7 +359,7 @@ class TestArrayHopLayer:
         d, c, ber = 60000, 20000, 0.5
         want = scalar_oracle.frame_error_prob(d, c, ber)
         assert frame_error_prob(d, c, ber) == want
-        got = frame_error_prob_array([d, 952, 1048], [c, 0, 48], [ber, 3e-4, 3e-4])
+        got = hop_model_array([d, 952, 1048], [c, 0, 48], 40, [ber, 3e-4, 3e-4], 3).p_fail
         assert got[0] == want
         assert got[2] == scalar_oracle.frame_error_prob(1048, 48, 3e-4)
 

@@ -208,16 +208,42 @@ def test_heavy_tail_counters_match_model():
     assert abs(c.segment_sends - expect) <= 4 * se
 
 
+def test_large_transfer_draws_rounds_per_replication():
+    # 10**12 bytes at MSS 64 are 1.5625e10 segments, far more than an array
+    # of a block's (replication, segment) round counts could hold (1.82 TiB):
+    # a replication's rounds must come from one draw
+    sc = default_scenario(transfer=10**12)
+    model = segment_model(sc)
+    reps = 32
+    rep = simulate(SimConfig(scenario=sc, replications=reps, master_seed=11))
+    assert rep.segments == 15_625_000_000
+    assert math.isfinite(rep.mean_total_bits) and rep.mean_total_bits > 0
+    expect = model.segments / model.p_s
+    se = (model.segments * (1 - model.p_s) / model.p_s**2 / reps) ** 0.5
+    assert abs(rep.counters.segment_sends - expect) <= 4 * se
+
+
 def test_counters_never_wrap():
     # a replication whose fragment sends would pass int64 is refused, not
-    # wrapped: at BER 0.5 no round can succeed; at 0.02 one segment's
-    # geometric draw (round success ~1e-39) saturates at the int64 maximum;
-    # at 0.008 each draw fits but 51200 segments sum to ~1.6e20 sends
+    # wrapped: at BER 0.5 no round can succeed; at 0.02 one segment's rounds
+    # (round success ~1e-39) and at 0.008 51200 segments' (~1.6e20 sends)
+    # pass what numpy's negative binomial draw can return
     for ber, transfer in ((0.5, 51200), (0.02, 1), (0.008, 51200)):
         cfg = RunConfig(ber=ber, retries=1, mss_bytes=1, transfer_bytes=transfer,
                         replications=2).sim()
         with pytest.raises(ValueError, match="64-bit counters"):
             simulate(cfg)
+
+
+def test_draw_past_64_bit_fragment_sends_is_refused():
+    # a draw numpy can return, ~1e16 failed rounds, whose 1000 fragments a
+    # round would still pass int64 sends
+    agg = simulator._Aggregate(SimConfig(scenario=default_scenario(), replications=2))
+    agg.p_round, agg.segments, agg.m = 1e-14, 100, 1000
+    with pytest.raises(ValueError, match="64-bit counters"):
+        agg.run_block(np.random.default_rng(1), 2)
+    agg.m = 1
+    assert agg.run_block(np.random.default_rng(1), 2)[1]["segment_retx"].min() > 2**53
 
 
 def test_fragments_past_the_float_range_are_refused():
