@@ -9,11 +9,17 @@ Subcommands:
 
 Results go to stdout (or --output) as CSV or JSON lines, preceded by
 ``#`` metadata comments (tool version, config hash, seed/RNG, timestamp;
-only the timestamp line varies between identical invocations). Exit
-status: 0 on success, 1 on configuration errors, 2 with --strict when
-any emitted row is degenerate, divergent, truncated, a layout error, a
-frontier point without a crossover or with an unresolved bracket, or a
-FAIL or SKIP verdict.
+only the timestamp line varies between identical invocations). The whole
+output is formatted before any of it is written, so a bad value anywhere
+ends the run with nothing written. CSV is written a column at a time,
+with the cells csv.DictWriter writes: a sweep's straight from its model
+calls' columns (explorer.sweep_columns), no row built; the other
+commands' few rows are turned into columns first. Exit status: 0 on
+success, 1 on configuration errors or when the reader of stdout leaves
+early (a pipe into head), 2 with --strict when any emitted row is
+degenerate, divergent, truncated, a layout error, a frontier point
+without a crossover or with an unresolved bracket, or a FAIL or SKIP
+verdict.
 
 Field names in the emitted rows are stable; see the module docstrings of
 pathmodel (model rows), simulator (sim rows) and explorer (frontier
@@ -24,12 +30,14 @@ environment variable; flags override file values.
 from __future__ import annotations
 
 import argparse
-import csv
+import io
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import fields, replace
 from datetime import datetime, timezone
+from functools import cache
 from itertools import chain
 
 from . import __version__
@@ -43,7 +51,7 @@ from .config import (
     validate_config,
 )
 from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
-                       SWEEP_AXES, SweepSpec, frontier, sweep)
+                       SWEEP_AXES, SweepSpec, frontier, sweep, sweep_columns)
 from .framing import LayoutError
 from .pathmodel import segment_model
 from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
@@ -56,6 +64,8 @@ STRICT_FLAGS = {
     "diverges", "degenerate_hop", "truncated", "no_crossover", "layout_error",
     "bracket_unresolved",
 }
+#: What csv's minimal quoting quotes: the delimiter, the quote, line breaks
+_QUOTED = (",", '"', "\r", "\n")
 
 
 class _CliError(Exception):
@@ -99,6 +109,7 @@ def _add_sim(p: _Parser):
     p.add_argument("--workers", type=int, help="parallel replication workers")
 
 
+@cache  # built on first use, once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="lln-energy", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -176,26 +187,75 @@ def _metadata(cfg: RunConfig, include_seed: bool) -> list[str]:
     return lines
 
 
-def _emit(rows: list[dict], fmt: str, meta: list[str], out) -> None:
-    for line in meta:
-        print(line, file=out)
+def _columns(rows: list[dict]) -> tuple[int, dict[str, list]]:
+    """Rows as one block for ``_csv``: their count, and a column per key in
+    first-seen order, None where a row lacks the key."""
+    names = dict.fromkeys(chain.from_iterable(rows))
+    return len(rows), {name: [row.get(name) for row in rows] for name in names}
+
+
+def _cells(column: list) -> list[str]:
+    """A column's CSV cells: ``str`` of each value, "" for None, and csv's
+    minimal quoting of a cell that holds a comma, a quote or a line break."""
+    cells = list(map(str, column))
+    if None in column:
+        cells = ["" if value is None else cell for value, cell in zip(column, cells)]
+    if any(c in "".join(cells) for c in _QUOTED):
+        cells = ['"' + cell.replace('"', '""') + '"' if any(c in cell for c in _QUOTED)
+                 else cell for cell in cells]
+    return cells
+
+
+def _csv(blocks: Iterable[tuple[int, dict[str, list]]]) -> list[str]:
+    """The CSV lines, header first, that ``csv.DictWriter`` writes for the
+    blocks' rows, with every key seen as a field and "" for None.
+
+    A block is a row count and its columns, keyed in their rows' first-seen
+    order (``_columns``, ``explorer.sweep_columns``). Each is formatted a
+    column at a time as it comes, against the header so far: a key first
+    seen in a later block joins the header at its end, so the lines before
+    it only gain empty cells."""
+    header: dict = {}
+    parts = []  # each block's lines and the header width they were made for
+    for n, columns in blocks:
+        header.update(dict.fromkeys(columns))
+        cells = [_cells(columns[name]) if name in columns else [""] * n for name in header]
+        parts.append((list(map(",".join, zip(*cells))) if cells else [""] * n, len(header)))
+    width = len(header)
+    lines = [",".join(_cells(list(header)))]
+    for block, w in parts:
+        lines += block if w == width else [line + "," * (width - w) for line in block]
+    # csv quotes a lone empty field, so that its record is not a blank line
+    return [line or '""' for line in lines] if width == 1 else lines
+
+
+def _strict_trips(block: tuple[int, dict[str, list]]) -> bool:
+    """Whether a row of the block has a flag in STRICT_FLAGS or a FAIL or
+    SKIP verdict."""
+    columns = block[1]
+    flags = {f for cell in columns.get("flags", ()) for f in str(cell).split(";")}
+    return (not STRICT_FLAGS.isdisjoint(flags)
+            or any(v in ("FAIL", "SKIP") for v in columns.get("verdict", ())))
+
+
+def _emit(result, fmt: str, meta: list[str], out) -> bool:
+    """Write the ``meta`` lines, then ``result``: a command's rows, or a CSV
+    sweep's chunks of columns. Returns whether a row trips ``--strict``."""
+    out.writelines(line + "\n" for line in meta)
     if fmt == "jsonl":
-        for row in rows:
-            print(json.dumps(row, sort_keys=False), file=out)
-        return
-    header = list(dict.fromkeys(chain.from_iterable(rows)))  # first-seen key order
-    writer = csv.writer(out)
-    writer.writerow(header)
-    # csv writes None, an undefined value or a column the row lacks, as ""
-    writer.writerows(map(row.get, header) for row in rows)
+        out.writelines(json.dumps(row) + "\n" for row in result)
+        return _strict_trips(_columns(result))
+    trips = []
 
+    def checked(blocks):
+        for block in blocks:
+            trips.append(_strict_trips(block))
+            yield block
 
-def _strict_trips(rows: list[dict]) -> bool:
-    for row in rows:
-        flags = set(str(row.get("flags", "")).split(";")) & STRICT_FLAGS
-        if flags or row.get("verdict") in ("FAIL", "SKIP"):
-            return True
-    return False
+    blocks = [_columns(result)] if isinstance(result, list) else (
+        (len(columns["axis"]), columns) for columns in result)
+    out.write("".join(line + "\r\n" for line in _csv(checked(blocks))))
+    return any(trips)
 
 
 def _cmd_model(cfg: RunConfig, args) -> list[dict]:
@@ -248,7 +308,8 @@ def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
     return rows
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
+def _cmd_sweep(cfg: RunConfig, args) -> list[dict] | Iterator[dict[str, list]]:
+    """The sweep's rows, or for CSV its model calls' columns (no row dicts)."""
     spec = SweepSpec(
         scenario=cfg.scenario(),
         axis=args.axis,
@@ -256,7 +317,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
         mss_list=_parse_int_list(args.mss_list),
         energy=cfg.energy(),
     )
-    return sweep(spec)
+    return sweep(spec) if args.format == "jsonl" else sweep_columns(spec)
 
 
 def _cmd_frontier(cfg: RunConfig, args) -> list[dict]:
@@ -291,10 +352,26 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _stdout(text: str) -> int:
+    """Write ``text`` to stdout: 0, or 1 when the reader has gone (a closed
+    pipe, as under ``| head``), without a traceback."""
     try:
-        args = parser.parse_args(argv)
+        # in pieces: a single write larger than the stream's buffer can stop
+        # short at a closed pipe and report nothing
+        for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: point stdout at devnull, so the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -308,15 +385,18 @@ def main(argv: list[str] | None = None) -> int:
         validate_config(cfg)
 
         if args.print_config:
-            sys.stdout.write(dump_config(cfg))
-            return 0
+            return _stdout(dump_config(cfg))
 
-        rows = _COMMANDS[args.command](cfg, args)
+        result = _COMMANDS[args.command](cfg, args)
+        # every chunk is formatted, and any of them may raise, before the
+        # output opens; only the text is kept
+        text = io.StringIO()
+        meta = _metadata(cfg, include_seed=args.command in ("simulate", "validate"))
+        tripped = _emit(result, args.format, meta, text)
     except (_CliError, ConfigError, LayoutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    meta = _metadata(cfg, include_seed=args.command in ("simulate", "validate"))
     if args.output:
         try:
             fh = open(args.output, "w", newline="")
@@ -324,13 +404,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return 1
         with fh:
-            _emit(rows, args.format, meta, fh)
-    else:
-        _emit(rows, args.format, meta, sys.stdout)
-
-    if args.strict and _strict_trips(rows):
-        return 2
-    return 0
+            fh.write(text.getvalue())
+    elif _stdout(text.getvalue()):
+        return 1
+    return 2 if args.strict and tripped else 0
 
 
 if __name__ == "__main__":

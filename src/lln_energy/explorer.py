@@ -21,6 +21,9 @@ through such calls, two points (long and short MSS) per BER, then
 bisects all of its brackets in lockstep, one step at a time. Within a
 call the hop models are keyed by distinct (frame, BER, r), so the hop
 counts of one value's BER grid that share a call share its hop models.
+A sweep's calls have two views: ``sweep`` builds a dict per row, and
+``sweep_columns`` hands over each call's columns, from which the CLI
+writes CSV without building a row.
 """
 
 from __future__ import annotations
@@ -28,15 +31,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 from .framing import LayoutError
-from .pathmodel import EnergyParams, PathScenario, check_hop_count, segment_models
+from .pathmodel import EnergyParams, ModelBatch, PathScenario, check_hop_count, segment_models
 
 __all__ = [
     "SweepSpec",
     "FrontierPoint",
     "sweep",
+    "sweep_columns",
     "crossover_ber",
     "frontier",
 ]
@@ -53,6 +57,8 @@ POINTS_PER_DECADE = 10
 REL_TOL = 1e-3
 #: The most points per model call of a sweep, a scan or a bisection step
 BATCH_POINTS = 256
+#: The fields of a sweep row whose point's frames cannot be laid out
+_ERROR_FIELDS = ("axis", "value", "mss_bytes", "flags", "error")
 
 
 @dataclass(frozen=True)
@@ -94,30 +100,57 @@ def _axis_column(axis: str, values) -> list:
     return [(int if axis in ("r", "h", "mss") else float)(value) for value in values]
 
 
-def sweep(spec: SweepSpec) -> list[dict]:
-    """Model rows for every (grid point x MSS), in grid-then-MSS order.
-
-    Degenerate or divergent points keep their flags; a layout that cannot
-    be realized at a point (e.g. alpha too large to fit the MTU) yields a
-    row flagged ``layout_error`` instead of aborting the sweep.
-    """
+def _sweep_batches(spec: SweepSpec) -> Iterator[tuple[dict, list, ModelBatch]]:
+    """The sweep's model calls, in grid-then-MSS order: for each chunk of
+    at most ``BATCH_POINTS`` points, its lead columns (``axis``, ``value``),
+    its MSS column and its ``ModelBatch``."""
     mss_list = (None,) if spec.axis == "mss" else spec.mss_list
     labels = [value for value in spec.grid for _ in mss_list]
     columns = {spec.axis: [v for v in _axis_column(spec.axis, spec.grid) for _ in mss_list]}
     if spec.axis != "mss":
         columns["mss"] = list(mss_list) * len(spec.grid)
-    rows = []
     for start in range(0, len(labels), BATCH_POINTS):
         chunk = {name: col[start:start + BATCH_POINTS] for name, col in columns.items()}
         values = labels[start:start + BATCH_POINTS]
-        records = segment_models(spec.scenario, spec.energy, **chunk).records(
-            axis=[spec.axis] * len(values), value=values)
-        for value, mss, rec in zip(values, chunk["mss"], records):
+        batch = segment_models(spec.scenario, spec.energy, **chunk)
+        yield {"axis": [spec.axis] * len(values), "value": values}, chunk["mss"], batch
+
+
+def sweep(spec: SweepSpec) -> list[dict]:
+    """Model rows for every (grid point x MSS), in grid-then-MSS order.
+
+    Degenerate or divergent points keep their flags; a layout that cannot
+    be realized at a point (e.g. alpha too large to fit the MTU) yields a
+    row of ``_ERROR_FIELDS``, flagged ``layout_error``, instead of
+    aborting the sweep.
+    """
+    rows = []
+    for lead, mss, batch in _sweep_batches(spec):
+        for axis, value, mss_bytes, rec in zip(*lead.values(), mss, batch.records(**lead)):
             if isinstance(rec, LayoutError):
-                rec = {"axis": spec.axis, "value": value, "mss_bytes": mss,
-                       "flags": "layout_error", "error": str(rec)}
+                rec = dict(zip(_ERROR_FIELDS, (axis, value, mss_bytes, "layout_error", str(rec))))
             rows.append(rec)
     return rows
+
+
+def sweep_columns(spec: SweepSpec) -> Iterator[dict[str, list]]:
+    """``sweep(spec)``'s rows as columns, one model call's chunk at a time.
+
+    A chunk maps each field its rows have, in their first-seen order, to a
+    value per row, None where the row lacks the field; no row is built.
+    """
+    for lead, mss, batch in _sweep_batches(spec):
+        columns = batch.record_columns(**lead)
+        errors = batch.errors
+        if any(errors):
+            columns["mss_bytes"] = mss
+            columns["flags"] = ["layout_error" if err else f
+                                for f, err in zip(columns["flags"], errors)]
+            columns["error"] = [None if err is None else str(err) for err in errors]
+            kinds = dict.fromkeys(err is None for err in errors)  # first seen first
+            names = chain.from_iterable(columns if ok else _ERROR_FIELDS for ok in kinds)
+            columns = {name: columns[name] for name in dict.fromkeys(names)}
+        yield columns
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,15 @@ class EnergyParams:
         return None if bits is None else bits * self.uj_per_bit() * 1e-6
 
 
-def _one_minus_pow(q, k) -> np.ndarray:
-    """1 - q**k elementwise, without cancellation for q near 1 (1 at q <= 0)."""
+def _one_minus_pows(q, *exponents) -> list[np.ndarray]:
+    """1 - q**k elementwise for each exponent array k, without cancellation
+    for q near 1 (1 at q <= 0); each log(q) is taken once for all of them."""
     q = np.asarray(q)
-    return np.array([
-        -math.expm1(j * math.log(x)) if x > 0.0 else 1.0
-        for x, j in zip(q.ravel().tolist(), np.ravel(k).tolist())
-    ]).reshape(q.shape)
+    logs = [math.log(x) if x > 0.0 else None for x in q.ravel().tolist()]
+    return [np.array([
+        1.0 if log is None else -math.expm1(j * log)
+        for log, j in zip(logs, np.ravel(k).tolist())
+    ]).reshape(q.shape) for k in exponents]
 
 
 def fragment_failure_sum(m, q_s, e_s, e_f) -> np.ndarray:
@@ -146,8 +148,13 @@ def fragment_failure_sum(m, q_s, e_s, e_f) -> np.ndarray:
     fragment fails, e_s is not read). Elementwise over arrays of one
     shape, or over scalars; m >= 1.
     """
+    return _failure_sum(m, q_s, e_s, e_f, *_one_minus_pows(q_s, m - 1.0))
+
+
+def _failure_sum(m, q_s, e_s, e_f, miss_rest) -> np.ndarray:
+    """``fragment_failure_sum``, given ``miss_rest`` = 1 - q_s**(m - 1)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        mixed = m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1.0)
+        mixed = m * (1.0 - q_s) * e_f + m * e_s * q_s * miss_rest
         return np.where(q_s >= 1.0, 0.0, np.where(q_s <= 0.0, m * e_f, mixed))
 
 
@@ -295,18 +302,21 @@ class ModelBatch:
                for name, values in self.columns.items()}
         return ModelReport(**{name: None if v != v else v for name, v in row.items()})
 
-    def records(self, **lead: Sequence) -> Iterator[dict | LayoutError]:
-        """Each point's ``ModelReport.to_record()`` in turn, or its LayoutError.
-
-        ``lead`` maps names to columns, a value per point, that open each
-        record, ahead of the fields.
-        """
+    def record_columns(self, **lead: list) -> dict[str, list]:
+        """The columns of ``records()``: ``lead``, which maps names to
+        columns (a value per point), then each field of
+        ``ModelReport.to_record()``, ``flags`` joined by ';'. An errored
+        point reads None in every field."""
         flags = [None if f is None else _joined(f) for f in self.columns["flags"]]
-        names = (*lead, *_RECORD_FIELDS)
-        rows = zip(*lead.values(), *(
-            flags if name == "flags" else self.column(name) for name in _RECORD_FIELDS))
-        for err, row in zip(self.errors, rows):
-            yield err if err is not None else dict(zip(names, row))
+        return {**lead, **{name: flags if name == "flags" else self.column(name)
+                           for name in _RECORD_FIELDS}}
+
+    def records(self, **lead: list) -> Iterator[dict | LayoutError]:
+        """Each point's ``ModelReport.to_record()``, opened by its ``lead``
+        values (see ``record_columns``), or its LayoutError."""
+        columns = self.record_columns(**lead)
+        for err, row in zip(self.errors, zip(*columns.values())):
+            yield err if err is not None else dict(zip(columns, row))
 
 
 def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> ModelReport:
@@ -446,8 +456,9 @@ def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyPa
         q_s_m = np.array([q**k for q, k in zip(q_s.tolist(), m.tolist())])
         p_s = q_s_m * q_s_ack
 
-        frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
-        i_f = frag_term / _one_minus_pow(q_s, m)
+        miss_rest, miss_all = _one_minus_pows(q_s, m - 1.0, m)
+        frag_term = _failure_sum(m, q_s, e_s, e_f, miss_rest)
+        i_f = frag_term / miss_all
         s_s = m * e_s + e_s_ack
 
         # Conditional cost of a failed round, assembled from the unnormalized

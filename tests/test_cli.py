@@ -3,18 +3,27 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lln_energy import config
-from lln_energy.cli import _add_common, _add_sim, _emit, _Parser, main
+import lln_energy
+from lln_energy import cli, config
+from lln_energy.cli import _add_common, _add_sim, _emit, _Parser, build_parser, main
 from lln_energy.config import (
     ConfigError,
     RunConfig,
     dump_config,
     load_config,
 )
+from lln_energy.explorer import SweepSpec, sweep
 from lln_energy.simulator import TruncationWarning
 
 
@@ -31,6 +40,27 @@ def body(out: str) -> str:
 
 def meta(out: str) -> list[str]:
     return [l for l in out.splitlines() if l.startswith("#")]
+
+
+def csv_body(out: str) -> str:
+    """Output minus the metadata lines, line endings kept."""
+    return "".join(l for l in out.splitlines(keepends=True) if not l.startswith("#"))
+
+
+def dict_writer_csv(rows: list[dict]) -> str:
+    """The rows as csv.DictWriter writes them, every key seen a field."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=dict.fromkeys(k for r in rows for k in r),
+                            restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def emitted_csv(rows: list[dict]) -> str:
+    out = io.StringIO()
+    _emit(rows, "csv", [], out)
+    return out.getvalue()
 
 
 class TestConfigFile:
@@ -276,11 +306,86 @@ class TestSubcommands:
         layout_row = list(csv.reader(io.StringIO(got.getvalue())))[2]
         assert layout_row[-2:] == ["layout_error", rows[1]["error"]]
 
+    @pytest.mark.parametrize("grid", [
+        (0.01, 0.1, 1.0, 5.0),  # the last point
+        tuple(5.0 ** (i / 8) for i in range(9)),  # from the middle on
+        (5.0, 1.0, 0.1, 0.01),  # the first point
+        tuple(5.0 ** (i / 8) for i in range(8, -1, -1)),  # up to the middle
+        (3.0, 4.0, 5.0),  # every point
+        tuple(1e-3 * 5e3 ** (i / 299) for i in range(300)),  # past a chunk boundary
+        tuple(1e-3 * 5e3 ** (i / 299) for i in range(299, -1, -1)),
+    ])
+    def test_layout_error_sweep_csv_matches_a_dict_writer(self, capsys, grid):
+        # rows flagged layout_error lack the model fields and add "error", so
+        # where they fall changes the header's first-seen order
+        argv = ("sweep", "--axis", "alpha", "--grid", ",".join(map(repr, grid)),
+                "--mss-list", "64,512", "--fragments", "fit")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cfg = config.RunConfig(fragments="fit")
+        rows = sweep(SweepSpec(cfg.scenario(), "alpha", grid, (64, 512), cfg.energy()))
+        assert any(row["flags"] == "layout_error" for row in rows)
+        assert csv_body(out) == dict_writer_csv(rows)
+        assert run_cli(capsys, *argv, "--strict")[0] == 2
+
+    @pytest.mark.parametrize("rows", [
+        [{"none": None, "bool": True, "int": -3, "big": 10**30}],
+        [{"inf": math.inf, "nan": math.nan, "neg_zero": -0.0, "tiny": 5e-324}],
+        [{"comma": "a,b", "quote": 'say "hi"', "cr": "a\rb", "lf": "a\nb", "plain": "ab"}],
+        [{"lone": ""}, {"lone": None}, {"lone": 1}],
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"c": 5, "a": 6}],
+        [{"a,b": 1, 'q"': 2}],
+        [{}, {}],
+        [],
+    ])
+    def test_csv_cases_match_a_dict_writer(self, rows):
+        assert emitted_csv(rows) == dict_writer_csv(rows)
+
+    @given(st.lists(st.dictionaries(
+        st.one_of(st.sampled_from(["a", "b", "c,d", 'e"f', "g\rh", "i\nj", ""]), st.text()),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])),
+        max_size=6), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_of_any_rows_matches_a_dict_writer(self, rows):
+        assert emitted_csv(rows) == dict_writer_csv(rows)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"
         code, out, _ = run_cli(capsys, "model", "--output", str(target))
         assert code == 0 and out == ""
         assert "total_joules" in target.read_text()
+
+
+class TestProcess:
+    def test_cached_parser_parses_as_a_fresh_one(self, capsys, monkeypatch):
+        assert build_parser() is build_parser()
+        sweep_argv = ["sweep", "--axis", "ber", "--grid", "1e-5,1e-4", "--mss-list", "64,512"]
+        argvs = [sweep_argv + ["--format", "jsonl"], sweep_argv,
+                 ["sweep", "--axis", "r", "--grid", "1,3"], ["model", "--mss", "64"]]
+        for argv in argvs:
+            assert (vars(build_parser().parse_args(argv))
+                    == vars(build_parser.__wrapped__().parse_args(argv)))
+        cached = [body(run_cli(capsys, *argv)[1]) for argv in argvs]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert [body(run_cli(capsys, *argv)[1]) for argv in argvs] == cached
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # 800 rows, far more than a pipe holds: the CLI is still writing
+        # when the reader stops after five lines, as `| head -5` does
+        env = {**os.environ, "PYTHONPATH": str(Path(lln_energy.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "lln_energy.cli", "sweep", "--axis", "ber",
+             "--grid", "1e-7:0.1:log:200", "--mss-list", "64,128,256,512"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            lines = [proc.stdout.readline() for _ in range(5)]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        assert lines[-1].startswith(b"ber,")
+        assert code == 1 and err == b""
 
 
 class TestExitCodes:
