@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "MAX_FLOAT_COMB_N",
+    "MAX_RETRIES",
     "HopParams",
     "AttemptProbs",
     "HopModel",
@@ -44,10 +44,10 @@ __all__ = [
     "hop_model_array",
 ]
 
-#: The largest n whose central binomial coefficient comb(n, n // 2) is a
-#: float. The simulator weighs attempt classes by comb(r, i) and dropped
-#: fragments by comb(m, d), so it bounds r and m; the model needs neither.
-MAX_FLOAT_COMB_N = 1029
+#: The largest attempt limit r a hop takes. It caps the O(r) work per hop
+#: of the model's ARQ pass and of the simulator's traversal-shape draw;
+#: lifting it waits on that pass stopping early once its terms vanish.
+MAX_RETRIES = 1029
 
 #: The tail recurrence divides its running sum by this once it passes it
 _RESCALE = 1e250
@@ -79,10 +79,10 @@ class HopParams:
             ) from None
         if r < 1:
             raise ValueError(f"attempt limit r must be >= 1, got {self.r}")
-        if r > MAX_FLOAT_COMB_N:
+        if r > MAX_RETRIES:
             raise ValueError(
-                f"attempt limit r must be <= {MAX_FLOAT_COMB_N}, got {r}: past it the "
-                "simulator's attempt-class weights comb(r, i) leave the float range"
+                f"attempt limit r must be <= {MAX_RETRIES}, got {r}: the model's ARQ "
+                "pass and the simulator's shape draw take O(r) work per hop"
             )
         object.__setattr__(self, "r", r)
 

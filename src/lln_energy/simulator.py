@@ -13,26 +13,24 @@ until that ACK arrives.
 Each fidelity has one sampler, named by ``SimReport.method``:
 
 * ``frame`` fidelity, method ``aggregate``. Segments and rounds are
-  i.i.d., so a replication's totals depend only on how many hop
-  traversals land in each outcome class of the single attempt's (fail,
-  partial, success) categorical, not on the order of events. Each
-  replication draws those counts exactly: its failed rounds, uncapped,
-  as one NegativeBinomial(segments, p_round) draw (its segments'
-  Geometric(p_round) round counts, less one each, summed), split
-  into "a fragment was dropped" and "only the TCP ACK was lost"; the
-  dropped-fragment count of each such round from the zero-truncated
-  binomial; the hop where each drop happened; and every hop's
-  attempt-class counts by multinomial. Neither the work nor the memory
+  i.i.d., so a replication's totals are sums over its rounds and hop
+  traversals, whatever the order of events. Each replication draws them
+  exactly: its failed rounds, uncapped, as one NegativeBinomial(segments,
+  p_round) draw, split into "a fragment was dropped" and "only the TCP
+  ACK was lost"; the dropped fragments and the hop where each was
+  dropped; and each hop's traversal shapes (the first outright success at
+  attempt k, or none but a partial, the first at attempt J), with the
+  partials among their other attempts. Neither the work nor the memory
   grows with the round or the segment count. A replication whose
   fragment sends would pass 64-bit integers is refused with a
-  ``ValueError``, as is a segment of 1030 or more fragments, whose
-  binomial coefficients pass the float range.
+  ``ValueError``.
 * ``bit`` fidelity, method ``replay``. Every attempt that happens is
   replayed, drawing the raw per-bit error counts and applying the
   correction threshold: hop by hop, attempt by attempt, over the frames
   still in flight, so a frame draws no attempt after its hop's first
   success and none past the hop that dropped it. ``round_cap`` bounds its
-  work; a segment that hits the cap sets ``truncated``.
+  work; a segment that hits the cap sets ``truncated``. A block of more
+  than ``_MAX_BLOCK_FRAMES`` fragments is refused with a ``ValueError``.
 
 Replications run in blocks of 16 (each sampler's ``block``): each numpy
 call draws one quantity for a whole block, the replay's for every frame
@@ -47,7 +45,6 @@ ints past that.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -55,7 +52,7 @@ import numpy as np
 
 from .config import RunConfig
 from .framing import resolve_frames
-from .hopmodel import MAX_FLOAT_COMB_N, AttemptProbs, hop_model_array
+from .hopmodel import hop_model_array
 from .pathmodel import EnergyParams, PathScenario
 
 __all__ = [
@@ -69,6 +66,9 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 _INT64_MAX = 2**63 - 1
+#: The most fragments a bit-fidelity block replays at once: its index
+#: arrays, a few int64 entries per fragment, stay under about 1 GiB
+_MAX_BLOCK_FRAMES = 2**24
 
 
 class TruncationWarning(RuntimeWarning):
@@ -148,60 +148,26 @@ class SimReport:
         return rec
 
 
-class _HopTables:
-    """Categorical distribution of one hop traversal's summary.
-
-    Enumerates every way <= r attempts can play out: either no attempt
-    succeeds outright (i partial failures among r, delivered iff i >= 1)
-    or the k-th attempt is the first success (i partials before it). Each
-    class carries the attempt count, how many data copies reached the
-    receiver (each one costs a link ACK and all but the first are dropped
-    as duplicates), and whether the frame got through at all. Class 0
-    (all r attempts fail outright) is the only one that drops the frame.
-    """
-
-    def __init__(self, probs: AttemptProbs, r: int):
-        pf, pp, ps = probs.p_fail, probs.p_partial, probs.p_succ
-        weights: list[float] = []
-        attempts: list[int] = []
-        arrivals: list[int] = []
-        ended_success: list[bool] = []
-        for i in range(r + 1):  # no outright success in r attempts
-            weights.append(math.comb(r, i) * pp**i * pf ** (r - i))
-            attempts.append(r)
-            arrivals.append(i)
-            ended_success.append(False)
-        for k in range(1, r + 1):  # first success at attempt k
-            for i in range(k):
-                weights.append(math.comb(k - 1, i) * pp**i * pf ** (k - 1 - i) * ps)
-                attempts.append(k)
-                arrivals.append(i + 1)
-                ended_success.append(True)
-        w = np.asarray(weights, dtype=np.float64)
-        self.attempts = np.asarray(attempts, dtype=np.int64)
-        self.arrivals = np.asarray(arrivals, dtype=np.int64)
-        self.partials = self.arrivals - np.asarray(ended_success, dtype=np.int64)
-        self.p_drop = float(w[0])
-        delivered = np.where(self.arrivals > 0, w, 0.0)
-        total = delivered.sum()
-        self.delivered_pmf = delivered / total if total > 0 else delivered
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """Each row of ``w`` over its sum; a row of zeros stays zeros."""
+    total = w.sum(axis=-1, keepdims=True)
+    return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
 
 
-def _log_pass(tables: list[_HopTables]) -> float:
-    """Log-probability that one frame crosses every hop (-inf past a dead hop)."""
-    if any(t.p_drop >= 1.0 for t in tables):
+def _log_pass(p_drop: np.ndarray) -> float:
+    """Log-probability that a frame crosses hops dropping it with ``p_drop``."""
+    if (p_drop >= 1.0).any():
         return -math.inf
-    return math.fsum(math.log1p(-t.p_drop) for t in tables)
+    return math.fsum(math.log1p(-p) for p in p_drop.tolist())
 
 
-def _drop_site_pmf(tables: list[_HopTables]) -> np.ndarray:
+def _drop_site_pmf(p_drop: np.ndarray) -> np.ndarray:
     """Where a dropped frame stopped: hop j with weight reach_j * drop_j."""
     reach, weights = 1.0, []
-    for t in tables:
-        weights.append(reach * t.p_drop)
-        reach *= 1.0 - t.p_drop
-    w = np.asarray(weights)
-    return w / w.sum() if w.sum() > 0 else w
+    for p in p_drop.tolist():
+        weights.append(reach * p)
+        reach *= 1.0 - p
+    return _normalized(np.asarray(weights))
 
 
 def _beyond(drops: np.ndarray) -> np.ndarray:
@@ -212,23 +178,27 @@ def _beyond(drops: np.ndarray) -> np.ndarray:
 def _exact_dot(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``counts @ weights`` for non-negative integer arrays, without int64 wrap.
 
-    Every term is non-negative, so each row's count total times the
-    largest weight bounds its totals: below 2**62 the int64 product is
-    exact; otherwise the totals are summed as Python ints, in an object
-    array.
+    Each row's count total times the largest weight bounds its totals:
+    below 2**62 the int64 product is exact, past it Python ints sum them.
     """
     bound = counts.sum(axis=1, dtype=np.float64).max(initial=0.0) * float(weights.max())
-    if bound < 2.0**62:
-        return counts @ weights
-    columns = weights.T.tolist()
-    return np.array(
-        [[sum(map(operator.mul, row, col)) for col in columns] for row in counts.tolist()],
-        dtype=object,
-    )
+    return counts @ weights if bound < 2.0**62 else counts.astype(object) @ weights
+
+
+def _binomial(rng, trials: np.ndarray, p) -> np.ndarray:
+    """Binomial(trials, p); a count in an object array, which may pass int64,
+    is drawn as a sum of parts that numpy's int64 draw takes."""
+    if trials.dtype != object:
+        return rng.binomial(trials, p)
+    draws = np.empty(trials.shape, dtype=object)
+    for i, (n, q) in enumerate(zip(trials.flat, np.broadcast_to(p, trials.shape).flat)):
+        whole, rest = divmod(n, _INT64_MAX)
+        draws.flat[i] = sum(rng.binomial([_INT64_MAX] * whole + [rest], q).tolist())
+    return draws
 
 
 class _Aggregate:
-    """Frame fidelity: one exact draw of every outcome-class count per replication."""
+    """Frame fidelity: one exact draw of each replication's totals."""
 
     method = "aggregate"
     #: replications drawn by each numpy call
@@ -237,65 +207,57 @@ class _Aggregate:
     def __init__(self, config: SimConfig):
         scenario = config.scenario
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
-        a = scenario.layout.ll_ack_bits
+        self.a = a = scenario.layout.ll_ack_bits
         self.m = m = frames.m
         self.segments = scenario.segments
+        # one row per hop traversal type: the data hops, then the TCP ACK's,
+        # which crosses them in reverse order
+        h = len(scenario.hops)
+        hops = scenario.hops + scenario.hops[::-1]
+        self.r = r = np.array([hp.r for hp in hops])
+        self.frame_bits = np.repeat([frames.d_data_bits, frames.d_ack_bits], h)
+        arrays = hop_model_array(self.frame_bits,
+                                 np.repeat([frames.c_data_bits, frames.c_ack_bits], h),
+                                 a, [hp.ber for hp in hops], r)
+        pf, pp, ps = arrays.p_fail, arrays.p_partial, arrays.p_succ
 
-        def tables(hops, d_bits, c_bits) -> list[_HopTables]:
-            """A phase's hops, their attempt probabilities in one call."""
-            arrays = hop_model_array(d_bits, c_bits, a, [hp.ber for hp in hops],
-                                     [hp.r for hp in hops])
-            return [_HopTables(arrays.model(i).probs, hp.r) for i, hp in enumerate(hops)]
+        # A delivered traversal's shape: column 0, no outright success in r
+        # attempts but a partial (data through, link ACK lost); column c,
+        # the first outright success at attempt k = R + 1 - c, 0 past r.
+        # k = 1 weighs most of these and comes last, where numpy's
+        # multinomial puts any rounding remainder; if no attempt can
+        # succeed outright, they all weigh 0 and column 0 takes all.
+        u = pf + pp
+        #: the chance that an attempt other than a success is a partial
+        self.theta = np.divide(pp, u, out=np.zeros_like(u), where=u > 0)
+        self.k = np.arange(r.max(), 0, -1)
+        live = self.k <= r[:, None]
+        with np.errstate(divide="ignore"):  # log1p(-1) where pf = 0: none is u**r
+            none = u**r * -np.expm1(r * np.log1p(-self.theta))
+        success = np.where(live, ps[:, None] * u[:, None] ** (self.k - 1), 0.0)
+        self.shape_pmf = _normalized(np.column_stack([none, success]))
+        # Shape 0's first partial at J = R - c (column c), a truncated
+        # geometric with ratio pf / u, its largest weight J = 1 last again
+        self.first_partial_pmf = _normalized(
+            np.where(live, (1.0 - self.theta)[:, None] ** (self.k - 1), 0.0))
+        self.after_first = np.where(live, r[:, None] - self.k, 0)
+        # the most bits a traversal can cost, to bound a block's totals
+        self.traversal_bits = (r * (self.frame_bits + a)).astype(float)
 
-        data = tables(scenario.hops, frames.d_data_bits, frames.c_data_bits)
-        # the TCP ACK travels the path backwards
-        ack = tables(scenario.hops[::-1], frames.d_ack_bits, frames.c_ack_bits)
-
-        # One row per hop traversal type (data hops, then ACK hops), padded
-        # at the front so the last column is always a real delivered class:
-        # numpy gives any rounding remainder of a multinomial to the last one.
-        tables = data + ack
-        width = max(len(t.attempts) for t in tables)
-        pads = [width - len(t.attempts) for t in tables]
-        self.class_pmf = np.array(
-            [np.pad(t.delivered_pmf, (p, 0)) for t, p in zip(tables, pads)]
-        )
-        self.rows = np.arange(len(tables))
-        self.drop_class = np.asarray(pads)  # column of each row's class 0
-        frame_bits = [frames.d_data_bits] * len(data) + [frames.d_ack_bits] * len(ack)
-        per_class = {
-            "bits": [t.attempts * d + t.arrivals * a for t, d in zip(tables, frame_bits)],
-            "link_attempts": [t.attempts for t in tables],
-            "link_failures": [t.attempts - t.arrivals for t in tables],
-            "partial_failures": [t.partials for t in tables],
-            "duplicates_suppressed": [np.maximum(t.arrivals - 1, 0) for t in tables],
-        }
-        # (row, class) x total: a replication's totals are its flattened
-        # class counts times this matrix
-        self.weighted = tuple(per_class)
-        self.class_weights = np.stack([
-            np.concatenate([np.pad(v, (p, 0)) for v, p in zip(values, pads)])
-            for values in per_class.values()
-        ], axis=1)
-
-        log_frag, log_ack = _log_pass(data), _log_pass(ack)
+        p_drop = arrays.f  # pf**r: the hop drops the frame
+        log_frag, log_ack = _log_pass(p_drop[:h]), _log_pass(p_drop[h:])
         self.p_round = math.exp(m * log_frag + log_ack)
         p_frag_lost = -math.expm1(m * log_frag)
         p_ack_lost = math.exp(m * log_frag) * -math.expm1(log_ack)
         p_fail = p_frag_lost + p_ack_lost
         self.p_frag_round = p_frag_lost / p_fail if p_fail > 0 else 0.0
-        # dropped fragments in a round that lost at least one: Binomial(m, p) | >= 1
-        if m > MAX_FLOAT_COMB_N:
-            raise ValueError(
-                f"{m} fragments per segment: the law of a round's dropped fragments "
-                "has binomial coefficients past the float range"
-            )
-        p = -math.expm1(log_frag)
-        lost = np.array([math.comb(m, d) * p**d * (1 - p) ** (m - d) for d in range(1, m + 1)])
-        self.lost_pmf = lost / lost.sum() if lost.sum() > 0 else lost
-        self.lost_sizes = np.arange(1, m + 1)
-        self.data_drop_pmf = _drop_site_pmf(data)
-        self.ack_drop_pmf = _drop_site_pmf(ack)
+        # A round that lost a fragment lost its first at J = m - c (column
+        # c), a truncated geometric, then each of the m - J after it with p.
+        self.p_frag_drop = -math.expm1(log_frag)
+        self.first_drop_pmf = _normalized(math.exp(log_frag) ** np.arange(m - 1, -1, -1.0))
+        self.after_drop = np.arange(m)
+        self.data_drop_pmf = _drop_site_pmf(p_drop[:h])
+        self.ack_drop_pmf = _drop_site_pmf(p_drop[h:])
 
     def _failed_rounds(self, rng, n: int) -> np.ndarray:
         """Each replication's failed segment rounds, refused past 64-bit
@@ -312,6 +274,29 @@ class _Aggregate:
             "replication would send more fragments than 64-bit counters hold"
         )
 
+    def _lost(self, rng, frag_rounds: np.ndarray) -> np.ndarray:
+        """Fragments dropped over each count of rounds that lost one."""
+        after = rng.multinomial(frag_rounds, self.first_drop_pmf) @ self.after_drop
+        return frag_rounds + rng.binomial(after, self.p_frag_drop)
+
+    def _traversals(self, rng, crossed: np.ndarray, drops: np.ndarray):
+        """Each row's (attempts, partials, duplicates) over ``crossed``
+        delivered and ``drops`` dropped traversals, per replication: int64
+        where a bound on the block's bits shows their sums fit, else Python
+        ints in object arrays."""
+        shapes = rng.multinomial(crossed, self.shape_pmf)
+        firsts = rng.multinomial(shapes[..., 0], self.first_partial_pmf)
+        if ((crossed + drops) @ self.traversal_bits).max(initial=0.0) >= 2.0**62:
+            crossed, drops, shapes, firsts = (
+                x.astype(object) for x in (crossed, drops, shapes, firsts))
+        none = shapes[..., 0]
+        tried = shapes[..., 1:] @ self.k
+        # each attempt but a success and a no-success traversal's first J may
+        # be a partial; every arrival but a traversal's first is a duplicate
+        free = tried - (crossed - none) + (firsts * self.after_first).sum(axis=-1)
+        duplicates = _binomial(rng, free, self.theta)
+        return tried + self.r * (none + drops), none + duplicates, duplicates
+
     def run_block(self, rng, n: int):
         """n replications' (bits, counters, truncated): integer arrays of n,
         and False, as the draw applies no round cap."""
@@ -319,21 +304,26 @@ class _Aggregate:
         failed = self._failed_rounds(rng, n)
         sends = failed + n_seg
         frag_rounds = rng.binomial(failed, self.p_frag_round)
-        lost = rng.multinomial(frag_rounds, self.lost_pmf) @ self.lost_sizes
+        lost = self._lost(rng, frag_rounds)
         data_drops = rng.multinomial(lost, self.data_drop_pmf)
         ack_drops = rng.multinomial(failed - frag_rounds, self.ack_drop_pmf)
         crossed = np.concatenate([
             (sends * m - lost)[:, None] + _beyond(data_drops),
             n_seg + _beyond(ack_drops),
         ], axis=1)
-        counts = rng.multinomial(crossed, self.class_pmf)
-        counts[:, self.rows, self.drop_class] += np.concatenate([data_drops, ack_drops], axis=1)
-        totals = dict(zip(self.weighted, _exact_dot(counts.reshape(n, -1), self.class_weights).T))
-        bits = totals.pop("bits")
-        totals["hop_drops"] = lost + failed - frag_rounds
-        totals["segment_sends"] = sends
-        totals["segment_retx"] = failed
-        return bits, totals, False
+        attempts, partials, duplicates = self._traversals(
+            rng, crossed, np.concatenate([data_drops, ack_drops], axis=1))
+        link_attempts = attempts.sum(axis=1)
+        arrivals = (crossed + duplicates).sum(axis=1)
+        return attempts @ self.frame_bits + arrivals * self.a, {
+            "link_attempts": link_attempts,
+            "link_failures": link_attempts - arrivals,
+            "partial_failures": partials.sum(axis=1),
+            "hop_drops": lost + failed - frag_rounds,
+            "duplicates_suppressed": duplicates.sum(axis=1),
+            "segment_sends": sends,
+            "segment_retx": failed,
+        }, False
 
 
 class _Replay:
@@ -356,6 +346,13 @@ class _Replay:
         self.ack = (tuple(reversed(scenario.hops)), frames.d_ack_bits, frames.c_ack_bits)
         self.segments = scenario.segments
         self.round_cap = config.round_cap
+        frames_in_flight = self.block * self.segments * self.m
+        if frames_in_flight > _MAX_BLOCK_FRAMES:
+            raise ValueError(
+                f"{self.segments} segments: a bit-replay block of {self.block} "
+                f"replications would track {frames_in_flight} fragments ({self.m} per "
+                f"segment) at once, past its {_MAX_BLOCK_FRAMES}"
+            )
 
     def _phase(self, rng, phase, owners, reps, counts, attempts):
         """Carry frames across the phase's hops; the owners of those through.

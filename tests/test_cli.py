@@ -250,17 +250,30 @@ class TestSubcommands:
                            "note": "one replication has no standard error"}
         assert run_cli(capsys, *argv, "--strict")[0] == 2
 
-    def test_fragments_past_the_float_range(self, capsys):
-        # the model takes 1030 fragments; the simulator refuses them
-        argv = ("--fragments", "1030", "--mss", "512", "--reps", "2", "--format", "jsonl")
+    def test_fragments_past_1029_are_simulated(self, capsys):
+        # no binomial coefficient bounds the dropped-fragment draw: a
+        # segment of 1030 fragments gets a sim row and a verdict
+        argv = ("--fragments", "1030", "--mss", "512", "--reps", "20", "--format", "jsonl")
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == 0 and json.loads(body(out))["segments"] == 100
+        code, out, _ = run_cli(capsys, "validate", *argv)
+        assert code == 0
+        model, sim, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert model["m"] == 1030 and sim["source"] == "sim"
+        assert verdict["verdict"] in ("PASS", "FAIL")
+
+    def test_bit_replay_past_its_frame_bound_is_refused(self, capsys):
+        # 1.5625e10 segments: the replay's per-block index arrays would need
+        # terabytes, so the sampler refuses the transfer before allocating
+        argv = ("--fidelity", "bit", "--transfer-bytes", "1000000000000", "--reps", "16",
+                "--format", "jsonl")
         code, out, err = run_cli(capsys, "simulate", *argv)
-        assert code == 1 and out == "" and "error: 1030 fragments" in err
+        assert code == 1 and out == "" and "error: 15625000000 segments" in err
         code, out, _ = run_cli(capsys, "validate", *argv)
         assert code == 0
         model, verdict = [json.loads(l) for l in body(out).splitlines()]
-        assert model["m"] == 1030 and model["total_bits"] > 0
-        assert verdict["verdict"] == "SKIP" and "1030 fragments" in verdict["note"]
-        assert run_cli(capsys, "validate", *argv, "--strict")[0] == 2
+        assert model["source"] == "model" and model["total_bits"] > 0
+        assert verdict["verdict"] == "SKIP" and "15625000000 segments" in verdict["note"]
 
     def test_sweep_rows(self, capsys):
         code, out, _ = run_cli(

@@ -11,7 +11,6 @@ the scalar transcription in ``scalar_oracle`` with ``==``.
 import itertools
 import math
 import random
-import sys
 
 import mpmath
 import numpy as np
@@ -20,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lln_energy.hopmodel import (
+    MAX_RETRIES,
     AttemptProbs,
     HopParams,
     attempt_probs,
@@ -270,9 +270,8 @@ class TestHopModel:
         hp = HopParams(ber=1e-3, r=np.int64(3))
         assert hp == HopParams(ber=1e-3, r=3) and type(hp.r) is int
 
-    def test_attempt_limit_past_the_float_range_is_refused(self):
-        # the simulator's attempt classes weigh comb(r, i), a float up to r = 1029 only
-        assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+    def test_attempt_limit_past_max_retries_is_refused(self):
+        assert MAX_RETRIES == 1029
         assert HopParams(ber=3e-4, r=1029).r == 1029
         with pytest.raises(ValueError, match="r must be <= 1029, got 1030"):
             HopParams(ber=3e-4, r=1030)

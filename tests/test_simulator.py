@@ -2,17 +2,18 @@
 
 import json
 import math
-import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lln_energy import simulator
 from lln_energy.config import RunConfig
 from lln_energy.framing import FrameLayout, resolve_frames
-from lln_energy.hopmodel import HopParams
+from lln_energy.hopmodel import AttemptProbs, HopParams, hop_model
 from lln_energy.pathmodel import PathScenario, segment_model, uniform_path
 from lln_energy.simulator import SimConfig, TruncationWarning, simulate
 
@@ -246,15 +247,44 @@ def test_draw_past_64_bit_fragment_sends_is_refused():
     assert agg.run_block(np.random.default_rng(1), 2)[1]["segment_retx"].min() > 2**53
 
 
-def test_fragments_past_the_float_range_are_refused():
-    # the dropped-fragment law needs comb(m, m // 2) as a float: it fits up
-    # to m = 1029, and a larger segment is refused instead of overflowing
-    assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
-    sc = replace(default_scenario(mss=512), layout=replace(LAYOUT, fragments=1029))
-    assert simulate(SimConfig(scenario=sc, replications=2)).segments == 100
-    sc = replace(sc, layout=replace(LAYOUT, fragments=1030))
-    with pytest.raises(ValueError, match="1030 fragments per segment"):
-        simulate(SimConfig(scenario=sc, replications=2))
+@pytest.mark.parametrize("fragments, ber, r, mss", [
+    (1030, 3e-4, 3, 512), (5000, 1e-4, 3, 512), ("auto", 3e-3, 1029, 64),
+])
+def test_sim_matches_model_past_1029_fragments_or_attempts(fragments, ber, r, mss):
+    # the draw has no binomial coefficient to overflow: a segment of any
+    # fragment count, and a hop of up to MAX_RETRIES attempts, are drawn
+    sc = PathScenario(hops=uniform_path(5, ber, r), layout=replace(LAYOUT, fragments=fragments),
+                      mss_bytes=mss, transfer_bytes=51200)
+    model = segment_model(sc)
+    rep = simulate(SimConfig(scenario=sc, replications=200, master_seed=29))
+    assert model.m == (fragments if fragments != "auto" else 1)
+    assert abs(rep.mean_total_bits - model.total_bits) <= 4 * rep.stderr_total_bits
+
+
+def test_trial_counts_past_int64_are_drawn_in_parts():
+    # ~1e18 data traversals of a hop whose outright success takes ~20
+    # attempts: the partial-count binomial has ~2e19 trials, past int64.
+    # Every failed round loses only the TCP ACK, at its one hop, so the data
+    # hop delivers every fragment; by Wald's identity each data attempt is
+    # a partial with p_partial, and the attempts per traversal average
+    # 1 / p_succ (the r-th attempt's truncation weighs ~1e-23)
+    sc = PathScenario(hops=(HopParams(3e-3, 1029),), layout=LAYOUT, mss_bytes=64,
+                      transfer_bytes=6400)
+    agg = simulator._Aggregate(SimConfig(scenario=sc))
+    agg.p_round, agg.p_frag_round = 1e-16, 0.0
+    _, counters, _ = agg.run_block(np.random.default_rng(5), 2)
+    frames = resolve_frames(sc.mss_bytes, LAYOUT)
+    probs = hop_model(frames.d_data_bits, frames.c_data_bits, LAYOUT.ll_ack_bits,
+                      HopParams(3e-3, 1029)).probs
+    attempts, partials, retx, sends = (counters[k].tolist() for k in (
+        "link_attempts", "partial_failures", "segment_retx", "segment_sends"))
+    for got_attempts, partials, retx, n in zip(attempts, partials, retx, sends):
+        # less the lost TCP ACKs' attempts: all that is left of the ACK row
+        # is its 100 delivered traversals', a few thousand
+        got_attempts -= 1029 * retx
+        assert got_attempts - n > 2**63  # the binomial's trials, less the successes
+        assert got_attempts / n == pytest.approx(1 / probs.p_succ, rel=1e-6)
+        assert partials / got_attempts == pytest.approx(probs.p_partial, rel=1e-6)
 
 
 def test_bit_and_frame_fidelity_agree_on_a_heterogeneous_path():
@@ -322,3 +352,174 @@ def test_rejects_bad_config():
         SimConfig(scenario=default_scenario(), fidelity="frames")
     with pytest.raises(ValueError):
         SimConfig(scenario=default_scenario(), master_seed=-1)
+
+
+class _HopTables:
+    """Categorical distribution of one hop traversal's summary.
+
+    Enumerates every way <= r attempts can play out: either no attempt
+    succeeds outright (i partial failures among r, delivered iff i >= 1)
+    or the k-th attempt is the first success (i partials before it). Each
+    class carries the attempt count, how many data copies reached the
+    receiver (each one costs a link ACK and all but the first are dropped
+    as duplicates), and whether the frame got through at all. Class 0
+    (all r attempts fail outright) is the only one that drops the frame.
+    """
+
+    def __init__(self, probs: AttemptProbs, r: int):
+        pf, pp, ps = probs.p_fail, probs.p_partial, probs.p_succ
+        weights: list[float] = []
+        attempts: list[int] = []
+        arrivals: list[int] = []
+        ended_success: list[bool] = []
+        for i in range(r + 1):  # no outright success in r attempts
+            weights.append(math.comb(r, i) * pp**i * pf ** (r - i))
+            attempts.append(r)
+            arrivals.append(i)
+            ended_success.append(False)
+        for k in range(1, r + 1):  # first success at attempt k
+            for i in range(k):
+                weights.append(math.comb(k - 1, i) * pp**i * pf ** (k - 1 - i) * ps)
+                attempts.append(k)
+                arrivals.append(i + 1)
+                ended_success.append(True)
+        w = np.asarray(weights, dtype=np.float64)
+        self.attempts = np.asarray(attempts, dtype=np.int64)
+        self.arrivals = np.asarray(arrivals, dtype=np.int64)
+        self.partials = self.arrivals - np.asarray(ended_success, dtype=np.int64)
+        self.p_drop = float(w[0])
+        delivered = np.where(self.arrivals > 0, w, 0.0)
+        total = delivered.sum()
+        self.delivered_pmf = delivered / total if total > 0 else delivered
+
+
+#: chi-square comparisons in the two law tests below, for a family-wise 1e-3:
+#: ten hop rows and three fragment counts
+LAW_ALPHA = 1e-3 / 13
+#: link ACKs lost often enough that most traversal classes show up
+LAW_LAYOUT = replace(LAYOUT, ll_ack_bits=400)
+
+
+def chi_square_p(observed: Counter, pmf: dict, n: int) -> float:
+    """p-value of ``observed`` counts of n draws against ``pmf``.
+
+    Classes are pooled from the least likely up until each bin expects at
+    least 5 draws; a draw outside the pmf's support fails at once.
+    """
+    assert set(observed) <= {k for k, p in pmf.items() if p > 0}
+    obs, exp, o, e = [], [], 0, 0.0
+    for k in sorted(pmf, key=pmf.get):
+        o, e = o + observed[k], e + n * pmf[k]
+        if e >= 5:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return stats.chisquare(obs, exp).pvalue
+
+
+@pytest.mark.parametrize("hops, mss", [
+    ((HopParams(1e-3, 1),), 64),
+    ((HopParams(1e-3, 2),), 128),
+    ((HopParams(1e-3, 3),), 64),
+    ((HopParams(1e-3, 1), HopParams(5e-4, 3)), 128),
+])
+def test_traversal_law_matches_the_class_enumeration(hops, mss):
+    # 20000 single traversals of every hop row, data and TCP ACK, each
+    # delivered with the enumeration's 1 - p_drop: the histogram of the
+    # sampler's (attempts, partials, arrivals) against the enumeration's pmf
+    sc = PathScenario(hops=hops, layout=LAW_LAYOUT, mss_bytes=mss, transfer_bytes=mss)
+    agg = simulator._Aggregate(SimConfig(scenario=sc))
+    frames = resolve_frames(mss, LAW_LAYOUT)
+    assert frames.m <= 2
+    rows = ([(hp, frames.d_data_bits, frames.c_data_bits) for hp in hops]
+            + [(hp, frames.d_ack_bits, frames.c_ack_bits) for hp in hops[::-1]])
+    tables = [_HopTables(hop_model(d, c, LAW_LAYOUT.ll_ack_bits, hp).probs, hp.r)
+              for hp, d, c in rows]
+    n = 20_000
+    rng = np.random.default_rng(37)
+    crossed = (rng.random((n, len(tables))) >= [t.p_drop for t in tables]).astype(np.int64)
+    attempts, partials, duplicates = agg._traversals(rng, crossed, 1 - crossed)
+    arrivals = crossed + duplicates
+    for j, t in enumerate(tables):
+        full = t.delivered_pmf * (1.0 - t.p_drop)
+        full[0] = t.p_drop  # class 0, the only one that drops the frame
+        pmf = Counter()
+        for key, w in zip(zip(t.attempts.tolist(), t.partials.tolist(), t.arrivals.tolist()),
+                          full.tolist()):
+            pmf[key] += w
+        observed = Counter(zip(attempts[:, j].tolist(), partials[:, j].tolist(),
+                               arrivals[:, j].tolist()))
+        assert chi_square_p(observed, pmf, n) > LAW_ALPHA
+
+
+@pytest.mark.parametrize("fragments", [2, 7, 40])
+def test_dropped_fragment_law_matches_the_binomial(fragments):
+    # a round that lost a fragment lost Binomial(m, p) of them, given at
+    # least one, where p = pf**r is the path's (here one hop's) drop
+    hop = HopParams(2e-4, 1)
+    layout = replace(LAYOUT, fragments=fragments)
+    sc = PathScenario(hops=(hop,), layout=layout, mss_bytes=512, transfer_bytes=512)
+    agg = simulator._Aggregate(SimConfig(scenario=sc))
+    frames = resolve_frames(512, layout)
+    p = hop_model(frames.d_data_bits, frames.c_data_bits, layout.ll_ack_bits, hop).f
+    m, n = frames.m, 20_000
+    lost = agg._lost(np.random.default_rng(41), np.ones(n, dtype=np.int64))
+    weights = {d: math.comb(m, d) * p**d * (1 - p) ** (m - d) for d in range(1, m + 1)}
+    total = sum(weights.values())
+    pmf = {d: w / total for d, w in weights.items()}
+    assert chi_square_p(Counter(lost.tolist()), pmf, n) > LAW_ALPHA
+
+
+@pytest.mark.parametrize("ber, ll_ack_bits", [(0.0, 40), (1e-3, 10**6)])
+def test_no_count_lands_on_a_zero_weight_shape(ber, ll_ack_bits):
+    # numpy's multinomial gives any rounding remainder to the last category.
+    # A noiseless hop succeeds at its first attempt, and a hop whose
+    # 10**6-bit link ACK never survives (p_succ underflows to 0) never
+    # succeeds outright: of ~1e15 traversals per row none may land on a
+    # shape, or any multinomial category, that weighs 0
+    layout = replace(LAYOUT, ll_ack_bits=ll_ack_bits)
+    sc = PathScenario(hops=uniform_path(2, ber, 3), layout=layout, mss_bytes=64,
+                      transfer_bytes=64)
+    agg = simulator._Aggregate(SimConfig(scenario=sc))
+    agg.segments = 10**15
+    draws = []
+
+    class Spy:  # numpy's Generator, keeping every multinomial draw
+        def __init__(self):
+            self.rng = np.random.default_rng(43)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def multinomial(self, n, pvals):
+            out = self.rng.multinomial(n, pvals)
+            draws.append((np.broadcast_to(pvals, out.shape), out))
+            return out
+
+    agg.run_block(Spy(), 2)
+    assert len(draws) == 5
+    for pvals, out in draws:
+        assert not out[pvals == 0].any()
+    shapes = draws[3][1]
+    assert shapes.sum() >= 4 * 10**15
+    # every traversal on the one shape that weighs
+    assert shapes[..., -1 if ber == 0 else 0].sum() == shapes.sum()
+
+
+def test_bit_replay_refuses_a_block_past_its_frame_bound():
+    # the replay keeps index arrays over a block's fragments in flight: a
+    # 10**12-byte transfer, 1.5625e10 segments, would need terabytes and is
+    # refused before anything is allocated. 2**20 one-fragment segments
+    # fill a block of 16 replications to the bound exactly
+    def replay(transfer):
+        return simulator._Replay(SimConfig(scenario=default_scenario(transfer=transfer),
+                                           fidelity="bit"))
+
+    with pytest.raises(ValueError, match="15625000000 segments"):
+        simulate(SimConfig(scenario=default_scenario(transfer=10**12), replications=16,
+                           fidelity="bit"))
+    assert replay(2**20 * 64).block * 2**20 == simulator._MAX_BLOCK_FRAMES
+    with pytest.raises(ValueError, match="1048577 segments: "):
+        replay((2**20 + 1) * 64)
