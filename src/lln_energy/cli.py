@@ -11,10 +11,12 @@ Results go to stdout (or --output) as CSV or JSON lines, preceded by
 ``#`` metadata comments (tool version, config hash, seed/RNG, timestamp;
 only the timestamp line varies between identical invocations). The whole
 output is formatted before any of it is written, so a bad value anywhere
-ends the run with nothing written. CSV is written a column at a time,
-with the cells csv.DictWriter writes: a sweep's straight from its model
-calls' columns (explorer.sweep_columns), no row built; the other
-commands' few rows are turned into columns first. Exit status: 0 on
+ends the run with nothing written. Every command's output is a series of
+blocks, each a run of consecutive rows with the same fields held as a
+row count and a column per field: a sweep's come straight from its model
+calls (explorer.sweep_columns), no row built; the other commands' few
+rows are grouped into them. CSV, with the cells csv.DictWriter writes,
+and JSON lines are written from the same blocks. Exit status: 0 on
 success, 1 on configuration errors or when the reader of stdout leaves
 early (a pipe into head), 2 with --strict when any emitted row is
 degenerate, divergent, truncated, a layout error, a frontier point
@@ -38,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain
+from itertools import groupby
 
 from . import __version__
 from .config import (
@@ -51,7 +53,7 @@ from .config import (
     validate_config,
 )
 from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
-                       SWEEP_AXES, SweepSpec, frontier, sweep, sweep_columns)
+                       SWEEP_AXES, SweepSpec, frontier, sweep_columns)
 from .framing import LayoutError
 from .pathmodel import segment_model
 from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
@@ -187,11 +189,17 @@ def _metadata(cfg: RunConfig, include_seed: bool) -> list[str]:
     return lines
 
 
-def _columns(rows: list[dict]) -> tuple[int, dict[str, list]]:
-    """Rows as one block for ``_csv``: their count, and a column per key in
-    first-seen order, None where a row lacks the key."""
-    names = dict.fromkeys(chain.from_iterable(rows))
-    return len(rows), {name: [row.get(name) for row in rows] for name in names}
+#: A block: a run of consecutive rows with the same fields, as its row
+#: count and a column per field, in the rows' field order
+Block = tuple[int, dict[str, list]]
+
+
+def _blocks(rows: Iterable[dict]) -> Iterator[Block]:
+    """The rows as blocks, one per run of consecutive rows whose keys, in
+    order, are the same."""
+    for _, run in groupby(rows, key=tuple):
+        run = list(run)
+        yield len(run), {name: [row[name] for row in run] for name in run[0]}
 
 
 def _cells(column: list) -> list[str]:
@@ -206,21 +214,21 @@ def _cells(column: list) -> list[str]:
     return cells
 
 
-def _csv(blocks: Iterable[tuple[int, dict[str, list]]]) -> list[str]:
+def _csv(blocks: Iterable[Block]) -> list[str]:
     """The CSV lines, header first, that ``csv.DictWriter`` writes for the
     blocks' rows, with every key seen as a field and "" for None.
 
-    A block is a row count and its columns, keyed in their rows' first-seen
-    order (``_columns``, ``explorer.sweep_columns``). Each is formatted a
-    column at a time as it comes, against the header so far: a key first
-    seen in a later block joins the header at its end, so the lines before
-    it only gain empty cells."""
+    Each block is formatted a column at a time as it comes, against the
+    header so far: a key first seen in a later block joins the header at
+    its end, so the lines before it only gain empty cells."""
     header: dict = {}
-    parts = []  # each block's lines and the header width they were made for
+    parts = []  # each block's lines and the cells each of them holds
     for n, columns in blocks:
         header.update(dict.fromkeys(columns))
         cells = [_cells(columns[name]) if name in columns else [""] * n for name in header]
-        parts.append((list(map(",".join, zip(*cells))) if cells else [""] * n, len(header)))
+        # a row before any field is one empty cell, padded like any other
+        parts.append((list(map(",".join, zip(*cells))) if cells else [""] * n,
+                      max(len(header), 1)))
     width = len(header)
     lines = [",".join(_cells(list(header)))]
     for block, w in parts:
@@ -229,7 +237,7 @@ def _csv(blocks: Iterable[tuple[int, dict[str, list]]]) -> list[str]:
     return [line or '""' for line in lines] if width == 1 else lines
 
 
-def _strict_trips(block: tuple[int, dict[str, list]]) -> bool:
+def _strict_trips(block: Block) -> bool:
     """Whether a row of the block has a flag in STRICT_FLAGS or a FAIL or
     SKIP verdict."""
     columns = block[1]
@@ -238,13 +246,10 @@ def _strict_trips(block: tuple[int, dict[str, list]]) -> bool:
             or any(v in ("FAIL", "SKIP") for v in columns.get("verdict", ())))
 
 
-def _emit(result, fmt: str, meta: list[str], out) -> bool:
-    """Write the ``meta`` lines, then ``result``: a command's rows, or a CSV
-    sweep's chunks of columns. Returns whether a row trips ``--strict``."""
+def _emit(blocks: Iterable[Block], fmt: str, meta: list[str], out) -> bool:
+    """Write the ``meta`` lines, then the blocks' rows as CSV or JSON lines.
+    Returns whether a row trips ``--strict``."""
     out.writelines(line + "\n" for line in meta)
-    if fmt == "jsonl":
-        out.writelines(json.dumps(row) + "\n" for row in result)
-        return _strict_trips(_columns(result))
     trips = []
 
     def checked(blocks):
@@ -252,22 +257,25 @@ def _emit(result, fmt: str, meta: list[str], out) -> bool:
             trips.append(_strict_trips(block))
             yield block
 
-    blocks = [_columns(result)] if isinstance(result, list) else (
-        (len(columns["axis"]), columns) for columns in result)
-    out.write("".join(line + "\r\n" for line in _csv(checked(blocks))))
+    if fmt == "jsonl":
+        # range(n) keeps the rows of a block with no columns
+        out.writelines(json.dumps(dict(zip(columns, row))) + "\n" for n, columns in
+                       checked(blocks) for *row, _ in zip(*columns.values(), range(n)))
+    else:
+        out.write("".join(line + "\r\n" for line in _csv(checked(blocks))))
     return any(trips)
 
 
-def _cmd_model(cfg: RunConfig, args) -> list[dict]:
+def _cmd_model(cfg: RunConfig, args) -> Iterator[Block]:
     report = segment_model(cfg.scenario(), energy=cfg.energy())
-    return [{"source": "model", **report.to_record(per_hop=(args.format == "jsonl"))}]
+    return _blocks([{"source": "model", **report.to_record(per_hop=(args.format == "jsonl"))}])
 
 
-def _cmd_simulate(cfg: RunConfig, args) -> list[dict]:
-    return [{"source": "sim", **simulate(cfg.sim()).to_record()}]
+def _cmd_simulate(cfg: RunConfig, args) -> Iterator[Block]:
+    return _blocks([{"source": "sim", **simulate(cfg.sim()).to_record()}])
 
 
-def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
+def _cmd_validate(cfg: RunConfig, args) -> Iterator[Block]:
     model = segment_model(cfg.scenario(), energy=cfg.energy())
     rows = [{"source": "model", **model.to_record()}]
     verdict: dict = {"source": "verdict"}
@@ -275,14 +283,14 @@ def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
         # no segment round can succeed, so there is no transfer to simulate
         verdict.update(verdict="SKIP", flags="diverges",
                        note="model diverges; nothing to compare")
-        return rows + [verdict]
+        return _blocks(rows + [verdict])
     try:
         sim = simulate(cfg.sim())
     except ValueError as exc:
         # validate_config has accepted the config, so this is the sampler
         # refusing a transfer whose counters would pass 64 bits
         verdict.update(verdict="SKIP", note=str(exc))
-        return rows + [verdict]
+        return _blocks(rows + [verdict])
     rows.append({"source": "sim", **sim.to_record()})
     if sim.truncated:
         verdict.update(verdict="SKIP", flags="truncated",
@@ -305,11 +313,10 @@ def _cmd_validate(cfg: RunConfig, args) -> list[dict]:
             flags=";".join(sim.flags),
         )
     rows.append(verdict)
-    return rows
+    return _blocks(rows)
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> list[dict] | Iterator[dict[str, list]]:
-    """The sweep's rows, or for CSV its model calls' columns (no row dicts)."""
+def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
     spec = SweepSpec(
         scenario=cfg.scenario(),
         axis=args.axis,
@@ -317,10 +324,10 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict] | Iterator[dict[str, list]]:
         mss_list=_parse_int_list(args.mss_list),
         energy=cfg.energy(),
     )
-    return sweep(spec) if args.format == "jsonl" else sweep_columns(spec)
+    return sweep_columns(spec)
 
 
-def _cmd_frontier(cfg: RunConfig, args) -> list[dict]:
+def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
     values = _parse_grid(args.values)
     h_values = _parse_int_list(args.h_range)
     mss_pair = _parse_int_list(args.mss_pair)
@@ -340,7 +347,7 @@ def _cmd_frontier(cfg: RunConfig, args) -> list[dict]:
         ber_range=(lo, hi),
         points_per_decade=args.points_per_decade,
     )
-    return [p.to_record() for p in points]
+    return _blocks(p.to_record() for p in points)
 
 
 _COMMANDS = {
@@ -387,12 +394,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.print_config:
             return _stdout(dump_config(cfg))
 
-        result = _COMMANDS[args.command](cfg, args)
-        # every chunk is formatted, and any of them may raise, before the
+        blocks = _COMMANDS[args.command](cfg, args)
+        # every block is formatted, and any of them may raise, before the
         # output opens; only the text is kept
         text = io.StringIO()
         meta = _metadata(cfg, include_seed=args.command in ("simulate", "validate"))
-        tripped = _emit(result, args.format, meta, text)
+        tripped = _emit(blocks, args.format, meta, text)
     except (_CliError, ConfigError, LayoutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

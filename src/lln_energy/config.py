@@ -2,9 +2,10 @@
 
 Every default matches the bundled reference deployment (five 3e-4 hops,
 three link-layer attempts, 802.15.4-style 127-byte MTU, 51.2 kB
-transfer). The layout, hop, transfer and energy defaults are read from
-the classes that own them (``FrameLayout``, ``HopParams``,
-``PathScenario``, ``EnergyParams``), and those classes check the values.
+transfer). The layout, hop, transfer, energy and sim defaults are read
+from the classes that own them (``FrameLayout``, ``HopParams``,
+``PathScenario``, ``EnergyParams``, ``SimConfig``), and those classes
+check the values.
 The ``[frames]`` and ``[energy]`` sections are the fields of
 ``FrameLayout`` and ``EnergyParams``, each value parses by the type of its
 field's default, and the CLI flags set the same ``RunConfig`` fields.
@@ -19,14 +20,11 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
 
 from .framing import FrameLayout
 from .hopmodel import HopParams
 from .pathmodel import EnergyParams, PathScenario, check_hop_count
-
-if TYPE_CHECKING:
-    from .simulator import SimConfig
+from .simulator import SimConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "dump_config", "config_sha256",
            "parse_fragments"]
@@ -76,12 +74,12 @@ class RunConfig:
     tx_uj_per_bit: float = EnergyParams.tx_uj_per_bit
     rx_uj_per_bit: float = EnergyParams.rx_uj_per_bit
     n_neighbors: float = EnergyParams.n_neighbors
-    # [sim]; SimConfig reads its defaults from here
-    replications: int = 1000
-    seed: int = 1
-    fidelity: str = "frame"
-    round_cap: int = 1_000_000
-    workers: int = 1
+    # [sim]
+    replications: int = SimConfig.replications
+    seed: int = SimConfig.master_seed
+    fidelity: str = SimConfig.fidelity
+    round_cap: int = SimConfig.round_cap
+    workers: int = SimConfig.workers
 
     def _section(self, name: str) -> dict:
         return {key: getattr(self, key) for key in _SECTIONS[name]}
@@ -107,10 +105,6 @@ class RunConfig:
         return EnergyParams(**self._section("energy"))
 
     def sim(self) -> SimConfig:
-        # imported here, not at the top: the simulator loads numpy, and every
-        # module the CLI compiles after numpy adds to its peak memory
-        from .simulator import SimConfig
-
         knobs = self._section("sim")
         knobs["master_seed"] = knobs.pop("seed")
         return SimConfig(scenario=self.scenario(), energy=self.energy(), **knobs)

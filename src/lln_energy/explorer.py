@@ -21,9 +21,11 @@ through such calls, two points (long and short MSS) per BER, then
 bisects all of its brackets in lockstep, one step at a time. Within a
 call the hop models are keyed by distinct (frame, BER, r), so the hop
 counts of one value's BER grid that share a call share its hop models.
-A sweep's calls have two views: ``sweep`` builds a dict per row, and
-``sweep_columns`` hands over each call's columns, from which the CLI
-writes CSV without building a row.
+``sweep_columns`` hands over each call's rows as blocks, each a run of
+consecutive rows with the same fields, held as a row count and a column
+per field: a run of points whose frames resolved, or a run of layout
+errors. The CLI writes CSV and JSON lines from them without building a
+row; ``sweep`` is their rows, a dict each.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import groupby, islice
 
-from .framing import LayoutError
-from .pathmodel import EnergyParams, ModelBatch, PathScenario, check_hop_count, segment_models
+from .pathmodel import EnergyParams, PathScenario, check_hop_count, segment_models
 
 __all__ = [
     "SweepSpec",
@@ -100,10 +101,13 @@ def _axis_column(axis: str, values) -> list:
     return [(int if axis in ("r", "h", "mss") else float)(value) for value in values]
 
 
-def _sweep_batches(spec: SweepSpec) -> Iterator[tuple[dict, list, ModelBatch]]:
-    """The sweep's model calls, in grid-then-MSS order: for each chunk of
-    at most ``BATCH_POINTS`` points, its lead columns (``axis``, ``value``),
-    its MSS column and its ``ModelBatch``."""
+def sweep_columns(spec: SweepSpec) -> Iterator[tuple[int, dict[str, list]]]:
+    """``sweep(spec)``'s rows as blocks (see the module docstring), in
+    grid-then-MSS order, one model call of at most ``BATCH_POINTS`` points
+    at a time; no row is built. A run of points whose frames resolved has
+    ``axis``, ``value``, then the fields of ``ModelReport.to_record()``; a
+    run of layout-error points has only ``_ERROR_FIELDS``.
+    """
     mss_list = (None,) if spec.axis == "mss" else spec.mss_list
     labels = [value for value in spec.grid for _ in mss_list]
     columns = {spec.axis: [v for v in _axis_column(spec.axis, spec.grid) for _ in mss_list]}
@@ -113,44 +117,32 @@ def _sweep_batches(spec: SweepSpec) -> Iterator[tuple[dict, list, ModelBatch]]:
         chunk = {name: col[start:start + BATCH_POINTS] for name, col in columns.items()}
         values = labels[start:start + BATCH_POINTS]
         batch = segment_models(spec.scenario, spec.energy, **chunk)
-        yield {"axis": [spec.axis] * len(values), "value": values}, chunk["mss"], batch
+        records = batch.record_columns(axis=[spec.axis] * len(values), value=values)
+        lo = 0
+        for failed, run in groupby(batch.errors, key=bool):
+            errors = list(run)
+            n, hi = len(errors), lo + len(errors)
+            if failed:
+                cells = ([spec.axis] * n, values[lo:hi], chunk["mss"][lo:hi],
+                         ["layout_error"] * n, list(map(str, errors)))
+                block = dict(zip(_ERROR_FIELDS, cells))
+            else:
+                block = {name: col[lo:hi] for name, col in records.items()}
+            yield n, block
+            lo = hi
 
 
 def sweep(spec: SweepSpec) -> list[dict]:
-    """Model rows for every (grid point x MSS), in grid-then-MSS order.
+    """Model rows for every (grid point x MSS), in grid-then-MSS order: the
+    rows of ``sweep_columns``' blocks.
 
     Degenerate or divergent points keep their flags; a layout that cannot
     be realized at a point (e.g. alpha too large to fit the MTU) yields a
     row of ``_ERROR_FIELDS``, flagged ``layout_error``, instead of
     aborting the sweep.
     """
-    rows = []
-    for lead, mss, batch in _sweep_batches(spec):
-        for axis, value, mss_bytes, rec in zip(*lead.values(), mss, batch.records(**lead)):
-            if isinstance(rec, LayoutError):
-                rec = dict(zip(_ERROR_FIELDS, (axis, value, mss_bytes, "layout_error", str(rec))))
-            rows.append(rec)
-    return rows
-
-
-def sweep_columns(spec: SweepSpec) -> Iterator[dict[str, list]]:
-    """``sweep(spec)``'s rows as columns, one model call's chunk at a time.
-
-    A chunk maps each field its rows have, in their first-seen order, to a
-    value per row, None where the row lacks the field; no row is built.
-    """
-    for lead, mss, batch in _sweep_batches(spec):
-        columns = batch.record_columns(**lead)
-        errors = batch.errors
-        if any(errors):
-            columns["mss_bytes"] = mss
-            columns["flags"] = ["layout_error" if err else f
-                                for f, err in zip(columns["flags"], errors)]
-            columns["error"] = [None if err is None else str(err) for err in errors]
-            kinds = dict.fromkeys(err is None for err in errors)  # first seen first
-            names = chain.from_iterable(columns if ok else _ERROR_FIELDS for ok in kinds)
-            columns = {name: columns[name] for name in dict.fromkeys(names)}
-        yield columns
+    return [dict(zip(columns, row)) for _, columns in sweep_columns(spec)
+            for row in zip(*columns.values())]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ tuples are built, only when read.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 
@@ -303,20 +303,13 @@ class ModelBatch:
         return ModelReport(**{name: None if v != v else v for name, v in row.items()})
 
     def record_columns(self, **lead: list) -> dict[str, list]:
-        """The columns of ``records()``: ``lead``, which maps names to
-        columns (a value per point), then each field of
-        ``ModelReport.to_record()``, ``flags`` joined by ';'. An errored
-        point reads None in every field."""
+        """Each point's ``ModelReport.to_record()`` as columns: ``lead``,
+        which maps names to columns (a value per point), then each field of
+        the record, ``flags`` joined by ';'. An errored point reads None in
+        every field."""
         flags = [None if f is None else _joined(f) for f in self.columns["flags"]]
         return {**lead, **{name: flags if name == "flags" else self.column(name)
                            for name in _RECORD_FIELDS}}
-
-    def records(self, **lead: list) -> Iterator[dict | LayoutError]:
-        """Each point's ``ModelReport.to_record()``, opened by its ``lead``
-        values (see ``record_columns``), or its LayoutError."""
-        columns = self.record_columns(**lead)
-        for err, row in zip(self.errors, zip(*columns.values())):
-            yield err if err is not None else dict(zip(columns, row))
 
 
 def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> ModelReport:

@@ -50,9 +50,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import RunConfig
 from .framing import resolve_frames
-from .hopmodel import hop_model_array
+from .hopmodel import _attempt_probs
 from .pathmodel import EnergyParams, PathScenario
 
 __all__ = [
@@ -79,12 +78,12 @@ class TruncationWarning(RuntimeWarning):
 class SimConfig:
     scenario: PathScenario
     energy: EnergyParams = field(default_factory=EnergyParams)
-    replications: int = RunConfig.replications
-    master_seed: int = RunConfig.seed
-    fidelity: str = RunConfig.fidelity  # "frame" | "bit"
+    replications: int = 1000
+    master_seed: int = 1
+    fidelity: str = "frame"  # "frame" | "bit"
     # bit fidelity: end-to-end rounds per segment before the replay truncates
-    round_cap: int = RunConfig.round_cap
-    workers: int = RunConfig.workers
+    round_cap: int = 1_000_000
+    workers: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
@@ -110,10 +109,6 @@ class SimCounters:
     duplicates_suppressed: float
     segment_sends: float
     segment_retx: float
-
-    def to_dict(self) -> dict:
-        """The fields in order (``vars`` of a frozen dataclass holds just them)."""
-        return dict(vars(self))
 
 
 COUNTER_NAMES = tuple(f.name for f in fields(SimCounters))
@@ -144,7 +139,7 @@ class SimReport:
         """
         rec = dict(vars(self))
         rec["flags"] = ";".join(self.flags)
-        rec.update(rec.pop("counters").to_dict())
+        rec.update(vars(rec.pop("counters")))
         return rec
 
 
@@ -216,10 +211,9 @@ class _Aggregate:
         hops = scenario.hops + scenario.hops[::-1]
         self.r = r = np.array([hp.r for hp in hops])
         self.frame_bits = np.repeat([frames.d_data_bits, frames.d_ack_bits], h)
-        arrays = hop_model_array(self.frame_bits,
-                                 np.repeat([frames.c_data_bits, frames.c_ack_bits], h),
-                                 a, [hp.ber for hp in hops], r)
-        pf, pp, ps = arrays.p_fail, arrays.p_partial, arrays.p_succ
+        pf, pp, ps = _attempt_probs(self.frame_bits,
+                                    np.repeat([frames.c_data_bits, frames.c_ack_bits], h),
+                                    a, np.array([hp.ber for hp in hops]))
 
         # A delivered traversal's shape: column 0, no outright success in r
         # attempts but a partial (data through, link ACK lost); column c,
@@ -244,7 +238,8 @@ class _Aggregate:
         # the most bits a traversal can cost, to bound a block's totals
         self.traversal_bits = (r * (self.frame_bits + a)).astype(float)
 
-        p_drop = arrays.f  # pf**r: the hop drops the frame
+        # the hop drops the frame: pf**r, one Python power each, as the model's
+        p_drop = np.array([x**k for x, k in zip(pf.tolist(), r.tolist())])
         log_frag, log_ack = _log_pass(p_drop[:h]), _log_pass(p_drop[h:])
         self.p_round = math.exp(m * log_frag + log_ack)
         p_frag_lost = -math.expm1(m * log_frag)

@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 
 import lln_energy
 from lln_energy import cli, config
-from lln_energy.cli import _add_common, _add_sim, _emit, _Parser, build_parser, main
+from lln_energy.cli import _add_common, _add_sim, _blocks, _emit, _Parser, build_parser, main
 from lln_energy.config import (
     ConfigError,
     RunConfig,
     dump_config,
     load_config,
 )
-from lln_energy.explorer import SweepSpec, sweep
-from lln_energy.simulator import TruncationWarning
+from lln_energy.explorer import _ERROR_FIELDS, SweepSpec, sweep
+from lln_energy.pathmodel import _RECORD_FIELDS
+from lln_energy.simulator import COUNTER_NAMES, SimReport, TruncationWarning
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +60,7 @@ def dict_writer_csv(rows: list[dict]) -> str:
 
 def emitted_csv(rows: list[dict]) -> str:
     out = io.StringIO()
-    _emit(rows, "csv", [], out)
+    _emit(_blocks(rows), "csv", [], out)
     return out.getvalue()
 
 
@@ -161,6 +162,31 @@ class TestSchema:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert body(out).splitlines()[0] == header
+
+    def test_jsonl_sweep_row_keys(self, capsys):
+        # a descending grid: the first chunk opens with layout errors
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "alpha", "--grid", "20,5,2,1,0.5,0.1,0.01",
+            "--mss-list", "64,512", "--fragments", "fit", "--format", "jsonl",
+        )
+        assert code == 0
+        rows = [json.loads(l) for l in body(out).splitlines()]
+        errors = [row for row in rows if row["flags"] == "layout_error"]
+        assert rows[:6] == errors and len(rows) == 14
+        for row in errors:
+            assert tuple(row) == _ERROR_FIELDS
+        for row in rows[6:]:
+            assert tuple(row) == ("axis", "value", *_RECORD_FIELDS)
+
+    def test_jsonl_validate_row_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--reps", "20", "--format", "jsonl")
+        assert code == 0
+        model, sim, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert tuple(model) == ("source", *_RECORD_FIELDS)
+        report = [f.name for f in fields(SimReport) if f.name != "counters"]
+        assert tuple(sim) == ("source", *report, *COUNTER_NAMES)
+        assert tuple(verdict) == ("source", "verdict", "model_total_bits",
+                                  "sim_mean_total_bits", "delta", "three_sigma", "z", "flags")
 
 
 class TestSubcommands:
@@ -309,7 +335,7 @@ class TestSubcommands:
         rows.append({"flags": "x", "axis": None})  # keys in another order
         assert rows[1]["flags"] == "layout_error" and "error" not in rows[0]
         got = io.StringIO()
-        _emit(rows, "csv", [], got)
+        _emit(_blocks(rows), "csv", [], got)
         want = io.StringIO()
         writer = csv.DictWriter(want, fieldnames=dict.fromkeys(k for r in rows for k in r),
                                 restval="")
@@ -350,6 +376,7 @@ class TestSubcommands:
         [{"a,b": 1, 'q"': 2}],
         [{}, {}],
         [],
+        [{}, {"a": None}],  # a row of no fields, then a field
     ])
     def test_csv_cases_match_a_dict_writer(self, rows):
         assert emitted_csv(rows) == dict_writer_csv(rows)

@@ -405,14 +405,15 @@ class TestBatchedCore:
         # ones are padded
         base, columns = call
         batch = segment_models(base, energy, **columns)
-        records = list(batch.records())
+        record = batch.record_columns()
+        records = [dict(zip(record, row)) for row in zip(*record.values())]
         for i in range(len(batch.errors)):
             try:
                 want = scalar_oracle.segment_model(
                     scalar_oracle.point_scenario(base, columns, i), energy)
             except LayoutError as exc:
                 assert str(batch.errors[i]) == str(exc)
-                assert records[i] is batch.errors[i]
+                assert set(records[i].values()) == {None}
                 with pytest.raises(LayoutError):
                     batch.report(i)
                 continue
@@ -498,7 +499,7 @@ class TestBatchedCore:
         assert list(batch.columns) == [f.name for f in fields(ModelReport)]
         for name in batch.columns:
             assert batch.column(name) == [None, None], name
-        assert list(batch.records()) == batch.errors
+        assert all(column == [None, None] for column in batch.record_columns().values())
         for i in range(2):
             with pytest.raises(LayoutError):
                 batch.report(i)
