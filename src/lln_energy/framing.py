@@ -29,8 +29,8 @@ BITS_PER_BYTE = 8
 #: per 64 bytes of TCP payload (so mss=64 -> 1 frame, mss=512 -> 8 frames).
 AUTO_FRAGMENT_CHUNK_BYTES = 64
 
-#: Largest coded frame, in bits: the model takes bit counts as floats, which
-#: hold integers exactly up to 2**53.
+#: Largest coded frame or link ACK, in bits: the model takes bit counts as
+#: floats, which hold integers exactly up to 2**53.
 MAX_FRAME_BITS = 2**53
 
 
@@ -80,8 +80,10 @@ class FrameLayout:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise LayoutError(f"{name} must be a non-negative integer, got {v!r}")
-        if self.ll_ack_bits < 1:
-            raise LayoutError("ll_ack_bits must be >= 1")
+        if not 1 <= self.ll_ack_bits <= MAX_FRAME_BITS:
+            raise LayoutError(
+                f"ll_ack_bits must be in [1, {MAX_FRAME_BITS}], got {self.ll_ack_bits}"
+            )
         if self.mtu_bits <= self.ll_data_header_bits + self.frag_header_bits:
             raise LayoutError(
                 "mtu_bits must exceed ll_data_header_bits + frag_header_bits"

@@ -12,8 +12,10 @@ Every quantity is computed over arrays, one element per (d, c, a, ber, r)
 key, in three steps: the binomial tail (``_frame_error_probs``), the
 attempt outcomes (``_attempt_probs``) and the ARQ sums (``_success_bits``).
 ``hop_model_array`` is the one array entry, all three steps over a
-call's keys. Only IEEE ``+ - * /`` run in numpy, each element in the
-order of the scalar formulas; ``lgamma``, ``log``, ``log1p``, ``exp`` and
+call's keys. The tail's term recurrence is the scalar loop itself, run
+once per key whose tail has terms past the first (``_log_tail``). Only
+IEEE ``+ - * /`` run in numpy, each element in the order of the scalar
+formulas; ``lgamma``, ``log``, ``log1p``, ``exp`` and
 ``**`` are per-element ``math`` calls, as numpy's may differ from libm in
 the last bit. Integer products (``k*d + a``, ``r*d``, ``a*r``) are exact
 before their one conversion to float. So every element equals the scalar
@@ -51,10 +53,6 @@ MAX_RETRIES = 1029
 
 #: The tail recurrence divides its running sum by this once it passes it
 _RESCALE = 1e250
-#: Terms of the tail recurrence per key and round: the first round's, and
-#: the most cells (keys x terms) of any round
-_FIRST_TERMS = 16
-_MAX_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -186,11 +184,12 @@ def _frame_error_probs(d, c, ber, log_q) -> np.ndarray:
     C(d,i) ber^i (1-ber)^(d-i) over i = c+1..d; else it is 1 less the
     lower tail, i = 0..c. Each first term is taken in log space,
     lgamma(d+1) - lgamma(lo+1) - lgamma(d-lo+1) + lo*log(ber) +
-    (d-lo)*log1p(-ber), and the recurrence (``_term_sums``, every tail
-    together) runs in a scaled linear space, so a sum survives (1-ber)^d
-    underflowing. A lower tail starts at lo = 0, where the first four terms
-    add up to exactly 0.0 (lgamma(1) is 0.0, and 0*log(ber) a zero), so
-    only the upper tails call ``lgamma`` and ``log``.
+    (d-lo)*log1p(-ber), over the keys as arrays. The recurrence runs in
+    a scaled linear space, one plain loop (``_log_tail``) per key with
+    terms past the first, so a sum survives (1-ber)^d underflowing. A
+    lower tail starts at lo = 0, where the first four terms add up to
+    exactly 0.0 (lgamma(1) is 0.0, and 0*log(ber) a zero), so only the
+    upper tails call ``lgamma`` and ``log``.
     """
     live = np.flatnonzero((ber != 0.0) & (c != d))
     out = np.zeros(len(d))
@@ -205,75 +204,37 @@ def _frame_error_probs(d, c, ber, log_q) -> np.ndarray:
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(b)
         for n, k, b in zip(d[upper].tolist(), lo[upper].tolist(), ber[upper].tolist())]
     offset = head + (d - lo) * log_q
-    runs = np.flatnonzero(lo < hi)
-    if runs.size:  # each of these sums takes its rescales into offset
-        sums = _term_sums(d, lo, hi, ber, upper, offset, runs)
-        offset = offset + np.array([math.log(x) for x in sums.tolist()])
+    runs = np.flatnonzero(lo < hi)  # a tail of one term is its head
+    offset[runs] = [_log_tail(*key) for key in zip(
+        *(x[runs].tolist() for x in (d, lo, hi, ber, upper, offset)))]
     tail = np.array([math.exp(x) for x in offset.tolist()])
     out[live] = np.minimum(1.0, np.where(upper, tail, np.maximum(0.0, 1.0 - tail)))
     return out
 
 
-def _term_sums(d, lo, hi, p, upper, offset, live) -> np.ndarray:
-    """Each row's running sum of terms, the first term 1.0, at the end of
-    its recurrence; ``offset`` takes each row's rescales, in place.
+def _log_tail(d: int, lo: int, hi: int, p: float, upper: bool, offset: float) -> float:
+    """The log of the sum of terms i = lo..hi of a binomial tail whose
+    first term is exp(offset), by the scalar loop's term recurrence.
 
-    The recurrence runs over a term axis: ``np.multiply.accumulate`` and
-    ``np.add.accumulate`` are sequential, so a row of terms gives the
-    scalar loop's running term and sum. The ``live`` rows, those with
-    terms past the first, run in rounds of one (rows x terms) matrix,
-    whose width follows the longest run of the round before, each row up
-    to the end of its range or its tail's event, whichever comes first.
-    An ``upper`` tail starts past the mode, d*p, so its terms decay from
-    the first and its sum, at most d, never nears 1e250: its event is a
-    term below 1e-20 of the sum, and it is done. A lower tail ends below
-    the mode, so its terms only grow: its event is its sum passing 1e250.
-    There the row's term and sum are divided by 1e250 and its offset takes
-    log(1e250), as in the scalar loop, and it runs on in the next round.
-    A long lower tail rescales every few hundred terms. The state of the
-    rows still running is kept compact, one element each.
+    An ``upper`` tail starts past the mode, d*p, so its terms only decay
+    and its sum, at most d, never nears 1e250: it stops at a term below
+    1e-20 of the sum. A lower tail ends below the mode, so its terms only
+    grow: each time its sum passes 1e250, its term and sum are divided by
+    1e250 and its offset takes log(1e250).
     """
-    out = np.ones(len(d))
-    d, hi, pos, p, shift = d[live], hi[live], lo[live], p[live], offset[live]
-    decays = upper[live]
+    t = acc = 1.0
     ratio = p / (1.0 - p)
-    t = acc = np.ones(live.size)
-    width = _FIRST_TERMS
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size:
-            left = hi - pos
-            width = max(1, min(width, _MAX_CELLS // live.size, int(left.max())))
-            steps = np.arange(width)
-            i = pos[:, None] + steps
-            terms = np.empty((live.size, width + 1))
-            terms[:, 0] = t
-            np.divide(ratio[:, None] * (d[:, None] - i), i + 1.0, out=terms[:, 1:])
-            np.multiply.accumulate(terms, axis=1, out=terms)
-            sums = terms.copy()
-            sums[:, 0] = acc
-            np.add.accumulate(sums, axis=1, out=sums)
-            terms, sums = terms[:, 1:], sums[:, 1:]
-            event = np.where(decays[:, None], terms < sums * 1e-20, sums > _RESCALE)
-            event &= steps < left[:, None]
-            rows = np.arange(live.size)
-            last = event.argmax(axis=1)
-            hit = event[rows, last]
-            last = np.where(hit, last, np.minimum(width, left) - 1)
-            t, acc = terms[rows, last], sums[rows, last]
-            pos = pos + last + 1
-            rescaled = hit & ~decays
-            if rescaled.any():
-                t[rescaled] /= _RESCALE
-                acc[rescaled] /= _RESCALE
-                shift[rescaled] += math.log(_RESCALE)
-            going = (rescaled | ~hit) & (pos < hi)
-            if not going.all():
-                out[live[~going]] = acc[~going]
-                offset[live[~going]] = shift[~going]
-                live, d, hi, pos, ratio, decays, t, acc, shift = (
-                    x[going] for x in (live, d, hi, pos, ratio, decays, t, acc, shift))
-            width = 2 * int(last.max()) + 2
-    return out
+    for i in range(lo, hi):
+        t *= ratio * (d - i) / (i + 1.0)
+        acc += t
+        if upper:
+            if t < acc * 1e-20:
+                break
+        elif acc > _RESCALE:
+            t /= _RESCALE
+            acc /= _RESCALE
+            offset += math.log(_RESCALE)
+    return offset + math.log(acc)
 
 
 def _attempt_probs(d, c, a, ber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,8 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   partials among their other attempts. Neither the work nor the memory
   grows with the round or the segment count. A replication whose
   fragment sends would pass 64-bit integers is refused with a
-  ``ValueError``.
+  ``ValueError``, and so is a segment of so many fragments that a block's
+  draw of the first dropped one passes ``_MAX_BLOCK_FRAMES`` positions.
 * ``bit`` fidelity, method ``replay``. Every attempt that happens is
   replayed, drawing the raw per-bit error counts and applying the
   correction threshold: hop by hop, attempt by attempt, over the frames
@@ -45,6 +46,7 @@ ints past that.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -65,8 +67,9 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 _INT64_MAX = 2**63 - 1
-#: The most fragments a bit-fidelity block replays at once: its index
-#: arrays, a few int64 entries per fragment, stay under about 1 GiB
+#: The most fragments a block holds at once: the bit replay's index arrays,
+#: a few int64 entries per fragment, and the aggregate draw's first-drop
+#: counts, an int64 per replication and fragment, stay under about 1 GiB
 _MAX_BLOCK_FRAMES = 2**24
 
 
@@ -204,6 +207,12 @@ class _Aggregate:
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         self.a = a = scenario.layout.ll_ack_bits
         self.m = m = frames.m
+        if self.block * m > _MAX_BLOCK_FRAMES:
+            raise ValueError(
+                f"{m} fragments per segment: a block of {self.block} replications "
+                f"would draw the first dropped fragment over {self.block * m} "
+                f"positions at once, past its {_MAX_BLOCK_FRAMES}"
+            )
         self.segments = scenario.segments
         # one row per hop traversal type: the data hops, then the TCP ACK's,
         # which crosses them in reverse order
@@ -466,11 +475,12 @@ def simulate(config: SimConfig) -> SimReport:
     ``workers``: block b's stream depends only on (master_seed, b), each
     worker runs whole blocks, and the totals are exact integers until the
     final division, so the order in which they are added does not matter.
+    It starts at most one worker per block and per CPU.
     """
     reps = config.replications
     kind = _SAMPLERS[config.fidelity]
     n_blocks = -(-reps // kind.block)
-    workers = min(config.workers, n_blocks)
+    workers = min(config.workers, n_blocks, os.cpu_count() or 1)
     if workers == 1:
         chunks = [_run_blocks(config, 0, n_blocks)]
     else:

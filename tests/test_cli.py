@@ -437,6 +437,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--axis", "ber", "--grid", "nope")
         assert code == 1
 
+    def test_fragments_past_the_block_bound_are_refused(self, capsys):
+        # the aggregate draw's first-drop counts hold a block's 16 x m
+        # fragments: 3e9 fragments a segment would need terabytes
+        argv = ("--fragments", "3000000000", "--ber", "1e-12", "--reps", "2",
+                "--format", "jsonl")
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 1 and out == "" and "error: 3000000000 fragments" in err
+        code, out, _ = run_cli(capsys, "validate", *argv)
+        assert code == 0
+        model, verdict = [json.loads(l) for l in body(out).splitlines()]
+        assert model["m"] == 3000000000
+        assert verdict["verdict"] == "SKIP" and "3000000000 fragments" in verdict["note"]
+
+    @pytest.mark.parametrize("argv", [("model",), ("simulate", "--reps", "2")])
+    def test_link_ack_past_the_frame_bound_is_exit_1(self, tmp_path, capsys, argv):
+        path = tmp_path / "ack.ini"
+        path.write_text("[frames]\nll_ack_bits = 100000000000000000000\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ll_ack_bits must be in [1, 9007199254740992]")
+
     @pytest.mark.parametrize("argv, says", [
         (("model", "--alpha", "inf"), "alpha must be finite"),
         (("model", "--alpha", "1e308"), "codes to more than"),

@@ -102,6 +102,14 @@ def test_rejects_bad_layout():
         resolve_frames(0, PLAIN)
 
 
+def test_rejects_a_link_ack_past_the_model_limit():
+    # the link ACK is sent as is, with no FEC expansion to bound it
+    assert FrameLayout(ll_ack_bits=MAX_FRAME_BITS).ll_ack_bits == MAX_FRAME_BITS
+    for bits in (MAX_FRAME_BITS + 1, 10**20):
+        with pytest.raises(LayoutError, match=f"got {bits}"):
+            FrameLayout(ll_ack_bits=bits)
+
+
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
 def test_rejects_non_finite_alpha(alpha):
     with pytest.raises(LayoutError, match="finite"):

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -506,6 +507,48 @@ def test_no_count_lands_on_a_zero_weight_shape(ber, ll_ack_bits):
     assert shapes.sum() >= 4 * 10**15
     # every traversal on the one shape that weighs
     assert shapes[..., -1 if ber == 0 else 0].sum() == shapes.sum()
+
+
+def test_aggregate_refuses_a_block_past_its_frame_bound():
+    # the first-drop draw counts each of a block's 16 x m fragment
+    # positions: 2**20 fragments a segment fill the bound exactly
+    def aggregate(fragments):
+        sc = replace(default_scenario(), layout=replace(LAYOUT, fragments=fragments))
+        return simulator._Aggregate(SimConfig(scenario=sc))
+
+    assert aggregate(2**20).first_drop_pmf.size * 16 == simulator._MAX_BLOCK_FRAMES
+    with pytest.raises(ValueError, match="1048577 fragments per segment"):
+        aggregate(2**20 + 1)
+
+
+def test_workers_are_capped_by_the_cpu_count(monkeypatch):
+    # a stand-in pool runs the jobs inline and records its size, so no
+    # process starts; the rows do not depend on the worker count
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    cfg = SimConfig(scenario=default_scenario(), replications=10 * 16, master_seed=4)
+    serial = json.dumps(simulate(cfg).to_record())
+    for cpus, expect in ((3, [3]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        assert json.dumps(simulate(replace(cfg, workers=100_000)).to_record()) == serial
+        assert sizes == expect
 
 
 def test_bit_replay_refuses_a_block_past_its_frame_bound():
