@@ -33,9 +33,11 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   work; a segment that hits the cap sets ``truncated``. A block of more
   than ``_MAX_BLOCK_FRAMES`` fragments is refused with a ``ValueError``.
 
-Replications run in blocks of 16 (each sampler's ``block``): each numpy
-call draws one quantity for a whole block, the replay's for every frame
-of the block still at that hop and attempt. Block ``b`` derives its RNG
+Replications run in blocks (each sampler's ``block``): each numpy call
+draws one quantity for a whole block, the replay's for every frame of the
+block still at that hop and attempt. A replay block holds 16
+replications; an aggregate block as many as fill ``_BLOCK_CELLS`` cells
+of its largest arrays, and at least 16. Block ``b`` derives its RNG
 stream from ``(master_seed, b)`` and workers run whole blocks, so serial
 and parallel execution produce byte-identical reports. Bits and counters
 are integers, exact until the report divides their totals by the
@@ -71,6 +73,10 @@ _INT64_MAX = 2**63 - 1
 #: a few int64 entries per fragment, and the aggregate draw's first-drop
 #: counts, an int64 per replication and fragment, stay under about 1 GiB
 _MAX_BLOCK_FRAMES = 2**24
+#: The cells an aggregate block's largest arrays hold past its floor of 16
+#: replications, 128 KiB of int64 each: a run of a few hundred replications
+#: over a few hops is one block, and pays its numpy calls' fixed cost once
+_BLOCK_CELLS = 2**14
 
 
 class TruncationWarning(RuntimeWarning):
@@ -199,14 +205,21 @@ class _Aggregate:
     """Frame fidelity: one exact draw of each replication's totals."""
 
     method = "aggregate"
-    #: replications drawn by each numpy call
-    block = 16
 
     def __init__(self, config: SimConfig):
         scenario = config.scenario
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         self.a = a = scenario.layout.ll_ack_bits
         self.m = m = frames.m
+        # one row per hop traversal type: the data hops, then the TCP ACK's,
+        # which crosses them in reverse order
+        h = len(scenario.hops)
+        hops = scenario.hops + scenario.hops[::-1]
+        self.r = r = np.array([hp.r for hp in hops])
+        #: replications drawn by each numpy call: at least 16, and as many as
+        #: _BLOCK_CELLS cells of the largest arrays hold (per replication,
+        #: each row's r + 1 shapes and r first partials, and m first drops)
+        self.block = max(16, _BLOCK_CELLS // (2 * h * (2 * int(r.max()) + 1) + m))
         if self.block * m > _MAX_BLOCK_FRAMES:
             raise ValueError(
                 f"{m} fragments per segment: a block of {self.block} replications "
@@ -214,11 +227,6 @@ class _Aggregate:
                 f"positions at once, past its {_MAX_BLOCK_FRAMES}"
             )
         self.segments = scenario.segments
-        # one row per hop traversal type: the data hops, then the TCP ACK's,
-        # which crosses them in reverse order
-        h = len(scenario.hops)
-        hops = scenario.hops + scenario.hops[::-1]
-        self.r = r = np.array([hp.r for hp in hops])
         self.frame_bits = np.repeat([frames.d_data_bits, frames.d_ack_bits], h)
         pf, pp, ps = _attempt_probs(self.frame_bits,
                                     np.repeat([frames.c_data_bits, frames.c_ack_bits], h),
@@ -369,28 +377,47 @@ class _Replay:
         """
         hops, d_bits, c_bits = phase
         n = counts.shape[1]
-
-        def tally(row, frames):
-            counts[row] += np.bincount(reps[frames], minlength=n)
-
+        rep = reps[owners]  # each frame's replication
+        in_flight = np.bincount(rep, minlength=n)
+        tried = np.zeros(n, np.int64)  # frames that tried a hop, over the hops
+        dropped = np.zeros(n, np.int64)
+        # the replications of each failed data copy, lost link ACK and late
+        # delivery, counted once the phase is over
+        events = fails, partials, lates = [rep[:0]], [rep[:0]], [rep[:0]]
         for hp in hops:
-            pending = np.arange(owners.size)  # frames still trying this hop
-            arrived = np.zeros(owners.size, bool)
-            for _ in range(hp.r):
+            if not rep.size:
+                break
+            tried += in_flight
+            # the first attempt: every frame in flight
+            arrived = rng.binomial(d_bits, hp.ber, size=rep.size) <= c_bits
+            ok = arrived.copy()
+            ok[ok] = rng.binomial(self.a, hp.ber, size=np.count_nonzero(ok)) == 0
+            fails.append(rep[~arrived])
+            partials.append(rep[arrived & ~ok])
+            pending = np.flatnonzero(~ok)  # frames still trying this hop
+            for _ in range(hp.r - 1):
                 if not pending.size:
                     break
-                tally(attempts, owners[pending])
                 ok = rng.binomial(d_bits, hp.ber, size=pending.size) <= c_bits
                 got = pending[ok]
                 arrived[got] = True
                 acked = rng.binomial(self.a, hp.ber, size=got.size) == 0
-                tally(2, owners[pending[~ok]])
-                tally(3, owners[got[~acked]])
+                fails.append(rep[pending[~ok]])
+                partials.append(rep[got[~acked]])
                 ok[ok] = acked  # a frame leaves the attempt loop at its first success
                 pending = pending[~ok]
-            tally(4, owners[~arrived])
-            tally(5, owners[pending[arrived[pending]]])
-            owners = owners[arrived]  # a frame that arrived nowhere leaves the path
+            lates.append(rep[pending[arrived[pending]]])
+            if not arrived.all():  # a frame that arrived nowhere leaves the path
+                drops = np.bincount(rep[~arrived], minlength=n)
+                dropped += drops
+                in_flight -= drops
+                rep, owners = rep[arrived], owners[arrived]
+        fail, partial, late = (np.bincount(np.concatenate(e), minlength=n) for e in events)
+        counts[2:6] += fail, partial, dropped, late
+        # an attempt fails, loses its link ACK or is a frame's one success,
+        # and every frame that tries a hop succeeds there but those dropped
+        # or late
+        counts[attempts] += fail + partial + tried - dropped - late
         return owners
 
     def round_batch(self, rng, reps, counts):
@@ -446,14 +473,13 @@ _SAMPLERS = {"frame": _Aggregate, "bit": _Replay}
 FIDELITIES = tuple(_SAMPLERS)
 
 
-def _run_blocks(config: SimConfig, start: int, stop: int):
+def _run_blocks(sampler, config: SimConfig, start: int, stop: int):
     """Blocks start..stop-1 of the run; block b draws from (master_seed, b).
 
-    A worker runs its share of the blocks with a sampler of its own.
+    A worker runs its share of the blocks with its own copy of the sampler.
     Returns each replication's bits, each counter's exact total, and
     whether the round cap fired.
     """
-    sampler = _SAMPLERS[config.fidelity](config)
     size, reps = sampler.block, config.replications
     bits, totals, truncated = [], dict.fromkeys(COUNTER_NAMES, 0), False
     for b in range(start, stop):
@@ -472,24 +498,25 @@ def simulate(config: SimConfig) -> SimReport:
     """Run the Monte Carlo and aggregate replication statistics.
 
     Deterministic for a given (config, master_seed) regardless of
-    ``workers``: block b's stream depends only on (master_seed, b), each
-    worker runs whole blocks, and the totals are exact integers until the
-    final division, so the order in which they are added does not matter.
-    It starts at most one worker per block and per CPU.
+    ``workers``: the sampler and its block size come from the config, block
+    b's stream depends only on (master_seed, b), each worker runs whole
+    blocks, and the totals are exact integers until the final division, so
+    the order in which they are added does not matter. It starts at most
+    one worker per block and per CPU.
     """
     reps = config.replications
-    kind = _SAMPLERS[config.fidelity]
-    n_blocks = -(-reps // kind.block)
+    sampler = _SAMPLERS[config.fidelity](config)
+    n_blocks = -(-reps // sampler.block)
     workers = min(config.workers, n_blocks, os.cpu_count() or 1)
     if workers == 1:
-        chunks = [_run_blocks(config, 0, n_blocks)]
+        chunks = [_run_blocks(sampler, config, 0, n_blocks)]
     else:
         # imported here: a serial run, the common case, does without it
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = np.linspace(0, n_blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_blocks, config, a, b)
+            futures = [pool.submit(_run_blocks, sampler, config, a, b)
                        for a, b in zip(bounds[:-1], bounds[1:])]
             chunks = [f.result() for f in futures]
 
@@ -517,7 +544,7 @@ def simulate(config: SimConfig) -> SimReport:
         stderr_total_bits=stderr,
         ci95_half_width=1.96 * stderr,
         mean_total_joules=config.energy.joules(mean_bits),
-        method=kind.method,
+        method=sampler.method,
         fidelity=config.fidelity,
         truncated=truncated,
         master_seed=config.master_seed,

@@ -37,25 +37,51 @@ def test_noiseless_transfer_is_exact():
     assert not rep.truncated
 
 
-def test_deterministic_and_parallel_invariant():
-    cfg = SimConfig(scenario=default_scenario(mss=512), replications=60, master_seed=9)
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three CPUs, whatever the machine has, and real process pools whose
+    sizes the returned list records: a 3-worker run splits three ways."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def three_blocks_and_a_part(scenario, **knobs):
+    """A run of three whole blocks of its sampler and a partial one."""
+    cfg = SimConfig(scenario=scenario, **knobs)
+    block = simulator._SAMPLERS[cfg.fidelity](cfg).block
+    return replace(cfg, replications=3 * block + 1)
+
+
+def test_deterministic_and_parallel_invariant(three_cpus):
+    cfg = three_blocks_and_a_part(default_scenario(mss=512), master_seed=9)
     records = [
         json.dumps(simulate(c).to_record(), sort_keys=True)
         for c in (cfg, cfg, SimConfig(**{**cfg.__dict__, "workers": 3}))
     ]
     assert records[0] == records[1] == records[2]
+    assert three_cpus == [3]
 
 
 @pytest.mark.parametrize("fidelity", ["frame", "bit"])
-def test_workers_share_out_whole_blocks(fidelity):
+def test_workers_share_out_whole_blocks(fidelity, three_cpus):
     # three whole blocks and a partial one: serial, 2- and 3-worker reports
     # are byte-identical, as each block draws from (master_seed, block)
-    block = simulator._SAMPLERS[fidelity].block
-    cfg = SimConfig(scenario=default_scenario(mss=512, transfer=2048),
-                    replications=3 * block + 1, master_seed=8, fidelity=fidelity)
+    cfg = three_blocks_and_a_part(default_scenario(mss=512, transfer=2048),
+                                  master_seed=8, fidelity=fidelity)
     records = [json.dumps(simulate(replace(cfg, workers=w)).to_record())
                for w in (1, 2, 3)]
     assert records[0] == records[1] == records[2]
+    assert three_cpus == [2, 3]
 
 
 @pytest.mark.parametrize("fidelity", ["frame", "bit"])
@@ -173,6 +199,45 @@ def test_replay_draws_only_the_attempts_that_happen():
     assert counters["segment_retx"].sum() > 0 and arrivals < attempts
     assert draws[frames.d_data_bits] + draws[frames.d_ack_bits] == attempts
     assert draws[sc.layout.ll_ack_bits] == arrivals
+
+
+#: bit-fidelity reports of three seeded runs, 40 replications (two blocks
+#: of 16 and a partial one) each: the replay's bookkeeping may change, but
+#: no draw's order or size, so these stay exactly as they are
+PINNED_REPLAYS = [
+    (dict(ber=3e-4, retries=3, mss_bytes=512, seed=3), {
+        "segments": 100, "mean_total_bits": 6678968.2,
+        "stddev_total_bits": 418217.4482864638, "stderr_total_bits": 66125.98469044545,
+        "ci95_half_width": 129606.92999327308, "mean_total_joules": 4.408119011999999,
+        "link_attempts": 8208.875, "link_failures": 1723.925, "partial_failures": 78.025,
+        "hop_drops": 61.675, "duplicates_suppressed": 69.15, "segment_sends": 152.475,
+        "segment_retx": 52.475}),
+    (dict(hops=9, hop_bers=(1e-5, 3e-5, 1e-4, 2e-4, 3e-4, 5e-4, 1e-4, 3e-5, 1e-5),
+          mss_bytes=512, transfer_bytes=6144, seed=5), {
+        "segments": 12, "mean_total_bits": 1266717.6,
+        "stddev_total_bits": 200601.02539053318, "stderr_total_bits": 31717.807059967643,
+        "ci95_half_width": 62166.90183753658, "mean_total_joules": 0.8360336159999999,
+        "link_attempts": 1552.275, "link_failures": 172.4, "partial_failures": 7.825,
+        "hop_drops": 7.275, "duplicates_suppressed": 7.1, "segment_sends": 18.0,
+        "segment_retx": 6.0}),
+    (dict(alpha=0.1, retries=2, ber=0.035, transfer_bytes=1280, seed=7), {
+        "segments": 20, "mean_total_bits": 298204.85,
+        "stddev_total_bits": 12205.759663014918, "stderr_total_bits": 1929.90005538682,
+        "ci95_half_width": 3782.604108558167, "mean_total_joules": 0.19681520099999997,
+        "link_attempts": 370.125, "link_failures": 21.775, "partial_failures": 264.725,
+        "hop_drops": 1.075, "duplicates_suppressed": 141.15, "segment_sends": 21.075,
+        "segment_retx": 1.075}),
+]
+
+
+@pytest.mark.parametrize("knobs, pinned", PINNED_REPLAYS)
+def test_replay_reports_are_pinned(knobs, pinned):
+    rep = simulate(RunConfig(fidelity="bit", replications=40, **knobs).sim())
+    assert rep.to_record() == {
+        "replications": 40, **pinned, "method": "replay", "fidelity": "bit",
+        "truncated": False, "master_seed": knobs["seed"], "rng_algorithm": "PCG64",
+        "flags": "",
+    }
 
 
 def test_aggregate_samples_heavy_tails():
@@ -510,15 +575,52 @@ def test_no_count_lands_on_a_zero_weight_shape(ber, ll_ack_bits):
 
 
 def test_aggregate_refuses_a_block_past_its_frame_bound():
-    # the first-drop draw counts each of a block's 16 x m fragment
+    # the first-drop draw counts each of a block's block x m fragment
     # positions: 2**20 fragments a segment fill the bound exactly
     def aggregate(fragments):
         sc = replace(default_scenario(), layout=replace(LAYOUT, fragments=fragments))
         return simulator._Aggregate(SimConfig(scenario=sc))
 
-    assert aggregate(2**20).first_drop_pmf.size * 16 == simulator._MAX_BLOCK_FRAMES
+    agg = aggregate(2**20)
+    assert agg.first_drop_pmf.size * agg.block == simulator._MAX_BLOCK_FRAMES
     with pytest.raises(ValueError, match="1048577 fragments per segment"):
         aggregate(2**20 + 1)
+
+
+@pytest.mark.parametrize("hops, mss, fragments", [
+    (uniform_path(5, 3e-4, 3), 64, "auto"),
+    (uniform_path(5, 3e-4, 1), 512, "auto"),
+    (uniform_path(1, 1e-3, 1), 64, "auto"),
+    (uniform_path(9, 3e-4, 7), 512, "auto"),
+    ((HopParams(2e-4, 1), HopParams(6e-4, 4), HopParams(1e-4, 2)), 512, "auto"),
+    (uniform_path(5, 3e-4, 3), 512, 1000),
+    (uniform_path(5, 3e-4, 1029), 64, "auto"),
+    (uniform_path(5, 3e-4, 3), 512, 2**20),
+])
+def test_aggregate_block_fills_its_cell_budget(hops, mss, fragments):
+    # a block holds at least 16 replications; past 16, the most whose
+    # largest arrays (each hop row's shapes and first partials, and the
+    # first drops) stay within _BLOCK_CELLS cells
+    sc = PathScenario(hops=hops, layout=replace(LAYOUT, fragments=fragments),
+                      mss_bytes=mss, transfer_bytes=51200)
+    agg = simulator._Aggregate(SimConfig(scenario=sc))
+    cells = agg.shape_pmf.size + agg.first_partial_pmf.size + agg.first_drop_pmf.size
+    assert agg.block >= 16
+    if agg.block > 16:
+        assert agg.block * cells <= simulator._BLOCK_CELLS < (agg.block + 1) * cells
+
+
+def test_block_sizes_at_the_criterion_4_grid_and_the_extremes():
+    # the 200-replication validate runs draw one block each; r = 1029 and
+    # 2**20 fragments keep the floor of 16, as before blocks were sized
+    def block(**knobs):
+        return simulator._Aggregate(RunConfig(**knobs).sim()).block
+
+    for r in (1, 3):
+        for mss in (64, 512):
+            assert block(retries=r, mss_bytes=mss) >= 200
+    assert block(retries=1029) == 16
+    assert block(mss_bytes=512, fragments=2**20) == 16
 
 
 def test_workers_are_capped_by_the_cpu_count(monkeypatch):
@@ -542,7 +644,8 @@ def test_workers_are_capped_by_the_cpu_count(monkeypatch):
             return done
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    cfg = SimConfig(scenario=default_scenario(), replications=10 * 16, master_seed=4)
+    block = simulator._Aggregate(SimConfig(scenario=default_scenario())).block
+    cfg = SimConfig(scenario=default_scenario(), replications=10 * block, master_seed=4)
     serial = json.dumps(simulate(cfg).to_record())
     for cpus, expect in ((3, [3]), (None, [])):
         sizes.clear()
