@@ -24,7 +24,6 @@ from .hopmodel import (
 from .pathmodel import (
     EnergyParams,
     ModelBatch,
-    ModelReport,
     PathScenario,
     fragment_failure_sum,
     segment_model,

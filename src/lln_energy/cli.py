@@ -55,7 +55,7 @@ from .config import (
 from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
                        SWEEP_AXES, SweepSpec, frontier, sweep_columns)
 from .framing import LayoutError
-from .pathmodel import segment_model
+from .pathmodel import segment_models
 from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
@@ -152,20 +152,25 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" in text:
+def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
+    """The values of grid flag ``flag``: "lo:hi:log|lin:N", or a comma list."""
+    try:
+        if ":" not in text:
+            return tuple(float(x) for x in text.split(",") if x.strip())
         parts = text.split(":")
         if len(parts) != 4 or parts[2] not in ("log", "lin"):
-            raise _CliError(f'grid must be "lo:hi:log|lin:N" or a comma list, got {text!r}')
+            raise ValueError
         lo, hi, scale, n = float(parts[0]), float(parts[1]), parts[2], int(parts[3])
-        if n < 2 or not lo < hi:
-            raise _CliError(f"bad grid range {text!r}")
-        if scale == "log":
-            if lo <= 0:
-                raise _CliError("log grid needs lo > 0")
-            return tuple(lo * (hi / lo) ** (i / (n - 1)) for i in range(n))
-        return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise _CliError(f'{flag} must be "lo:hi:log|lin:N" or a comma list of numbers, '
+                        f'got {text!r}') from None
+    if n < 2 or not lo < hi:
+        raise _CliError(f"bad {flag} range {text!r}")
+    if scale == "log":
+        if lo <= 0:
+            raise _CliError(f"{flag}: a log grid needs lo > 0, got {text!r}")
+        return tuple(lo * (hi / lo) ** (i / (n - 1)) for i in range(n))
+    return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -266,9 +271,16 @@ def _emit(blocks: Iterable[Block], fmt: str, meta: list[str], out) -> bool:
     return any(trips)
 
 
+def _model_block(cfg: RunConfig, per_hop: bool = False) -> Block:
+    """The configured scenario's model row as a block; raises its LayoutError."""
+    batch = segment_models(cfg.scenario(), cfg.energy())
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return 1, batch.record_columns(per_hop=per_hop, source=["model"])
+
+
 def _cmd_model(cfg: RunConfig, args) -> Iterator[Block]:
-    report = segment_model(cfg.scenario(), energy=cfg.energy())
-    return _blocks([{"source": "model", **report.to_record(per_hop=(args.format == "jsonl"))}])
+    return iter([_model_block(cfg, per_hop=(args.format == "jsonl"))])
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> Iterator[Block]:
@@ -276,10 +288,11 @@ def _cmd_simulate(cfg: RunConfig, args) -> Iterator[Block]:
 
 
 def _cmd_validate(cfg: RunConfig, args) -> Iterator[Block]:
-    model = segment_model(cfg.scenario(), energy=cfg.energy())
-    rows = [{"source": "model", **model.to_record()}]
+    _, model = _model_block(cfg)
+    rows = [{name: column[0] for name, column in model.items()}]
+    model_bits = rows[0]["total_bits"]
     verdict: dict = {"source": "verdict"}
-    if model.total_bits is None:
+    if model_bits is None:
         # no segment round can succeed, so there is no transfer to simulate
         verdict.update(verdict="SKIP", flags="diverges",
                        note="model diverges; nothing to compare")
@@ -298,14 +311,14 @@ def _cmd_validate(cfg: RunConfig, args) -> Iterator[Block]:
     elif sim.replications < 2:
         verdict.update(verdict="SKIP", note="one replication has no standard error")
     else:
-        delta = sim.mean_total_bits - model.total_bits
+        delta = sim.mean_total_bits - model_bits
         tol = 3.0 * sim.stderr_total_bits
         # zero spread happens only for deterministic (lossless) runs; any
         # mismatch there is exact, not statistical
         z = delta / sim.stderr_total_bits if sim.stderr_total_bits > 0 else None
         verdict.update(
             verdict="PASS" if abs(delta) <= tol else "FAIL",
-            model_total_bits=model.total_bits,
+            model_total_bits=model_bits,
             sim_mean_total_bits=sim.mean_total_bits,
             delta=delta,
             three_sigma=tol,
@@ -320,7 +333,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
     spec = SweepSpec(
         scenario=cfg.scenario(),
         axis=args.axis,
-        grid=_parse_grid(args.grid),
+        grid=_parse_grid(args.grid, "--grid"),
         mss_list=_parse_int_list(args.mss_list),
         energy=cfg.energy(),
     )
@@ -328,7 +341,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
 
 
 def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
-    values = _parse_grid(args.values)
+    values = _parse_grid(args.values, "--values")
     h_values = _parse_int_list(args.h_range)
     mss_pair = _parse_int_list(args.mss_pair)
     if len(mss_pair) != 2:

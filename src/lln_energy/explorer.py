@@ -105,8 +105,9 @@ def sweep_columns(spec: SweepSpec) -> Iterator[tuple[int, dict[str, list]]]:
     """``sweep(spec)``'s rows as blocks (see the module docstring), in
     grid-then-MSS order, one model call of at most ``BATCH_POINTS`` points
     at a time; no row is built. A run of points whose frames resolved has
-    ``axis``, ``value``, then the fields of ``ModelReport.to_record()``; a
-    run of layout-error points has only ``_ERROR_FIELDS``.
+    ``axis``, ``value``, then the model record's fields
+    (``pathmodel.FIELDS``); a run of layout-error points has only
+    ``_ERROR_FIELDS``.
     """
     mss_list = (None,) if spec.axis == "mss" else spec.mss_list
     labels = [value for value in spec.grid for _ in mss_list]

@@ -10,7 +10,7 @@ transmitter plus ``n`` listening neighbors.
 
 Quantities that are undefined for a configuration (a hop that can never
 deliver, a success probability of zero) or that pass the float range are
-reported as ``None`` plus an entry in ``ModelReport.flags`` rather than as
+reported as ``None`` plus an entry in the record's ``flags`` rather than as
 infinities.
 
 ``segment_models`` evaluates many points in one numpy pass: a base
@@ -26,30 +26,30 @@ equals a scalar evaluation bit for bit.
 ``segment_model`` is the one-point case; callers with many points batch
 them, and bound the points per call to bound a pass's memory.
 
-The result, ``ModelBatch``, is one store: a column per ``ModelReport``
-field. A computed field's column is a float64 array in which NaN means
-None (undefined, or a point whose frames do not resolve); a defined
-field is never NaN, which the tests' ``==`` against the scalar oracle
-checks. A column converts to Python values, and the per-hop model
-tuples are built, only when read.
+The result, ``ModelBatch``, is one store: a column per record field
+(``FIELDS``). A computed field's column is a float64 array in which NaN
+means None (undefined, or a point whose frames do not resolve); a
+defined field is never NaN, which the tests' ``==`` against the scalar
+oracle checks. The records, per-hop lists included, are built as
+columns from the store, the hop table and its index, only when read.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 import numpy as np
 
 from .framing import FrameLayout, LayoutError, resolve_frames
-from .hopmodel import HopArrays, HopModel, HopParams, hop_model_array
+from .hopmodel import HopArrays, HopParams, hop_model_array
 
 __all__ = [
     "PathScenario",
     "EnergyParams",
-    "ModelReport",
+    "FIELDS",
     "ModelBatch",
     "MAX_HOPS",
     "check_hop_count",
@@ -187,103 +187,31 @@ def _path(table: np.ndarray, index: np.ndarray):
     return q, e_s, total, dead != 0.0
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    """Every intermediate and final expectation for one scenario."""
-
-    mss_bytes: int
-    transfer_bytes: int
-    h: int
-    ber: float | None  # per-hop BER when homogeneous, else None
-    r: int | None  # per-hop attempt limit when homogeneous, else None
-    alpha: float
-    m: int
-    d_data_bits: int
-    c_data_bits: int
-    d_ack_bits: int
-    c_ack_bits: int
-    a_bits: int
-    data_hops: tuple[HopModel, ...]
-    ack_hops: tuple[HopModel, ...]  # in ACK travel order (receiver back to sender)
-    q_s: float
-    q_s_ack: float
-    e_s: float | None
-    e_f: float | None
-    e_s_ack: float | None
-    e_f_ack: float | None
-    i_f: float | None
-    p_s: float
-    s_s: float | None
-    s_f: float | None
-    s: float | None
-    segments: int
-    total_bits: float | None
-    total_joules: float | None
-    flags: tuple[str, ...]
-
-    @property
-    def diverges(self) -> bool:
-        return FLAG_DIVERGES in self.flags
-
-    def to_record(self, per_hop: bool = False) -> dict:
-        """Flat key/value record (one CSV row / JSON-lines object).
-
-        The columns are the fields in order, less the per-hop models, which
-        ``per_hop=True`` flattens after ``flags``.
-        """
-        rec = {name: getattr(self, name) for name in _RECORD_FIELDS}
-        rec["flags"] = _joined(self.flags)
-        if per_hop:
-            for side, hops in (("data", self.data_hops), ("ack", self.ack_hops)):
-                for name in ("f", "h_s", "h_f"):
-                    rec[f"{name}_{side}"] = [getattr(hm, name) for hm in hops]
-        return rec
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(ModelReport))
-#: A record's fields: the report's, less the per-hop models
-_RECORD_FIELDS = tuple(name for name in _REPORT_FIELDS if name not in ("data_hops", "ack_hops"))
-
-
-def _joined(flags: tuple[str, ...]) -> str:
-    """A record's ``flags`` field: the flags joined by ';'."""
-    return ";".join(flags)
-
-
-class _HopPaths(Sequence):
-    """A ``data_hops`` or ``ack_hops`` column: each point's HopModel tuple,
-    built on read from the hop table (``HopArrays``, an element per key)
-    through ``_path``'s index, whose 0 is the no-op hop; None where
-    ``lengths``, the points' hop counts, reads None."""
-
-    def __init__(self, table: HopArrays, index: np.ndarray, lengths: list[int | None]):
-        self.table, self.index, self.lengths = table, index, lengths
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def __getitem__(self, i: int) -> tuple[HopModel, ...] | None:
-        h = self.lengths[i]
-        if h is None:
-            return None
-        keys = self.index[:h, i].tolist()
-        models = {k: self.table.model(k - 1) for k in set(keys)}
-        return tuple(models[k] for k in keys)
+#: A model record's fields, in order; ``flags`` joins the point's flags by ';'
+FIELDS = (
+    "mss_bytes", "transfer_bytes", "h", "ber", "r", "alpha", "m",
+    "d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits", "a_bits",
+    "q_s", "q_s_ack", "e_s", "e_f", "e_s_ack", "e_f_ack", "i_f", "p_s",
+    "s_s", "s_f", "s", "segments", "total_bits", "total_joules", "flags",
+)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelBatch:
-    """``segment_models``' result: one column per ``ModelReport`` field.
+    """``segment_models``' result: one column per field of ``FIELDS``.
 
-    ``columns`` maps each field, in field order, to its values over the
-    points: a list for the given fields, a ``_HopPaths`` for the per-hop
-    models, a float64 array, NaN where the field is None, for the computed
-    ones. ``errors[i]`` is the ``LayoutError`` raised resolving point i's
-    frames, else None; every field of that point is then None.
+    ``columns`` maps each field, in order, to its values over the points:
+    a list for the given fields and ``flags``, a float64 array, NaN where
+    the field is None, for the computed ones. ``errors[i]`` is the
+    ``LayoutError`` raised resolving point i's frames, else None; every
+    field of that point is then None. ``hops`` is the call's hop table and
+    ``index`` its data paths, then its ACK paths, as ``_path`` reads them.
     """
 
     columns: dict[str, Sequence]
     errors: list[LayoutError | None]
+    hops: HopArrays
+    index: np.ndarray
 
     def column(self, name: str) -> list:
         """Field ``name`` of every point, None where undefined or errored."""
@@ -294,27 +222,36 @@ class ModelBatch:
             return values.tolist()
         return [None if v != v else v for v in values.tolist()]  # NaN is None
 
-    def report(self, i: int) -> ModelReport:
-        """Point i's ModelReport; raises its LayoutError, if any."""
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        row = {name: values.item(i) if isinstance(values, np.ndarray) else values[i]
-               for name, values in self.columns.items()}
-        return ModelReport(**{name: None if v != v else v for name, v in row.items()})
+    def record_columns(self, per_hop: bool = False, **lead: list) -> dict[str, list]:
+        """The points' records as columns: ``lead``, which maps names to
+        columns (a value per point), then each field of ``FIELDS``; with
+        ``per_hop``, then a list per point of the data hops' ``f``, ``h_s``
+        and ``h_f`` (``f_data`` ...), then the ACK hops' in travel order
+        (``f_ack`` ...), None for a hop that can never deliver. An errored
+        point reads None in every field."""
+        columns = {**lead, **{name: self.column(name) for name in FIELDS}}
+        if per_hop:
+            n = len(self.errors)
+            # key k is table column k - 1; 0 is the no-op hop
+            table = np.concatenate([np.full((3, 1), math.nan),
+                                    [self.hops.f, self.hops.h_s, self.hops.h_f]], axis=1)
+            paths = table[:, self.index.T].tolist()  # a list per field, path and hop
+            for side, points in (("data", slice(None, n)), ("ack", slice(n, None))):
+                for name, field in zip(("f", "h_s", "h_f"), paths):
+                    columns[f"{name}_{side}"] = [
+                        None if h is None else [None if v != v else v for v in hops[:h]]
+                        for hops, h in zip(field[points], columns["h"])
+                    ]
+        return columns
 
-    def record_columns(self, **lead: list) -> dict[str, list]:
-        """Each point's ``ModelReport.to_record()`` as columns: ``lead``,
-        which maps names to columns (a value per point), then each field of
-        the record, ``flags`` joined by ';'. An errored point reads None in
-        every field."""
-        flags = [None if f is None else _joined(f) for f in self.columns["flags"]]
-        return {**lead, **{name: flags if name == "flags" else self.column(name)
-                           for name in _RECORD_FIELDS}}
 
-
-def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> ModelReport:
-    """Full expected-cost model for one scenario (see ``segment_models``)."""
-    return segment_models(scenario, energy).report(0)
+def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> dict:
+    """The scenario's record, per-hop lists included (see ``segment_models``);
+    raises the LayoutError of frames that do not resolve."""
+    batch = segment_models(scenario, energy)
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return {name: values[0] for name, values in batch.record_columns(per_hop=True).items()}
 
 
 def segment_models(
@@ -424,12 +361,10 @@ def segment_models(
     if any(errors):  # a point whose frames did not resolve reads None throughout
         columns = {name: [None if err else v for v, err in zip(values, errors)]
                    for name, values in columns.items()}
-    columns["data_hops"] = _HopPaths(hop_table, index[:, :n], columns["h"])
-    columns["ack_hops"] = _HopPaths(hop_table, index[:, n:], columns["h"])
     # float(int) rounds as Python's int * float does, and None becomes NaN
     m, segments = (np.array(columns[name], dtype=float) for name in ("m", "segments"))
     columns.update(_segment_columns(_path(table, index), m, segments, energy))
-    return ModelBatch({name: columns[name] for name in _REPORT_FIELDS}, errors)
+    return ModelBatch({name: columns[name] for name in FIELDS}, errors, hop_table, index)
 
 
 def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyParams) -> dict:
@@ -492,7 +427,7 @@ def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyPa
         math.nan,
     )))
     columns["flags"] = [
-        (FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok) if live else None
+        ";".join((FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok)) if live else None
         for dead, ok, live in zip(
             (dead_data | dead_ack).tolist(), finite.tolist(), resolved.tolist()
         )

@@ -141,7 +141,7 @@ class SimReport:
     counters: SimCounters  # last, where the record flattens it
 
     def to_record(self) -> dict:
-        """Flat key/value record, mergeable with ModelReport rows.
+        """Flat key/value record, written alongside model records.
 
         The fields in order, with ``counters`` flattened in place; ``vars``
         of a frozen dataclass holds just the fields, in order.

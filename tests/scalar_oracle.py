@@ -3,9 +3,9 @@
 One key or scenario at a time in plain Python floats: the library's array
 hop layer (``hopmodel.hop_model_array``) must reproduce ``hop_model``
 here with ``==``, its batched core (``pathmodel.segment_models``) every
-``ModelReport`` field of ``segment_model`` here, and the explorer's
-batched frontier ``crossover_ber`` here exactly. The arithmetic is the
-scalar model's, operation for operation.
+field of the record ``segment_model`` here returns, per-hop lists
+included, and the explorer's batched frontier ``crossover_ber`` here
+exactly. The arithmetic is the scalar model's, operation for operation.
 """
 
 import math
@@ -19,7 +19,6 @@ from lln_energy.pathmodel import (
     FLAG_DEGENERATE_HOP,
     FLAG_DIVERGES,
     EnergyParams,
-    ModelReport,
     PathScenario,
 )
 
@@ -208,10 +207,10 @@ def fragment_failure_sum(
     return m * (1.0 - q_s) * e_f + m * e_s * q_s * _one_minus_pow(q_s, m - 1)
 
 
-def segment_model(
-    scenario: PathScenario, energy: EnergyParams = EnergyParams()
-) -> ModelReport:
-    """Full expected-cost model for one scenario."""
+def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams()) -> dict:
+    """Full expected-cost model for one scenario: its record, the flags
+    joined by ';', then each hop model's f, h_s and h_f as a list, the
+    data hops' in path order, then the ACK hops' in travel order."""
     frames = resolve_frames(scenario.mss_bytes, scenario.layout)
     a = scenario.layout.ll_ack_bits
     data_hops = tuple(
@@ -265,7 +264,7 @@ def segment_model(
 
     bers = {hp.ber for hp in scenario.hops}
     rs = {hp.r for hp in scenario.hops}
-    return ModelReport(
+    record = dict(
         mss_bytes=scenario.mss_bytes,
         transfer_bytes=scenario.transfer_bytes,
         h=len(scenario.hops),
@@ -278,8 +277,6 @@ def segment_model(
         d_ack_bits=frames.d_ack_bits,
         c_ack_bits=frames.c_ack_bits,
         a_bits=a,
-        data_hops=data_hops,
-        ack_hops=ack_hops,
         q_s=q_s,
         q_s_ack=q_s_ack,
         e_s=e_s,
@@ -294,8 +291,12 @@ def segment_model(
         segments=segments,
         total_bits=total_bits,
         total_joules=energy.joules(total_bits),
-        flags=tuple(flags),
+        flags=";".join(flags),
     )
+    for side, hops in (("data", data_hops), ("ack", ack_hops)):
+        for name in ("f", "h_s", "h_f"):
+            record[f"{name}_{side}"] = [getattr(hm, name) for hm in hops]
+    return record
 
 
 def energy_gap(scenario, ber, mss_pair, energy):
@@ -308,13 +309,13 @@ def energy_gap(scenario, ber, mss_pair, energy):
     hops = tuple(HopParams(ber, hp.r) for hp in scenario.hops)
     for mss in (max(mss_pair), min(mss_pair)):
         try:
-            report = segment_model(
+            record = segment_model(
                 PathScenario(hops, scenario.layout, mss, scenario.transfer_bytes),
                 energy,
             )
         except LayoutError:
             return None
-        values.append(report.total_joules)
+        values.append(record["total_joules"])
     e_long, e_short = values
     if e_long is None and e_short is None:
         return None

@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from lln_energy.simulator import SimConfig, simulate
 
 from test_hopmodel import enum_success_bits
 from test_pathmodel import fragment_failure_bits, fragment_failure_bits_variant
+from test_simulator import three_blocks_and_a_part, three_cpus  # noqa: F401 (a fixture)
 
 SEED = 20260810
 WORKERS = 2
@@ -74,7 +76,7 @@ def test_criterion_1_zero_noise_exactness():
     sim = simulate(SimConfig(scenario=sc, replications=5, master_seed=SEED))
     elapsed = time.perf_counter() - t0
     ok = (
-        model.total_bits == expected == 5_888_000
+        model["total_bits"] == expected == 5_888_000
         and sim.mean_total_bits == expected
         and sim.stddev_total_bits == 0.0
         and elapsed < 1.0
@@ -134,7 +136,7 @@ def test_criterion_4_model_simulator_agreement():
             scenario=sc, replications=2000, master_seed=SEED,
             round_cap=10**15, workers=WORKERS,
         ))
-        z = (sim.mean_total_bits - model.total_bits) / sim.stderr_total_bits
+        z = (sim.mean_total_bits - model["total_bits"]) / sim.stderr_total_bits
         worst = max(worst, abs(z))
         rows.append((ber, r, mss, z, sim.method))
     elapsed = time.perf_counter() - t0
@@ -155,7 +157,7 @@ def test_criterion_5_energy_vs_ber_reproduction():
     worst = 0.0
     for mss, points in FIG3_POINTS.items():
         for ber, published in points.items():
-            got = segment_model(scenario(ber=ber, mss=mss)).total_joules
+            got = segment_model(scenario(ber=ber, mss=mss))["total_joules"]
             ratio = got / published
             worst = max(worst, abs(ratio - 1.0))
             print(f"  mss={mss:<3d} B={ber:<6g}: {got:7.2f} J vs {published:7.2f} J "
@@ -179,8 +181,8 @@ def test_criterion_5_mss_ratio_claim_at_4e4():
     hold alongside the +/-25% value clause, whose largest reachable ratio
     is (6.06*1.25)/(5.68*0.75) = 1.78.)
     """
-    e_long = segment_model(scenario(ber=4e-4, mss=512)).total_joules
-    e_short = segment_model(scenario(ber=4e-4, mss=64)).total_joules
+    e_long = segment_model(scenario(ber=4e-4, mss=512))["total_joules"]
+    e_short = segment_model(scenario(ber=4e-4, mss=64))["total_joules"]
     ratio = e_long / e_short
     published = FIG3_POINTS[512][4e-4] / FIG3_POINTS[64][4e-4]
     deviation = ratio / published - 1.0
@@ -198,7 +200,7 @@ FIG4_512 = {2: 17.55, 3: 3.73, 4: 3.24, 5: 3.23, 6: 3.23, 7: 3.23}
 
 def test_criterion_6_energy_vs_attempts_monotone():
     values = [
-        segment_model(scenario(ber=5e-4, r=r, mss=512)).total_joules
+        segment_model(scenario(ber=5e-4, r=r, mss=512))["total_joules"]
         for r in range(2, 8)
     ]
     ok = all(a > b for a, b in zip(values, values[1:]))
@@ -230,8 +232,8 @@ def test_criterion_6_energy_vs_attempts_values():
     """
     worst = 0.0
     for r, published in FIG4_512.items():
-        got = segment_model(scenario(ber=3e-4, r=r, mss=512)).total_joules
-        at_5e4 = segment_model(scenario(ber=5e-4, r=r, mss=512)).total_joules
+        got = segment_model(scenario(ber=3e-4, r=r, mss=512))["total_joules"]
+        at_5e4 = segment_model(scenario(ber=5e-4, r=r, mss=512))["total_joules"]
         ratio = got / published
         worst = max(worst, abs(ratio - 1.0))
         print(f"  r={r}: {got:7.2f} J vs published {published:6.2f} J "
@@ -308,13 +310,15 @@ def test_criterion_8_optimal_redundancy():
     )
 
 
-def test_criterion_9_determinism():
-    sc = scenario(mss=512)
-    cfg = dict(scenario=sc, replications=40, master_seed=SEED)
-    serial_1 = simulate(SimConfig(**cfg))
-    serial_2 = simulate(SimConfig(**cfg))
-    parallel = simulate(SimConfig(**cfg, workers=3))
+def test_criterion_9_determinism(three_cpus):
+    # three whole blocks of the sampler and a partial one, on three faked
+    # CPUs, so the 3-worker run is split across a 3-process pool
+    cfg = three_blocks_and_a_part(scenario(mss=512), master_seed=SEED)
+    serial_1 = simulate(cfg)
+    serial_2 = simulate(cfg)
+    parallel = simulate(replace(cfg, workers=3))
     records = [json.dumps(r.to_record(), sort_keys=True)
                for r in (serial_1, serial_2, parallel)]
-    ok = records[0] == records[1] == records[2]
-    assert report(9, ok, "serial x2 and 3-worker runs byte-identical")
+    ok = records[0] == records[1] == records[2] and three_cpus == [3]
+    assert report(9, ok, f"serial x2 and 3-worker runs byte-identical "
+                         f"({cfg.replications} replications, pools {three_cpus})")

@@ -24,8 +24,14 @@ from lln_energy.config import (
     load_config,
 )
 from lln_energy.explorer import _ERROR_FIELDS, SweepSpec, sweep
-from lln_energy.pathmodel import _RECORD_FIELDS
+from lln_energy.pathmodel import FIELDS
 from lln_energy.simulator import COUNTER_NAMES, SimReport, TruncationWarning
+
+
+#: ``model --format jsonl`` rows recorded for test_model_jsonl_is_pinned
+PINNED_MODEL_ROWS = Path(__file__).with_name("model_records.jsonl")
+HETERO_INI = ("[path]\nhops = 9\n"
+              "hop_bers = 1e-5, 3e-5, 1e-4, 2e-4, 3e-4, 5e-4, 1e-4, 3e-5, 1e-5\n")
 
 
 def run_cli(capsys, *argv):
@@ -176,13 +182,13 @@ class TestSchema:
         for row in errors:
             assert tuple(row) == _ERROR_FIELDS
         for row in rows[6:]:
-            assert tuple(row) == ("axis", "value", *_RECORD_FIELDS)
+            assert tuple(row) == ("axis", "value", *FIELDS)
 
     def test_jsonl_validate_row_keys(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--reps", "20", "--format", "jsonl")
         assert code == 0
         model, sim, verdict = [json.loads(l) for l in body(out).splitlines()]
-        assert tuple(model) == ("source", *_RECORD_FIELDS)
+        assert tuple(model) == ("source", *FIELDS)
         report = [f.name for f in fields(SimReport) if f.name != "counters"]
         assert tuple(sim) == ("source", *report, *COUNTER_NAMES)
         assert tuple(verdict) == ("source", "verdict", "model_total_bits",
@@ -197,6 +203,19 @@ class TestSubcommands:
         assert row["source"] == "model"
         assert row["d_data_bits"] == 952
         assert row["total_joules"] > 0
+
+    @pytest.mark.parametrize("line, argv", [
+        (0, ()),
+        (1, ("--config", "hetero.ini")),  # CI's 9-hop hop_bers path
+        (2, ("--ber", "0.05", "--hops", "1", "-r", "1", "--mss", "64")),  # h_s_data [null]
+    ], ids=["default", "hetero", "degenerate"])
+    def test_model_jsonl_is_pinned(self, tmp_path, capsys, monkeypatch, line, argv):
+        # the row must match, byte for byte, line ``line`` of the recording
+        (tmp_path / "hetero.ini").write_text(HETERO_INI)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "model", *argv, "--format", "jsonl")
+        assert code == 0
+        assert body(out) == PINNED_MODEL_ROWS.read_text().splitlines()[line]
 
     def test_output_stable_except_timestamp(self, capsys):
         argv = ("simulate", "--mss", "64", "--reps", "5", "--seed", "3",
@@ -488,6 +507,14 @@ class TestExitCodes:
          "a path has at most 1024 hops, got 1025"),
         (("model", "--output", "/nonexistent/dir/x.csv"),
          "cannot write /nonexistent/dir/x.csv"),
+        (("sweep", "--axis", "ber", "--grid", "1e-3,abc"),
+         """--grid must be "lo:hi:log|lin:N" or a comma list of numbers, got '1e-3,abc'"""),
+        (("sweep", "--axis", "ber", "--grid", "1:2:lin:x"), "--grid must be"),
+        (("frontier", "--family", "r", "--values", "abc"), "--values must be"),
+        (("frontier", "--family", "r", "--values", "0:1:log:5"),
+         "--values: a log grid needs lo > 0, got '0:1:log:5'"),
+        (("sweep", "--axis", "ber", "--grid", "1e-3:1e-4:log:5"),
+         "bad --grid range '1e-3:1e-4:log:5'"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

@@ -4,7 +4,7 @@ against its scalar oracle."""
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,8 +16,8 @@ from lln_energy.config import RunConfig
 from lln_energy.framing import FrameLayout, LayoutError, resolve_frames
 from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams, hop_model
 from lln_energy.pathmodel import (
+    FIELDS,
     EnergyParams,
-    ModelReport,
     PathScenario,
     fragment_failure_sum,
     segment_model,
@@ -179,7 +179,7 @@ class TestFragmentFailure:
 
         The exact column is segment_model's total; the variant column puts
         the published variant in place of the exact failed-fragment term of
-        s_f, with every other term read from the same ModelReport.
+        s_f, with every other term read from the same record.
         """
         text = CALIBRATION_DOC.read_text()
         section = text.split("## Failed-fragment-round composition")[1]
@@ -193,13 +193,13 @@ class TestFragmentFailure:
         for mss, ber, _published, exact_cell, variant_cell in rows:
             cfg = RunConfig(mss_bytes=int(mss), ber=float(ber))
             rep = segment_model(cfg.scenario(), energy=cfg.energy())
-            m, q = rep.m, rep.q_s
-            ack_term = (m * rep.e_s + rep.e_f_ack) * q**m * (1.0 - rep.q_s_ack)
-            frag_term = fragment_failure_bits_variant(m, q, rep.e_s, rep.e_f)
-            s_f = (frag_term + ack_term) / (1.0 - rep.p_s)
-            s = s_f * (1.0 / rep.p_s - 1.0) + rep.s_s
-            variant = cfg.energy().joules(rep.segments * s)
-            assert f"{rep.total_joules:.2f}" == exact_cell
+            m, q = rep["m"], rep["q_s"]
+            ack_term = (m * rep["e_s"] + rep["e_f_ack"]) * q**m * (1.0 - rep["q_s_ack"])
+            frag_term = fragment_failure_bits_variant(m, q, rep["e_s"], rep["e_f"])
+            s_f = (frag_term + ack_term) / (1.0 - rep["p_s"])
+            s = s_f * (1.0 / rep["p_s"] - 1.0) + rep["s_s"]
+            variant = cfg.energy().joules(rep["segments"] * s)
+            assert f"{rep['total_joules']:.2f}" == exact_cell
             assert f"{variant:.2f}" == variant_cell
 
 
@@ -219,29 +219,29 @@ class TestSegmentModel:
     def test_zero_noise_closed_form(self):
         sc = PathScenario(hops=uniform_path(5, 0.0, 3), layout=LAYOUT, mss_bytes=64)
         rep = segment_model(sc)
-        assert rep.p_s == 1.0
-        assert rep.s == 5 * (952 + 40) + 5 * (440 + 40) == 7360
-        assert rep.segments == 800
-        assert rep.total_bits == 5_888_000.0
-        assert rep.total_joules == pytest.approx(5_888_000 * 0.66e-6, rel=1e-12)
-        assert rep.flags == ()
+        assert rep["p_s"] == 1.0
+        assert rep["s"] == 5 * (952 + 40) + 5 * (440 + 40) == 7360
+        assert rep["segments"] == 800
+        assert rep["total_bits"] == 5_888_000.0
+        assert rep["total_joules"] == pytest.approx(5_888_000 * 0.66e-6, rel=1e-12)
+        assert rep["flags"] == ""
 
     def test_total_decomposition(self):
         sc = PathScenario(hops=uniform_path(5, 3e-4, 3), layout=LAYOUT, mss_bytes=512)
         rep = segment_model(sc)
-        assert rep.s == pytest.approx(
-            rep.s_f * (1.0 / rep.p_s - 1.0) + rep.s_s, rel=1e-12
+        assert rep["s"] == pytest.approx(
+            rep["s_f"] * (1.0 / rep["p_s"] - 1.0) + rep["s_s"], rel=1e-12
         )
-        assert rep.s >= rep.s_s
-        assert rep.total_bits == pytest.approx(rep.segments * rep.s, rel=1e-12)
+        assert rep["s"] >= rep["s_s"]
+        assert rep["total_bits"] == pytest.approx(rep["segments"] * rep["s"], rel=1e-12)
 
     @given(ber=st.floats(0.0, 3e-3), mss=st.sampled_from([64, 512]))
     @settings(max_examples=40, deadline=None)
     def test_cost_at_least_lossless(self, ber, mss):
         sc = PathScenario(hops=uniform_path(5, ber, 3), layout=LAYOUT, mss_bytes=mss)
         rep = segment_model(sc)
-        if rep.s is not None:
-            assert rep.s >= rep.s_s - 1e-9
+        if rep["s"] is not None:
+            assert rep["s"] >= rep["s_s"] - 1e-9
 
     def test_hop_permutation_invariants(self):
         hops = (HopParams(1e-4, 3), HopParams(5e-4, 2), HopParams(3e-4, 4))
@@ -249,10 +249,10 @@ class TestSegmentModel:
         b = segment_model(
             PathScenario(hops=hops[::-1], layout=LAYOUT, mss_bytes=512)
         )
-        assert a.q_s == pytest.approx(b.q_s, rel=1e-12)
-        assert a.p_s == pytest.approx(b.p_s, rel=1e-12)
-        assert a.e_s == pytest.approx(b.e_s, rel=1e-12)
-        assert a.s_s == pytest.approx(b.s_s, rel=1e-12)
+        assert a["q_s"] == pytest.approx(b["q_s"], rel=1e-12)
+        assert a["p_s"] == pytest.approx(b["p_s"], rel=1e-12)
+        assert a["e_s"] == pytest.approx(b["e_s"], rel=1e-12)
+        assert a["s_s"] == pytest.approx(b["s_s"], rel=1e-12)
         # e_f is direction-dependent by design; no assertion on it
 
     def test_energy_linear_and_argmin_invariant(self):
@@ -261,12 +261,12 @@ class TestSegmentModel:
         base = EnergyParams()
         scaled = EnergyParams(tx_uj_per_bit=0.72, rx_uj_per_bit=0.63, n_neighbors=2)
         for sc in (sc64, sc512):
-            e1 = segment_model(sc, energy=base).total_joules
-            e3 = segment_model(sc, energy=scaled).total_joules
+            e1 = segment_model(sc, energy=base)["total_joules"]
+            e3 = segment_model(sc, energy=scaled)["total_joules"]
             assert e3 == pytest.approx(3 * e1, rel=1e-12)
         pick = lambda en: min(
             (64, 512),
-            key=lambda m: segment_model(replace(sc64, mss_bytes=m), energy=en).total_joules,
+            key=lambda m: segment_model(replace(sc64, mss_bytes=m), energy=en)["total_joules"],
         )
         assert pick(base) == pick(scaled)
 
@@ -275,10 +275,10 @@ class TestSegmentModel:
             hops=(HopParams(0.5, 1),), layout=LAYOUT, mss_bytes=512
         )
         rep = segment_model(dead)
-        if rep.p_s == 0.0:
-            assert rep.diverges and rep.total_bits is None
+        if rep["p_s"] == 0.0:
+            assert "diverges" in rep["flags"].split(";") and rep["total_bits"] is None
         else:
-            assert rep.total_bits is not None and math.isfinite(rep.total_bits)
+            assert rep["total_bits"] is not None and math.isfinite(rep["total_bits"])
 
     def test_fully_dead_hop(self):
         # an uncorrectable always-failing hop: explicit flags, no infinities
@@ -286,14 +286,14 @@ class TestSegmentModel:
             hops=(HopParams(0.99999999999999994, 1),), layout=LAYOUT, mss_bytes=64
         )
         rep = segment_model(sc)
-        if rep.q_s == 0.0:
-            assert rep.diverges
-            assert rep.total_bits is None and rep.total_joules is None
-            assert rep.s_f is not None  # failed rounds still cost real bits
+        if rep["q_s"] == 0.0:
+            assert "diverges" in rep["flags"].split(";")
+            assert rep["total_bits"] is None and rep["total_joules"] is None
+            assert rep["s_f"] is not None  # failed rounds still cost real bits
 
     def test_record_round_trip_fields(self):
         sc = PathScenario(hops=uniform_path(3, 1e-4, 2), layout=LAYOUT, mss_bytes=64)
-        rec = segment_model(sc).to_record(per_hop=True)
+        rec = segment_model(sc)
         for key in ("q_s", "e_s", "i_f", "p_s", "s", "total_bits", "flags"):
             assert key in rec
         assert len(rec["f_data"]) == 3
@@ -324,11 +324,10 @@ class TestModelCaches:
     def test_cold_warm_and_uncached_records_equal(self):
         # first calls, the same calls again after a batch that shares their
         # hop keys, and the scalar oracle, which evaluates every hop afresh
-        cold = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
+        cold = [segment_model(sc) for sc in self.SCENARIOS]
         segment_models(self.SCENARIOS[1], ber=[3e-4, 1e-5], mss=[512, 64])
-        warm = [segment_model(sc).to_record(per_hop=True) for sc in self.SCENARIOS]
-        uncached = [scalar_oracle.segment_model(sc).to_record(per_hop=True)
-                    for sc in self.SCENARIOS]
+        warm = [segment_model(sc) for sc in self.SCENARIOS]
+        uncached = [scalar_oracle.segment_model(sc) for sc in self.SCENARIOS]
         assert cold == warm == uncached
         assert "degenerate_hop" in cold[2]["flags"]
 
@@ -387,6 +386,12 @@ def core_calls(draw):
     return base, columns
 
 
+def records(batch) -> list[dict]:
+    """The batch's records, per-hop lists included, a dict per point."""
+    columns = batch.record_columns(per_hop=True)
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 class TestBatchedCore:
     """``segment_models`` equals the scalar oracle field for field, with ==."""
 
@@ -405,22 +410,19 @@ class TestBatchedCore:
         # ones are padded
         base, columns = call
         batch = segment_models(base, energy, **columns)
-        record = batch.record_columns()
-        records = [dict(zip(record, row)) for row in zip(*record.values())]
+        got = records(batch)
         for i in range(len(batch.errors)):
+            sc = scalar_oracle.point_scenario(base, columns, i)
             try:
-                want = scalar_oracle.segment_model(
-                    scalar_oracle.point_scenario(base, columns, i), energy)
+                want = scalar_oracle.segment_model(sc, energy)
             except LayoutError as exc:
                 assert str(batch.errors[i]) == str(exc)
-                assert set(records[i].values()) == {None}
+                assert set(got[i].values()) == {None}
                 with pytest.raises(LayoutError):
-                    batch.report(i)
+                    segment_model(sc, energy)
                 continue
-            got = batch.report(i)
-            assert got == want
-            assert repr(got) == repr(want)  # also tells -0.0 from 0.0
-            assert records[i] == want.to_record()
+            assert got[i] == want
+            assert repr(got[i]) == repr(want)  # also tells -0.0 from 0.0
 
     def test_dense_seeded_grid_equals_the_scalar_oracle(self):
         # 600 seeded points in twelve calls of 50. A last-bit drift (numpy's
@@ -450,6 +452,7 @@ class TestBatchedCore:
                                 FrameLayout(fragments=fragments), 512)
             columns = {name: [draw[name]() for _ in range(50)] for name in names}
             batch = segment_models(base, **columns)
+            got = records(batch)
             for i in range(50):
                 sc = scalar_oracle.point_scenario(base, columns, i)
                 try:
@@ -458,7 +461,7 @@ class TestBatchedCore:
                     assert str(batch.errors[i]) == str(exc)
                     errors += 1
                     continue
-                assert batch.report(i) == want, sc
+                assert got[i] == want, sc
         assert errors > 0
 
     @pytest.mark.parametrize("ber, h, mss, flags", [
@@ -470,7 +473,7 @@ class TestBatchedCore:
         sc = PathScenario(hops=uniform_path(h, ber, 1), layout=LAYOUT, mss_bytes=mss)
         got = segment_model(sc)
         assert got == scalar_oracle.segment_model(sc)
-        assert got.flags == flags
+        assert got["flags"] == ";".join(flags)
 
     def test_layout_errors_keep_their_slots(self):
         base = PathScenario(uniform_path(2, 1e-4), FrameLayout(fragments="fit"), 64)
@@ -481,9 +484,10 @@ class TestBatchedCore:
         assert isinstance(batch.errors[5], LayoutError)
         assert batch.column("total_bits")[5] is None
         assert batch.column("q_s")[5] is None and batch.column("m")[5] is None
-        assert batch.column("data_hops")[5] is None
+        got = records(batch)
+        assert got[5]["f_data"] is None and got[5]["h_s_ack"] is None
         good = (*range(5), *range(6, 10))
-        assert [batch.report(i) for i in good] == [
+        assert [got[i] for i in good] == [
             scalar_oracle.segment_model(scalar_oracle.point_scenario(base, columns, i))
             for i in good
         ]
@@ -496,13 +500,14 @@ class TestBatchedCore:
         )
         batch = segment_models(bad, mss=[64, 512])
         assert all(isinstance(err, LayoutError) for err in batch.errors)
-        assert list(batch.columns) == [f.name for f in fields(ModelReport)]
+        assert list(batch.columns) == list(FIELDS)
         for name in batch.columns:
             assert batch.column(name) == [None, None], name
-        assert all(column == [None, None] for column in batch.record_columns().values())
-        for i in range(2):
+        assert all(column == [None, None]
+                   for column in batch.record_columns(per_hop=True).values())
+        for mss in (64, 512):
             with pytest.raises(LayoutError):
-                batch.report(i)
+                segment_model(replace(bad, mss_bytes=mss))
 
     def test_columns_must_have_one_length(self):
         base = PathScenario(uniform_path(2, 1e-4), LAYOUT, 64)

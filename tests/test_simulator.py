@@ -139,7 +139,7 @@ def test_sim_matches_model_default_config():
     sc = default_scenario()
     model = segment_model(sc)
     rep = simulate(SimConfig(scenario=sc, replications=600, master_seed=21, workers=2))
-    assert abs(rep.mean_total_bits - model.total_bits) <= 3 * rep.stderr_total_bits
+    assert abs(rep.mean_total_bits - model["total_bits"]) <= 3 * rep.stderr_total_bits
 
 
 def test_bit_and_frame_fidelity_agree():
@@ -267,11 +267,11 @@ def test_heavy_tail_counters_match_model():
         SimConfig(scenario=sc, replications=reps, master_seed=4, round_cap=10**15)
     )
     c = rep.counters
-    m, q_s, q_ack, p_s = model.m, model.q_s, model.q_s_ack, model.p_s
+    m, q_s, q_ack, p_s = model["m"], model["q_s"], model["q_s_ack"], model["p_s"]
     drops_per_failed_round = (m * (1 - q_s) + q_s**m * (1 - q_ack)) / (1 - p_s)
     assert c.hop_drops / c.segment_retx == pytest.approx(drops_per_failed_round, rel=1e-4)
-    expect = model.segments / p_s
-    se = (model.segments * (1 - p_s) / p_s**2 / reps) ** 0.5
+    expect = model["segments"] / p_s
+    se = (model["segments"] * (1 - p_s) / p_s**2 / reps) ** 0.5
     assert abs(c.segment_sends - expect) <= 4 * se
 
 
@@ -285,8 +285,8 @@ def test_large_transfer_draws_rounds_per_replication():
     rep = simulate(SimConfig(scenario=sc, replications=reps, master_seed=11))
     assert rep.segments == 15_625_000_000
     assert math.isfinite(rep.mean_total_bits) and rep.mean_total_bits > 0
-    expect = model.segments / model.p_s
-    se = (model.segments * (1 - model.p_s) / model.p_s**2 / reps) ** 0.5
+    expect = model["segments"] / model["p_s"]
+    se = (model["segments"] * (1 - model["p_s"]) / model["p_s"]**2 / reps) ** 0.5
     assert abs(rep.counters.segment_sends - expect) <= 4 * se
 
 
@@ -323,8 +323,8 @@ def test_sim_matches_model_past_1029_fragments_or_attempts(fragments, ber, r, ms
                       mss_bytes=mss, transfer_bytes=51200)
     model = segment_model(sc)
     rep = simulate(SimConfig(scenario=sc, replications=200, master_seed=29))
-    assert model.m == (fragments if fragments != "auto" else 1)
-    assert abs(rep.mean_total_bits - model.total_bits) <= 4 * rep.stderr_total_bits
+    assert model["m"] == (fragments if fragments != "auto" else 1)
+    assert abs(rep.mean_total_bits - model["total_bits"]) <= 4 * rep.stderr_total_bits
 
 
 def test_trial_counts_past_int64_are_drawn_in_parts():
@@ -366,7 +366,7 @@ def test_bit_and_frame_fidelity_agree_on_a_heterogeneous_path():
                   for fidelity in ("frame", "bit"))
     combined = (frame.stderr_total_bits**2 + bit.stderr_total_bits**2) ** 0.5
     assert abs(frame.mean_total_bits - bit.mean_total_bits) <= 3 * combined
-    se_sends = (2 * model.segments * (1 - model.p_s) / model.p_s**2 / reps) ** 0.5
+    se_sends = (2 * model["segments"] * (1 - model["p_s"]) / model["p_s"]**2 / reps) ** 0.5
     assert abs(frame.counters.segment_sends - bit.counters.segment_sends) <= 3 * se_sends
 
 
@@ -380,7 +380,7 @@ def test_heterogeneous_attempt_limits_match_model():
     model = segment_model(sc)
     rep = simulate(SimConfig(scenario=sc, replications=400, master_seed=31,
                              workers=2))
-    assert abs(rep.mean_total_bits - model.total_bits) <= 3 * rep.stderr_total_bits
+    assert abs(rep.mean_total_bits - model["total_bits"]) <= 3 * rep.stderr_total_bits
 
 
 def test_counter_consistency():
