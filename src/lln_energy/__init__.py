@@ -13,8 +13,6 @@ from .framing import (
     resolve_frames,
 )
 from .hopmodel import (
-    AttemptProbs,
-    HopModel,
     HopParams,
     attempt_probs,
     expected_success_bits,

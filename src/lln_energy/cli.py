@@ -173,14 +173,16 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """The values of integer-list flag ``flag``: "lo:hi", or a comma list."""
     try:
         if ":" in text:
             lo, hi = (int(x) for x in text.split(":"))
             return tuple(range(lo, hi + 1))
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise _CliError(f'expected "lo:hi" or a comma list of integers, got {text!r}') from None
+        raise _CliError(f'{flag} must be "lo:hi" or a comma list of integers, '
+                        f'got {text!r}') from None
 
 
 def _metadata(cfg: RunConfig, include_seed: bool) -> list[str]:
@@ -334,7 +336,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
         scenario=cfg.scenario(),
         axis=args.axis,
         grid=_parse_grid(args.grid, "--grid"),
-        mss_list=_parse_int_list(args.mss_list),
+        mss_list=_parse_int_list(args.mss_list, "--mss-list"),
         energy=cfg.energy(),
     )
     return sweep_columns(spec)
@@ -342,8 +344,8 @@ def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
 
 def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
     values = _parse_grid(args.values, "--values")
-    h_values = _parse_int_list(args.h_range)
-    mss_pair = _parse_int_list(args.mss_pair)
+    h_values = _parse_int_list(args.h_range, "--h-range")
+    mss_pair = _parse_int_list(args.mss_pair, "--mss-pair")
     if len(mss_pair) != 2:
         raise _CliError(f"--mss-pair needs exactly two values, got {args.mss_pair!r}")
     try:

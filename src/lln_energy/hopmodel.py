@@ -11,33 +11,38 @@ sender stops at the first success, or gives up after ``r`` attempts.
 Every quantity is computed over arrays, one element per (d, c, a, ber, r)
 key, in three steps: the binomial tail (``_frame_error_probs``), the
 attempt outcomes (``_attempt_probs``) and the ARQ sums (``_success_bits``).
-``hop_model_array`` is the one array entry, all three steps over a
-call's keys. The tail's term recurrence is the scalar loop itself, run
-once per key whose tail has terms past the first (``_log_tail``). Only
-IEEE ``+ - * /`` run in numpy, each element in the order of the scalar
-formulas; ``lgamma``, ``log``, ``log1p``, ``exp`` and
-``**`` are per-element ``math`` calls, as numpy's may differ from libm in
-the last bit. Integer products (``k*d + a``, ``r*d``, ``a*r``) are exact
-before their one conversion to float. So every element equals the scalar
-evaluation bit for bit. The scalar names (``frame_error_prob``,
-``attempt_probs``, ``expected_success_bits``, ``hop_model``) check their
-one key and call the steps on it.
+``hop_model_array`` is the one entry, all three steps over a call's
+keys, and its ``HopArrays`` the one result. The tail's term recurrence
+is the scalar loop itself, run once per key whose tail has terms past
+the first (``_log_tail``). Only IEEE ``+ - * /`` run in numpy, each
+element in the order of the scalar formulas; ``lgamma``, ``log``,
+``log1p``, ``exp`` and ``**`` are per-element ``math`` calls, as numpy's
+may differ from libm in the last bit. Integer products (``k*d + a``,
+``r*d``, ``a*r``) are exact before their one conversion to float. So
+every element equals the scalar evaluation bit for bit. The scalar names
+(``frame_error_prob``, ``attempt_probs``, ``expected_success_bits``,
+``hop_model``) check their one key, refusing a fractional bit count or
+attempt limit rather than truncate it, and call the steps on it.
+``hop_model`` returns its key's row of ``HopArrays`` as a dict;
+``attempt_probs`` the (p_fail, p_partial, p_succ) triple that
+``expected_success_bits`` takes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .framing import MAX_FRAME_BITS
+
 __all__ = [
     "MAX_RETRIES",
     "HopParams",
-    "AttemptProbs",
-    "HopModel",
     "HopArrays",
     "frame_error_prob",
     "attempt_probs",
@@ -85,36 +90,13 @@ class HopParams:
         object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class AttemptProbs:
-    """Outcome probabilities of a single link-layer transmission attempt."""
-
-    p_fail: float
-    p_partial: float
-    p_succ: float
-
-
-@dataclass(frozen=True)
-class HopModel:
-    """Truncated-ARQ expectations for one hop.
-
-    ``f`` is the probability the receiver never gets the frame in ``r``
-    attempts; ``h_f`` the bits sent in that case (always exactly r*d, only
-    the sender talks); ``h_s`` the expected bits sent given the frame got
-    through. ``h_s`` is None and ``degenerate`` is set when every attempt
-    fails with certainty, i.e. the hop can never deliver.
-    """
-
-    f: float
-    h_s: float | None
-    h_f: float
-    probs: AttemptProbs
-    degenerate: bool = False
-
-
 class HopArrays(NamedTuple):
-    """``hop_model_array``'s result: one float64 array per ``HopModel`` field,
-    one element per key; ``h_s`` is NaN where the hop is degenerate."""
+    """``hop_model_array``'s result, a float64 array per field and an element
+    per key: the outcomes ``p_fail``, ``p_partial`` and ``p_succ`` of one
+    attempt; ``f``, the probability the receiver never gets the frame in r
+    attempts; ``h_f``, the bits sent then (r*d, only the sender talks); and
+    ``h_s``, the expected bits sent given the frame got through, NaN where
+    every attempt fails with certainty, i.e. the hop can never deliver."""
 
     f: np.ndarray
     h_s: np.ndarray
@@ -122,14 +104,6 @@ class HopArrays(NamedTuple):
     p_fail: np.ndarray
     p_partial: np.ndarray
     p_succ: np.ndarray
-
-    def model(self, i: int) -> HopModel:
-        """Key i's ``HopModel``."""
-        h_s = self.h_s.item(i)
-        degenerate = h_s != h_s  # NaN
-        probs = AttemptProbs(self.p_fail.item(i), self.p_partial.item(i), self.p_succ.item(i))
-        return HopModel(self.f.item(i), None if degenerate else h_s, self.h_f.item(i), probs,
-                        degenerate)
 
 
 def _columns(*ints, floats=()) -> list[np.ndarray]:
@@ -139,6 +113,15 @@ def _columns(*ints, floats=()) -> list[np.ndarray]:
     cols += [np.asarray(x, dtype=float).reshape(-1) for x in floats]
     n = max(map(len, cols))
     return [x if len(x) == n else x.repeat(n) for x in cols]
+
+
+def _bit_counts(**counts) -> list[int]:
+    """The named bit counts as ints, each refused unless an integer in
+    [0, MAX_FRAME_BITS], before an int64 column truncates or overflows it."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or not 0 <= value <= MAX_FRAME_BITS:
+            raise ValueError(f"{name} must be an integer in [0, {MAX_FRAME_BITS}], got {value!r}")
+    return [int(value) for value in counts.values()]
 
 
 def _check_keys(d, c, ber, a=None) -> None:
@@ -299,26 +282,26 @@ def frame_error_prob(d_bits: int, c_bits: int, ber: float) -> float:
     Whichever tail of the distribution is the smaller sum is evaluated
     directly, so results near 0 and near 1 both keep full precision.
     """
-    d, c, ber = _columns(d_bits, c_bits, floats=(ber,))
+    d, c, ber = _columns(*_bit_counts(d_bits=d_bits, c_bits=c_bits), floats=(ber,))
     _check_keys(d, c, ber)
     return _frame_error_probs(d, c, ber, _log1p_neg(ber)).item(0)
 
 
-def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptProbs:
-    """Single-attempt outcome probabilities for given frame sizes and BER.
+def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> tuple[float, float, float]:
+    """(p_fail, p_partial, p_succ) of one attempt, for given frame sizes and BER.
 
     The acknowledgement frame carries no redundancy, so a partial failure
     needs every one of its ``a_bits`` to survive.
     """
-    d, c, a, ber = _columns(d_bits, c_bits, a_bits, floats=(ber,))
+    d, c, a, ber = _columns(*_bit_counts(d_bits=d_bits, c_bits=c_bits, a_bits=a_bits),
+                            floats=(ber,))
     _check_keys(d, c, ber, a)
-    return AttemptProbs(*(x.item(0) for x in _attempt_probs(d, c, a, ber)))
+    return tuple(x.item(0) for x in _attempt_probs(d, c, a, ber))
 
 
-def expected_success_bits(
-    probs: AttemptProbs, r: int, d_bits: int, a_bits: int
-) -> float | None:
-    """Expected bits sent in <= r attempts, given the data frame got through.
+def expected_success_bits(probs, r: int, d_bits: int, a_bits: int) -> float | None:
+    """Expected bits sent in <= r attempts, given the data frame got through,
+    for attempt outcome probabilities ``probs`` = (p_fail, p_partial, p_succ).
 
     Delivery happens one of two ways: no attempt succeeded outright but at
     least one partially failed (data arrived, no ACK ever returned), or
@@ -331,15 +314,19 @@ def expected_success_bits(
     non-negative terms do not cancel when pf is close to u. Returns None
     when delivery is impossible (every attempt fails with certainty).
     """
-    r, d, a, pf, pp, ps = _columns(r, d_bits, a_bits,
-                                   floats=(probs.p_fail, probs.p_partial, probs.p_succ))
+    r = HopParams(0.0, r).r  # refused as a hop's attempt limit is
+    r, d, a, pf, pp, ps = _columns(r, *_bit_counts(d_bits=d_bits, a_bits=a_bits), floats=probs)
     pf_r = np.array([pf.item(0) ** r.item(0)])
     bits = _success_bits(pf, pp, ps, r, pf_r, _exact(r, d, a)).item(0)
     return None if bits != bits else bits
 
 
-def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> HopModel:
-    """Full one-hop model for a frame of ``d_bits`` over the given hop."""
-    d, c, a, ber = _columns(d_bits, c_bits, a_bits, floats=(hop.ber,))
+def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> dict:
+    """Full one-hop model for a frame of ``d_bits`` over the given hop: its
+    key's row of ``hop_model_array`` as a dict, ``h_s`` None where the hop
+    can never deliver."""
+    d, c, a, ber = _columns(*_bit_counts(d_bits=d_bits, c_bits=c_bits, a_bits=a_bits),
+                            floats=(hop.ber,))
     _check_keys(d, c, ber, a)
-    return hop_model_array(d, c, a, ber, hop.r).model(0)
+    row = {name: x.item(0) for name, x in hop_model_array(d, c, a, ber, hop.r)._asdict().items()}
+    return row | {"h_s": None} if math.isnan(row["h_s"]) else row

@@ -1,8 +1,9 @@
 """Scalar oracle of the hop, path and segment model, and of the crossover search.
 
-One key or scenario at a time in plain Python floats: the library's array
-hop layer (``hopmodel.hop_model_array``) must reproduce ``hop_model``
-here with ``==``, its batched core (``pathmodel.segment_models``) every
+One key or scenario at a time in plain Python floats: each row of the
+library's array hop layer (``hopmodel.hop_model_array``) must equal the
+dict ``hop_model`` here returns, and the scalar names their values, with
+``==``; its batched core (``pathmodel.segment_models``) every
 field of the record ``segment_model`` here returns, per-hop lists
 included, and the explorer's batched frontier ``crossover_ber`` here
 exactly. The arithmetic is the scalar model's, operation for operation.
@@ -14,7 +15,7 @@ from typing import Sequence
 
 from lln_energy.explorer import FrontierPoint
 from lln_energy.framing import LayoutError, resolve_frames
-from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams
+from lln_energy.hopmodel import HopParams
 from lln_energy.pathmodel import (
     FLAG_DEGENERATE_HOP,
     FLAG_DIVERGES,
@@ -75,8 +76,9 @@ def _binom_range_sum(d: int, lo: int, hi: int, p: float) -> float:
     return math.exp(offset + math.log(acc))
 
 
-def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptProbs:
-    """Single-attempt outcome probabilities for given frame sizes and BER.
+def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> tuple[float, float, float]:
+    """Single-attempt outcome probabilities (p_fail, p_partial, p_succ) for
+    given frame sizes and BER.
 
     The acknowledgement frame carries no redundancy, so a partial failure
     needs every one of its ``a_bits`` to survive.
@@ -86,17 +88,12 @@ def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> AttemptP
     p_fail = frame_error_prob(d_bits, c_bits, ber)
     ack_ok = math.exp(a_bits * math.log1p(-ber))
     got_data = 1.0 - p_fail
-    return AttemptProbs(
-        p_fail=p_fail,
-        p_partial=got_data * (1.0 - ack_ok),
-        p_succ=got_data * ack_ok,
-    )
+    return p_fail, got_data * (1.0 - ack_ok), got_data * ack_ok
 
 
-def expected_success_bits(
-    probs: AttemptProbs, r: int, d_bits: int, a_bits: int
-) -> float | None:
-    """Expected bits sent in <= r attempts, given the data frame got through.
+def expected_success_bits(probs, r: int, d_bits: int, a_bits: int) -> float | None:
+    """Expected bits sent in <= r attempts, given the data frame got through,
+    for attempt outcome probabilities ``probs`` = (p_fail, p_partial, p_succ).
 
     Delivery happens one of two ways: no attempt succeeded outright but at
     least one partially failed (data arrived, no ACK ever returned), or
@@ -109,7 +106,7 @@ def expected_success_bits(
     non-negative terms do not cancel when pf is close to u. Returns None
     when delivery is impossible (every attempt fails with certainty).
     """
-    pf, pp, ps = probs.p_fail, probs.p_partial, probs.p_succ
+    pf, pp, ps = probs
     denom = 1.0 - pf**r
     if denom <= 0.0:
         return None
@@ -127,13 +124,14 @@ def expected_success_bits(
     return (r * d_bits * diff + a_bits * r * pp * u_before + ps * with_succ) / denom
 
 
-def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> HopModel:
-    """Full one-hop model for a frame of ``d_bits`` over the given hop."""
-    probs = attempt_probs(d_bits, c_bits, a_bits, hop.ber)
-    f = probs.p_fail**hop.r
-    h_f = float(hop.r * d_bits)
+def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> dict:
+    """Full one-hop model for a frame of ``d_bits`` over the given hop:
+    f, h_s (None where the hop can never deliver), h_f and the attempt
+    outcomes p_fail, p_partial and p_succ."""
+    p_fail, p_partial, p_succ = probs = attempt_probs(d_bits, c_bits, a_bits, hop.ber)
     h_s = expected_success_bits(probs, hop.r, d_bits, a_bits)
-    return HopModel(f=f, h_s=h_s, h_f=h_f, probs=probs, degenerate=h_s is None)
+    return dict(f=p_fail**hop.r, h_s=h_s, h_f=float(hop.r * d_bits),
+                p_fail=p_fail, p_partial=p_partial, p_succ=p_succ)
 
 
 def point_scenario(base: PathScenario, columns: dict, i: int) -> PathScenario:
@@ -157,7 +155,7 @@ def path_success_prob(hop_failure_probs: Sequence[float]) -> float:
     return q
 
 
-def path_bits(models: Sequence[HopModel]) -> tuple[float | None, float | None]:
+def path_bits(models: Sequence[dict]) -> tuple[float | None, float | None]:
     """(e_s, e_f): expected bits end to end, given success resp. given failure.
 
     e_s sums the per-hop success expectations. e_f weights, for each hop k,
@@ -169,21 +167,21 @@ def path_bits(models: Sequence[HopModel]) -> tuple[float | None, float | None]:
         raise ValueError("need at least one hop model")
     e_s = (
         None
-        if any(hm.degenerate for hm in models)
-        else sum(hm.h_s for hm in models)
+        if any(hm["h_s"] is None for hm in models)
+        else sum(hm["h_s"] for hm in models)
     )
-    q_s = path_success_prob([hm.f for hm in models])
+    q_s = path_success_prob([hm["f"] for hm in models])
     if 1.0 - q_s <= 0.0:
         return e_s, None
     total = 0.0
     survive = 1.0
     bits_before = 0.0
     for hm in models:
-        total += (bits_before + hm.h_f) * survive * hm.f
-        survive *= 1.0 - hm.f
+        total += (bits_before + hm["h_f"]) * survive * hm["f"]
+        survive *= 1.0 - hm["f"]
         if survive == 0.0:
             break  # later hops are unreachable (and may have h_s undefined)
-        bits_before += hm.h_s
+        bits_before += hm["h_s"]
     return e_s, total / (1.0 - q_s)
 
 
@@ -222,8 +220,8 @@ def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams())
         for hp in reversed(scenario.hops)
     )
 
-    q_s = path_success_prob([hm.f for hm in data_hops])
-    q_s_ack = path_success_prob([hm.f for hm in ack_hops])
+    q_s = path_success_prob([hm["f"] for hm in data_hops])
+    q_s_ack = path_success_prob([hm["f"] for hm in ack_hops])
     e_s, e_f = path_bits(data_hops)
     e_s_ack, e_f_ack = path_bits(ack_hops)
 
@@ -232,7 +230,7 @@ def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams())
     p_s = q_s_m * q_s_ack
 
     flags: list[str] = []
-    if any(hm.degenerate for hm in data_hops + ack_hops):
+    if any(hm["h_s"] is None for hm in data_hops + ack_hops):
         flags.append(FLAG_DEGENERATE_HOP)
 
     frag_term = fragment_failure_sum(m, q_s, e_s, e_f)
@@ -295,7 +293,7 @@ def segment_model(scenario: PathScenario, energy: EnergyParams = EnergyParams())
     )
     for side, hops in (("data", data_hops), ("ack", ack_hops)):
         for name in ("f", "h_s", "h_f"):
-            record[f"{name}_{side}"] = [getattr(hm, name) for hm in hops]
+            record[f"{name}_{side}"] = [hm[name] for hm in hops]
     return record
 
 

@@ -38,7 +38,7 @@ import pytest
 from lln_energy.config import RunConfig
 from lln_energy.explorer import SweepSpec, crossover_ber, frontier, sweep
 from lln_energy.framing import resolve_frames
-from lln_energy.hopmodel import AttemptProbs, expected_success_bits
+from lln_energy.hopmodel import expected_success_bits
 from lln_energy.pathmodel import (
     PathScenario,
     fragment_failure_sum,
@@ -93,8 +93,7 @@ def test_criterion_2_arq_expectation_oracle():
         for pf, pp in itertools.product(grid, grid):
             if pf + pp >= 1.0:
                 continue
-            probs = AttemptProbs(pf, pp, 1.0 - pf - pp)
-            got = expected_success_bits(probs, r, d, a)
+            got = expected_success_bits((pf, pp, 1.0 - pf - pp), r, d, a)
             want = enum_success_bits(pf, pp, r, d, a)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0

@@ -515,6 +515,14 @@ class TestExitCodes:
          "--values: a log grid needs lo > 0, got '0:1:log:5'"),
         (("sweep", "--axis", "ber", "--grid", "1e-3:1e-4:log:5"),
          "bad --grid range '1e-3:1e-4:log:5'"),
+        (("sweep", "--axis", "ber", "--grid", "1e-4", "--mss-list", "64,abc"),
+         """--mss-list must be "lo:hi" or a comma list of integers, got '64,abc'"""),
+        (("frontier", "--family", "r", "--values", "3", "--h-range", "1:2:3"),
+         "--h-range must be"),
+        (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64,x"),
+         "--mss-pair must be"),
+        (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64,64"),
+         "mss_pair needs two different sizes, got (64, 64)"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

@@ -418,3 +418,11 @@ class TestFrontier:
     def test_rejects_an_empty_frontier(self, values, hops):
         with pytest.raises(ValueError, match="at least one family value and one hop count"):
             frontier(base_scenario(), "r", values, hops)
+
+    def test_rejects_an_mss_pair_of_one_size(self):
+        # one size against itself costs the same everywhere: no crossover to find
+        with pytest.raises(ValueError, match=r"two different sizes, got \(64, 64\)"):
+            frontier(base_scenario(), "r", [3], [1], mss_pair=(64, 64))
+        for pair in ((512, 512), (64,), (64, 512, 1024)):
+            with pytest.raises(ValueError, match="two different sizes"):
+                crossover_ber(base_scenario(), mss_pair=pair)

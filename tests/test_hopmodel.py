@@ -11,6 +11,7 @@ the scalar transcription in ``scalar_oracle`` with ``==``.
 import itertools
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from lln_energy.hopmodel import (
     MAX_RETRIES,
-    AttemptProbs,
     HopParams,
     attempt_probs,
     expected_success_bits,
@@ -141,25 +141,47 @@ class TestFrameErrorProb:
             frame_error_prob(10, 11, 0.1)
         with pytest.raises(ValueError):
             frame_error_prob(10, 0, 1.0)
+        # every scalar name refuses a fractional bit count or attempt limit
+        # rather than truncate it, and a frame past the model's 2**53 bits
+        # rather than answer for it or overflow int64
+        hop, probs, bound = HopParams(3e-4, 3), (0.2, 0.1, 0.7), "in [0, 9007199254740992]"
+        for call, says in [
+            (lambda: frame_error_prob(952.7, 0, 3e-4),
+             f"d_bits must be an integer {bound}, got 952.7"),
+            (lambda: frame_error_prob(952, 0.5, 3e-4), "c_bits must be an integer"),
+            (lambda: attempt_probs(952, 0, 40.5, 3e-4), "a_bits must be an integer"),
+            (lambda: hop_model(952, 1.5, 40, hop), "c_bits must be an integer"),
+            (lambda: expected_success_bits(probs, 2.5, 952, 40), "r must be an integer"),
+            (lambda: expected_success_bits(probs, 3, 952, 40.0), "a_bits must be an integer"),
+            (lambda: expected_success_bits(probs, 0, 952, 40), "r must be >= 1, got 0"),
+            (lambda: frame_error_prob(2**60, 0, 3e-4), f"{bound}, got {2**60}"),
+            (lambda: attempt_probs(952, 0, 2**64, 3e-4), f"a_bits must be an integer {bound}"),
+            (lambda: hop_model(2**53 + 1, 0, 40, hop), f"{bound}, got {2**53 + 1}"),
+            (lambda: expected_success_bits(probs, 3, 2**63, 40),
+             f"d_bits must be an integer {bound}"),
+            (lambda: frame_error_prob(-2**64, 0, 3e-4), f"{bound}, got {-2**64}"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(says)):
+                call()
+        assert 0.0 < frame_error_prob(2**53, 0, 1e-17) < 1.0  # the largest frame is taken
 
 
 class TestAttemptProbs:
     def test_noiseless(self):
-        p = attempt_probs(952, 0, 40, 0.0)
-        assert (p.p_fail, p.p_partial, p.p_succ) == (0.0, 0.0, 1.0)
+        assert attempt_probs(952, 0, 40, 0.0) == (0.0, 0.0, 1.0)
 
     def test_fully_correctable_data(self):
-        p = attempt_probs(100, 100, 40, 0.01)
-        assert p.p_fail == 0.0
-        assert p.p_partial == pytest.approx(1 - 0.99**40, rel=1e-12)
-        assert p.p_succ == pytest.approx(0.99**40, rel=1e-12)
+        p_fail, p_partial, p_succ = attempt_probs(100, 100, 40, 0.01)
+        assert p_fail == 0.0
+        assert p_partial == pytest.approx(1 - 0.99**40, rel=1e-12)
+        assert p_succ == pytest.approx(0.99**40, rel=1e-12)
 
     def test_reference_frame(self):
         # mpmath (50 digits) on the 952/40-bit frame pair at B = 3e-4
-        p = attempt_probs(952, 0, 40, 3e-4)
-        assert p.p_fail == pytest.approx(0.2484690216153075, rel=1e-13)
-        assert p.p_partial == pytest.approx(0.008965814189209495, rel=1e-12)
-        assert p.p_succ == pytest.approx(0.7425651641954830, rel=1e-12)
+        p_fail, p_partial, p_succ = attempt_probs(952, 0, 40, 3e-4)
+        assert p_fail == pytest.approx(0.2484690216153075, rel=1e-13)
+        assert p_partial == pytest.approx(0.008965814189209495, rel=1e-12)
+        assert p_succ == pytest.approx(0.7425651641954830, rel=1e-12)
 
     @given(
         d=st.integers(1, 2000),
@@ -171,31 +193,30 @@ class TestAttemptProbs:
     def test_closure(self, d, c, a, b):
         c = min(c, d)
         p = attempt_probs(d, c, a, b)
-        assert p.p_fail + p.p_partial + p.p_succ == pytest.approx(1.0, abs=1e-12)
-        for v in (p.p_fail, p.p_partial, p.p_succ):
+        assert sum(p) == pytest.approx(1.0, abs=1e-12)
+        for v in p:
             assert 0.0 <= v <= 1.0
 
 
 class TestHopModel:
     def test_noiseless_single_attempt_suffices(self):
         hm = hop_model(952, 0, 40, HopParams(ber=0.0, r=3))
-        assert hm.f == 0.0
-        assert hm.h_s == 992.0
-        assert hm.h_f == 3 * 952.0
-        assert not hm.degenerate
+        assert hm["f"] == 0.0
+        assert hm["h_s"] == 992.0
+        assert hm["h_f"] == 3 * 952.0
 
     def test_single_attempt_always_costs_one_exchange(self):
         # r=1 and delivery implies exactly one data frame and one ACK
         # (ber kept where (1-ber)^500 is still representable > eps)
         for ber in (1e-4, 0.01, 0.05):
             hm = hop_model(500, 0, 40, HopParams(ber=ber, r=1))
-            assert hm.h_s == pytest.approx(540.0, rel=1e-12)
+            assert hm["h_s"] == pytest.approx(540.0, rel=1e-12)
 
     def test_practically_dead_hop_is_degenerate(self):
         # delivery probability ~5.7e-78 rounds p_fail to exactly 1.0
         hm = hop_model(500, 0, 40, HopParams(ber=0.3, r=1))
-        assert hm.probs.p_fail == 1.0
-        assert hm.degenerate and hm.h_s is None
+        assert hm["p_fail"] == 1.0
+        assert hm["h_s"] is None
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_enumeration(self, r):
@@ -205,8 +226,7 @@ class TestHopModel:
             for pp in grid:
                 if pf + pp >= 1.0:
                     continue
-                probs = AttemptProbs(pf, pp, 1.0 - pf - pp)
-                got = expected_success_bits(probs, r, d, a)
+                got = expected_success_bits((pf, pp, 1.0 - pf - pp), r, d, a)
                 want = enum_success_bits(pf, pp, r, d, a)
                 assert got == pytest.approx(want, rel=1e-10)
 
@@ -218,15 +238,15 @@ class TestHopModel:
                 if pf + pp >= 1.0:
                     continue
                 ps = 1.0 - pf - pp
-                got = expected_success_bits(AttemptProbs(pf, pp, ps), r, d, a)
+                got = expected_success_bits((pf, pp, ps), r, d, a)
                 want = mp_success_bits(pf, pp, ps, r, d, a)
                 assert abs(got - want) <= 1e-13 * want
 
     def test_attempts_past_any_chance_of_use_change_nothing(self):
         # at B = 3e-4 an attempt fails with ~0.26, so the terms of attempts
         # past 200 are below 1e-110 of the total
-        short = hop_model(952, 0, 40, HopParams(3e-4, 200)).h_s
-        longest = hop_model(952, 0, 40, HopParams(3e-4, 1029)).h_s
+        short = hop_model(952, 0, 40, HopParams(3e-4, 200))["h_s"]
+        longest = hop_model(952, 0, 40, HopParams(3e-4, 1029))["h_s"]
         assert longest == pytest.approx(short, rel=1e-12)
 
     @given(
@@ -237,26 +257,24 @@ class TestHopModel:
     )
     @settings(max_examples=60, deadline=None)
     def test_success_bits_bounds(self, d, a, ber, r):
-        hm = hop_model(d, 0, a, HopParams(ber=ber, r=r))
-        if not hm.degenerate:
-            assert d <= hm.h_s <= r * (d + a) + 1e-9
+        h_s = hop_model(d, 0, a, HopParams(ber=ber, r=r))["h_s"]
+        if h_s is not None:
+            assert d <= h_s <= r * (d + a) + 1e-9
 
     def test_failure_prob_decreases_with_attempts(self):
         prev = None
         for r in range(1, 8):
             hm = hop_model(952, 0, 40, HopParams(ber=3e-4, r=r))
             if prev is not None:
-                assert hm.f < prev
-                assert hm.h_f > (r - 1) * 952 - 1e-9
-            prev = hm.f
+                assert hm["f"] < prev
+                assert hm["h_f"] > (r - 1) * 952 - 1e-9
+            prev = hm["f"]
 
     def test_degenerate_hop_flagged(self):
         # c = 0 and ber so high every frame is corrupt beyond repair
         hm = hop_model(4, 0, 1, HopParams(ber=0.999999999999999, r=2))
-        if hm.probs.p_fail == 1.0:
-            assert hm.degenerate and hm.h_s is None
-        else:  # platform rounding kept it barely below 1
-            assert not hm.degenerate
+        # unless platform rounding kept p_fail barely below 1
+        assert (hm["h_s"] is None) == (hm["p_fail"] == 1.0)
 
     def test_rejects_bad_hop_params(self):
         with pytest.raises(ValueError):
@@ -279,18 +297,19 @@ class TestHopModel:
 
 def assert_equals_the_scalar_oracle(keys):
     """``hop_model_array`` over ``keys`` (d, c, a, ber, r) equals the scalar
-    oracle key by key, field by field, with ==; the scalar names do too."""
+    oracle key by key, row i as ``hop_model``'s dict (h_s None where NaN),
+    field by field, with ==; the scalar names do too."""
     d, c, a, ber, r = (list(col) for col in zip(*keys))
     hops = hop_model_array(d, c, a, ber, r)
     for i, (dd, cc, aa, b, rr) in enumerate(keys):
         want = scalar_oracle.hop_model(dd, cc, aa, HopParams(b, rr))
-        assert hops.model(i) == want, keys[i]
+        row = {name: x.item(i) for name, x in hops._asdict().items()}
+        assert row | {"h_s": None if math.isnan(row["h_s"]) else row["h_s"]} == want, keys[i]
         assert hop_model(dd, cc, aa, HopParams(b, rr)) == want
-        assert hops.p_fail[i] == want.probs.p_fail == frame_error_prob(dd, cc, b)
-        assert AttemptProbs(hops.p_fail[i], hops.p_partial[i], hops.p_succ[i]) == want.probs
-        assert attempt_probs(dd, cc, aa, b) == want.probs
-        got = None if math.isnan(hops.h_s[i]) else hops.h_s.item(i)
-        assert got == want.h_s == expected_success_bits(want.probs, rr, dd, aa)
+        probs = (want["p_fail"], want["p_partial"], want["p_succ"])
+        assert want["p_fail"] == frame_error_prob(dd, cc, b)
+        assert attempt_probs(dd, cc, aa, b) == probs
+        assert want["h_s"] == expected_success_bits(probs, rr, dd, aa)
 
 
 class TestArrayHopLayer:
@@ -365,3 +384,20 @@ class TestArrayHopLayer:
     def test_empty_columns(self):
         hops = hop_model_array([], [], 40, [], [])
         assert all(len(x) == 0 for x in hops)
+
+    def test_rows_keep_their_recorded_values(self):
+        # every field of three keys, bit for bit as recorded when a row was
+        # still read through per-key objects: an uncoded frame, a coded one
+        # and one that can never deliver (h_s NaN)
+        hops = hop_model_array([952, 1048, 500], [0, 48, 0], 40, [3e-4, 3e-4, 0.3], [3, 3, 1])
+        want = {
+            "f": [0.015339695885528653, 8.12485564895612e-265, 1.0],
+            "h_s": [1275.7208561653988, 1101.1347630363123, math.nan],
+            "h_f": [2856.0, 3144.0, 500.0],
+            "p_fail": [0.24846902161530748, 9.331222631010035e-89, 1.0],
+            "p_partial": [0.0089658141892095, 0.011930066021337171, 0.0],
+            "p_succ": [0.742565164195483, 0.9880699339786628, 0.0],
+        }
+        assert list(want) == list(hops._fields)
+        for name, values in want.items():
+            np.testing.assert_array_equal(getattr(hops, name), values, err_msg=name)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lln_energy import pathmodel
 from lln_energy.config import RunConfig
 from lln_energy.framing import FrameLayout, LayoutError, resolve_frames
-from lln_energy.hopmodel import AttemptProbs, HopModel, HopParams, hop_model
+from lln_energy.hopmodel import HopParams, hop_model
 from lln_energy.pathmodel import (
     FIELDS,
     EnergyParams,
@@ -72,7 +72,8 @@ def fragment_failure_bits_variant(m, q_s, e_s, e_f):
 
 
 def make_hop(f, h_s, h_f):
-    return HopModel(f=f, h_s=h_s, h_f=h_f, probs=AttemptProbs(f, 0.0, 1.0 - f))
+    """A hop row as ``hop_model`` returns it, with no partial failures."""
+    return dict(f=f, h_s=h_s, h_f=h_f, p_fail=f, p_partial=0.0, p_succ=1.0 - f)
 
 
 # TestPathSuccess and TestPathBits check the scalar oracle's path formulas
@@ -112,8 +113,7 @@ class TestPathBits:
         assert e_f == pytest.approx(28.0 / 3.0, rel=1e-12)
 
     def test_dead_hop_short_circuits(self):
-        dead = HopModel(f=1.0, h_s=None, h_f=6.0, probs=AttemptProbs(1, 0, 0),
-                        degenerate=True)
+        dead = make_hop(1.0, None, 6.0)
         e_s, e_f = path_bits([make_hop(0.5, 10.0, 6.0), dead, make_hop(0.5, 10.0, 6.0)])
         assert e_s is None
         # failure happens on hop 1 w.p. .5, else surely on hop 2

@@ -14,7 +14,7 @@ from scipy import stats
 from lln_energy import simulator
 from lln_energy.config import RunConfig
 from lln_energy.framing import FrameLayout, resolve_frames
-from lln_energy.hopmodel import AttemptProbs, HopParams, hop_model
+from lln_energy.hopmodel import HopParams, attempt_probs, hop_model
 from lln_energy.pathmodel import PathScenario, segment_model, uniform_path
 from lln_energy.simulator import SimConfig, TruncationWarning, simulate
 
@@ -340,8 +340,8 @@ def test_trial_counts_past_int64_are_drawn_in_parts():
     agg.p_round, agg.p_frag_round = 1e-16, 0.0
     _, counters, _ = agg.run_block(np.random.default_rng(5), 2)
     frames = resolve_frames(sc.mss_bytes, LAYOUT)
-    probs = hop_model(frames.d_data_bits, frames.c_data_bits, LAYOUT.ll_ack_bits,
-                      HopParams(3e-3, 1029)).probs
+    _, p_partial, p_succ = attempt_probs(frames.d_data_bits, frames.c_data_bits,
+                                         LAYOUT.ll_ack_bits, 3e-3)
     attempts, partials, retx, sends = (counters[k].tolist() for k in (
         "link_attempts", "partial_failures", "segment_retx", "segment_sends"))
     for got_attempts, partials, retx, n in zip(attempts, partials, retx, sends):
@@ -349,8 +349,8 @@ def test_trial_counts_past_int64_are_drawn_in_parts():
         # is its 100 delivered traversals', a few thousand
         got_attempts -= 1029 * retx
         assert got_attempts - n > 2**63  # the binomial's trials, less the successes
-        assert got_attempts / n == pytest.approx(1 / probs.p_succ, rel=1e-6)
-        assert partials / got_attempts == pytest.approx(probs.p_partial, rel=1e-6)
+        assert got_attempts / n == pytest.approx(1 / p_succ, rel=1e-6)
+        assert partials / got_attempts == pytest.approx(p_partial, rel=1e-6)
 
 
 def test_bit_and_frame_fidelity_agree_on_a_heterogeneous_path():
@@ -432,8 +432,8 @@ class _HopTables:
     (all r attempts fail outright) is the only one that drops the frame.
     """
 
-    def __init__(self, probs: AttemptProbs, r: int):
-        pf, pp, ps = probs.p_fail, probs.p_partial, probs.p_succ
+    def __init__(self, probs: tuple[float, float, float], r: int):
+        pf, pp, ps = probs
         weights: list[float] = []
         attempts: list[int] = []
         arrivals: list[int] = []
@@ -501,7 +501,7 @@ def test_traversal_law_matches_the_class_enumeration(hops, mss):
     assert frames.m <= 2
     rows = ([(hp, frames.d_data_bits, frames.c_data_bits) for hp in hops]
             + [(hp, frames.d_ack_bits, frames.c_ack_bits) for hp in hops[::-1]])
-    tables = [_HopTables(hop_model(d, c, LAW_LAYOUT.ll_ack_bits, hp).probs, hp.r)
+    tables = [_HopTables(attempt_probs(d, c, LAW_LAYOUT.ll_ack_bits, hp.ber), hp.r)
               for hp, d, c in rows]
     n = 20_000
     rng = np.random.default_rng(37)
@@ -529,7 +529,7 @@ def test_dropped_fragment_law_matches_the_binomial(fragments):
     sc = PathScenario(hops=(hop,), layout=layout, mss_bytes=512, transfer_bytes=512)
     agg = simulator._Aggregate(SimConfig(scenario=sc))
     frames = resolve_frames(512, layout)
-    p = hop_model(frames.d_data_bits, frames.c_data_bits, layout.ll_ack_bits, hop).f
+    p = hop_model(frames.d_data_bits, frames.c_data_bits, layout.ll_ack_bits, hop)["f"]
     m, n = frames.m, 20_000
     lost = agg._lost(np.random.default_rng(41), np.ones(n, dtype=np.int64))
     weights = {d: math.comb(m, d) * p**d * (1 - p) ** (m - d) for d in range(1, m + 1)}
