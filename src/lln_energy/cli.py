@@ -215,7 +215,8 @@ def _cells(column: list) -> list[str]:
     cells = list(map(str, column))
     if None in column:
         cells = ["" if value is None else cell for value, cell in zip(column, cells)]
-    if any(c in "".join(cells) for c in _QUOTED):
+    joined = "".join(cells)
+    if any(c in joined for c in _QUOTED):
         cells = ['"' + cell.replace('"', '""') + '"' if any(c in cell for c in _QUOTED)
                  else cell for cell in cells]
     return cells

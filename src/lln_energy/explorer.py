@@ -17,10 +17,12 @@ family value, hop count, BER and MSS), not a scenario per point. A pass
 costs little more for hundreds of points than for one, and its memory
 grows with them, so every call takes ``BATCH_POINTS`` points. A frontier
 streams the BER scans of all its (family value, hop count) searches
-through such calls, two points (long and short MSS) per BER, then
-bisects all of its brackets in lockstep, one step at a time. Within a
-call the hop models are keyed by distinct (frame, BER, r), so the hop
-counts of one value's BER grid that share a call share its hop models.
+through such calls grid-major, every search at one BER before the next
+BER, two points (long and short MSS) per search and BER, then bisects
+all of its brackets in lockstep, one step at a time. A scan call so
+holds every hop count of a few BERs, and the core resolves, keys and
+walks each of their (BER, family value, MSS) stems once for all of
+those hop counts.
 ``sweep_columns`` hands over each call's rows as blocks, each a run of
 consecutive rows with the same fields, held as a row count and a column
 per field: a run of points whose frames resolved, or a run of layout
@@ -34,6 +36,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import groupby, islice
+
+import numpy as np
 
 from .pathmodel import EnergyParams, PathScenario, check_hop_count, segment_models
 
@@ -185,16 +189,13 @@ def _energy_gaps(base, points, mss_pair, energy) -> Iterator[float | None]:
                    for name in chunk[0][0]}
         batch = segment_models(base, energy, ber=[ber for _, ber in chunk for _ in both],
                                mss=list(both) * len(chunk), **columns)
-        joules, errors = batch.column("total_joules"), batch.errors
-        for e_long, e_short, *errs in zip(joules[::2], joules[1::2], errors[::2], errors[1::2]):
-            if any(errs) or (e_long is None and e_short is None):
-                yield None
-            elif e_long is None:
-                yield math.inf
-            elif e_short is None:
-                yield -math.inf
-            else:
-                yield e_long - e_short
+        joules = batch.columns["total_joules"]  # NaN where undefined or errored
+        e_long, e_short = joules[::2], joules[1::2]
+        lost_long, lost_short = np.isnan(e_long), np.isnan(e_short)
+        gaps = np.where(lost_long, math.inf, np.where(lost_short, -math.inf, e_long - e_short))
+        errored = np.array([err is not None for err in batch.errors], dtype=bool)
+        unknown = (lost_long & lost_short) | errored[::2] | errored[1::2]
+        yield from np.where(unknown, None, gaps).tolist()
 
 
 @dataclass
@@ -214,8 +215,8 @@ def _crossovers(
     base, searches, mss_pair, energy, ber_range, points_per_decade, rel_tol=REL_TOL
 ) -> list[_Bracket]:
     """Each search's crossover (see ``_energy_gaps`` for a search): the
-    scans of all of them, streamed through the core, then one lockstep
-    bisection of every bracket found, one step at a time."""
+    scans of all of them, streamed through the core grid-major, then one
+    lockstep bisection of every bracket found, one step at a time."""
     lo, hi = ber_range
     if not 0 < lo < hi < 1:
         raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
@@ -226,19 +227,27 @@ def _crossovers(
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
-    gaps = _energy_gaps(base, ((search, b) for search in searches for b in grid),
+    # grid-major: every search at one BER, then the next, so that a call
+    # holds every hop count of a few BERs. A search keeps only its last
+    # evaluable (BER, gap) and each sign change found between neighbouring
+    # evaluable points, with whether the long MSS goes from cheaper to
+    # dearer there.
+    gaps = _energy_gaps(base, ((search, b) for b in grid for search in searches),
                         mss_pair, energy)
+    last = [None] * len(searches)
+    changes = [[] for _ in searches]
+    for b in grid:
+        # zip takes the range first, so it stops at this BER's gaps
+        for i, g in zip(range(len(searches)), gaps):
+            if g is not None:
+                if last[i] is not None and (last[i][1] < 0) != (g < 0):
+                    changes[i].append((last[i][0], b, last[i][1] < 0))
+                last[i] = (b, g)
     brackets = []
-    for _ in searches:
-        # zip takes the grid first, so it stops at this search's n gaps
-        scan = [(b, g) for b, g in zip(grid, gaps) if g is not None]
-        # each sign change between neighbouring evaluable points, and whether
-        # the long MSS goes from cheaper to dearer there
-        changes = [(a, b, ga < 0) for (a, ga), (b, gb) in zip(scan, scan[1:])
-                   if (ga < 0) != (gb < 0)]
-        rising = [(a, b) for a, b, to_dearer in changes if to_dearer]
+    for found in changes:
+        rising = [(a, b) for a, b, to_dearer in found if to_dearer]
         if rising:
-            flags = ["multiple_crossovers"] if len(changes) > 1 else []
+            flags = ["multiple_crossovers"] if len(found) > 1 else []
             brackets.append(_Bracket(*rising[0], flags))
         else:
             brackets.append(_Bracket(None, None, ["no_crossover"]))

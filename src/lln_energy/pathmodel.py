@@ -15,14 +15,18 @@ infinities.
 
 ``segment_models`` evaluates many points in one numpy pass: a base
 scenario plus per-point columns of BER, attempt limit, hop count, alpha
-and MSS, with no scenario object per point. Frames resolve once per
-distinct (MSS, alpha), one call of the array hop layer
-(``hopmodel.hop_model_array``) evaluates every distinct (frame, BER, r)
-of the call, and ``_path`` reads them through a table and an index. Only
-IEEE ``+ - * /`` run in numpy, in the scalar formulas' order (a per-hop
-loop, no mask); ``q**m``, ``log`` and ``expm1`` are per-element ``math``
-calls, as numpy's can differ from libm in the last bit. So every field
-equals a scalar evaluation bit for bit.
+and MSS, with no scenario object per point. A point's stem is its
+(ber, r, alpha, mss), all but its hop count; with an ``h`` column the
+points of a stem share its frames, its (ber, r) check and its hop keys.
+Frames resolve once per distinct (MSS, alpha), one call of the array hop
+layer (``hopmodel.hop_model_array``) evaluates every distinct (frame,
+BER, r) of the call, and ``_path`` walks each distinct path once, as far
+as the longest hop count in use, each point reading the snapshot taken
+after its own. Only IEEE ``+ - * /`` run in numpy, in the scalar
+formulas' order (a per-hop loop, no mask); ``q**m``, ``log`` and
+``expm1`` are per-element ``math`` calls, as numpy's can differ from
+libm in the last bit. So every field equals a scalar evaluation bit for
+bit.
 ``segment_model`` is the one-point case; callers with many points batch
 them, and bound the points per call to bound a pass's memory.
 
@@ -30,8 +34,9 @@ The result, ``ModelBatch``, is one store: a column per record field
 (``FIELDS``). A computed field's column is a float64 array in which NaN
 means None (undefined, or a point whose frames do not resolve); a
 defined field is never NaN, which the tests' ``==`` against the scalar
-oracle checks. The records, per-hop lists included, are built as
-columns from the store, the hop table and its index, only when read.
+oracle checks; ``flags`` is an integer code column, joined to text
+when read. The records, per-hop lists included, are built as columns
+from the store, the hop table and the paths, only when read.
 """
 
 from __future__ import annotations
@@ -158,32 +163,38 @@ def _failure_sum(m, q_s, e_s, e_f, miss_rest) -> np.ndarray:
         return np.where(q_s >= 1.0, 0.0, np.where(q_s <= 0.0, m * e_f, mixed))
 
 
-def _path(table: np.ndarray, index: np.ndarray):
-    """(q_s, e_s, e_f unnormalized by 1 - q_s, dead) of each column's path.
+def _path(table: np.ndarray, paths: np.ndarray, path: np.ndarray, lengths: np.ndarray):
+    """(q_s, e_s, e_f unnormalized by 1 - q_s, dead) of each entry's path:
+    ``paths``' column ``path[i]``, cut after its first ``lengths[i]`` hops.
 
     ``table`` holds the hop models' (f, h_s, h_f, degenerate) as four rows;
-    ``index`` has one row per hop position, one column per path, naming
-    the table column of that path's hop. The loop accumulates in the scalar
-    formulas' order: q_s = prod(1 - f_i); e_s = sum(h_s_i); and the failure
-    cost, for each hop k, of clearing the hops before k and burning all
-    attempts on k, weighted by the chance the drop happens there. An
-    undefined h_s (a hop that can never deliver, which ``dead`` marks) is
-    stored as 0.0, so every sum stays finite: past a zero survival each
-    failure term is then exactly 0.0 and changes nothing, as the scalar
-    loop's stop there does, with no mask and no NaN.
+    ``paths`` has one row per hop position, one column per distinct path,
+    naming the table column of that path's hop; a single row is one hop
+    repeated. Each path is walked once, as far as the longest length in
+    use, and its state kept after each length in use; a path cut short is
+    exactly the walk's first steps, so each entry reads its own snapshot.
+    The loop accumulates in the scalar formulas' order: q_s = prod(1 - f_i);
+    e_s = sum(h_s_i); and the failure cost, for each hop k, of clearing the
+    hops before k and burning all attempts on k, weighted by the chance the
+    drop happens there. An undefined h_s (a hop that can never deliver,
+    which ``dead`` marks) is stored as 0.0, so every sum stays finite: past
+    a zero survival each failure term is then exactly 0.0 and changes
+    nothing, as the scalar loop's stop there does, with no mask and no NaN.
     """
     table = np.concatenate([table, [1.0 - table[0]]])  # and each hop's 1 - f
-    n = index.shape[1]
-    q = np.ones(n)
-    e_s = np.zeros(n)
-    total = np.zeros(n)
-    dead = np.zeros(n)
-    for hop in index:
-        f, h_s, h_f, degenerate, keep = table[:, hop]
-        total = total + (e_s + h_f) * q * f
-        q = q * keep
-        e_s = e_s + h_s
-        dead = dead + degenerate
+    positions = [table[:, row] for row in paths]  # each hop position's models
+    n = paths.shape[1]
+    state = (np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n))  # q, e_s, total, dead
+    in_use = sorted({0, *lengths.tolist()})
+    snapshots = [state]
+    for step in range(in_use[-1]):
+        f, h_s, h_f, degenerate, keep = positions[step % len(positions)]
+        q, e_s, total, dead = state
+        state = (q * keep, e_s + h_s, total + (e_s + h_f) * q * f, dead + degenerate)
+        if step + 1 in in_use:
+            snapshots.append(state)
+    q, e_s, total, dead = np.array(snapshots).transpose(1, 0, 2)[
+        :, np.searchsorted(in_use, lengths), path]
     return q, e_s, total, dead != 0.0
 
 
@@ -196,28 +207,41 @@ FIELDS = (
 )
 
 
+#: The text of each ``flags`` code: 1 marks a degenerate hop, 2 a
+#: divergent total, -1 a point whose frames did not resolve
+_FLAG_TEXT = {0: "", 1: FLAG_DEGENERATE_HOP, 2: FLAG_DIVERGES,
+              3: f"{FLAG_DEGENERATE_HOP};{FLAG_DIVERGES}", -1: None}
+
+
 @dataclass(frozen=True, eq=False)
 class ModelBatch:
     """``segment_models``' result: one column per field of ``FIELDS``.
 
     ``columns`` maps each field, in order, to its values over the points:
-    a list for the given fields and ``flags``, a float64 array, NaN where
-    the field is None, for the computed ones. ``errors[i]`` is the
-    ``LayoutError`` raised resolving point i's frames, else None; every
-    field of that point is then None. ``hops`` is the call's hop table and
-    ``index`` its data paths, then its ACK paths, as ``_path`` reads them.
+    a list for the given fields, a float64 array, NaN where the field is
+    None, for the computed ones, and an int64 code array for ``flags``
+    (see ``_FLAG_TEXT``). ``errors[i]`` is the ``LayoutError`` raised
+    resolving point i's frames, else None; every field of that point is
+    then None. ``hops`` is the call's hop table; ``paths`` its distinct
+    paths, a row per hop position (one row: one hop repeated) naming hop
+    ``k - 1`` of the table as k, 0 the no-op hop; and ``path`` each point's
+    data path column, then each point's ACK path column. A path is read up
+    to the point's ``h``.
     """
 
     columns: dict[str, Sequence]
     errors: list[LayoutError | None]
     hops: HopArrays
-    index: np.ndarray
+    paths: np.ndarray
+    path: np.ndarray
 
     def column(self, name: str) -> list:
         """Field ``name`` of every point, None where undefined or errored."""
         values = self.columns[name]
         if not isinstance(values, np.ndarray):
             return list(values)
+        if name == "flags":
+            return [_FLAG_TEXT[code] for code in values.tolist()]
         if not np.isnan(values).any():
             return values.tolist()
         return [None if v != v else v for v in values.tolist()]  # NaN is None
@@ -232,14 +256,16 @@ class ModelBatch:
         columns = {**lead, **{name: self.column(name) for name in FIELDS}}
         if per_hop:
             n = len(self.errors)
-            # key k is table column k - 1; 0 is the no-op hop
             table = np.concatenate([np.full((3, 1), math.nan),
                                     [self.hops.f, self.hops.h_s, self.hops.h_f]], axis=1)
-            paths = table[:, self.index.T].tolist()  # a list per field, path and hop
+            # a list per field and point, of each hop position's value
+            fields = table[:, self.paths.T[self.path]].tolist()
+            repeated = len(self.paths) == 1
             for side, points in (("data", slice(None, n)), ("ack", slice(n, None))):
-                for name, field in zip(("f", "h_s", "h_f"), paths):
+                for name, field in zip(("f", "h_s", "h_f"), fields):
                     columns[f"{name}_{side}"] = [
-                        None if h is None else [None if v != v else v for v in hops[:h]]
+                        None if h is None else
+                        [None if v != v else v for v in (hops * h if repeated else hops[:h])]
                         for hops, h in zip(field[points], columns["h"])
                     ]
         return columns
@@ -272,7 +298,8 @@ def segment_models(
     makes the path that many copies of the base's hop, so its hops must
     agree in BER, and in ``r`` unless a column sets it. A bad value raises,
     checked once per distinct value by ``HopParams`` (ber, r),
-    ``PathScenario`` (h, MSS) or ``FrameLayout`` (alpha); a point whose
+    ``check_hop_count`` (h), ``PathScenario`` (MSS) or ``FrameLayout``
+    (alpha); a point whose
     frames cannot be resolved gets its LayoutError in ``errors`` instead.
 
     Data fragments cross the hops in order, the TCP ACK in reverse. A
@@ -292,15 +319,30 @@ def segment_models(
     hs = [len(hops)] * n if h is None else list(h)
     alphas = [base.layout.alpha] * n if alpha is None else list(alpha)
     msss = [base.mss_bytes] * n if mss is None else list(mss)
-    # PathScenario checks each distinct h (its count first, before a tuple
-    # of that many hops exists) and MSS, FrameLayout each alpha
-    segment_counts = {}
+    # check_hop_count checks each distinct h, PathScenario each MSS (in the
+    # points' order of first use), FrameLayout each alpha
+    segment_counts = {}  # mss -> segments
     for k, m in dict.fromkeys(zip(hs, msss)):
         check_hop_count(k)
-        segment_counts[k, m] = (base if (k, m) == (len(hops), base.mss_bytes) else PathScenario(
-            hops if h is None else hops[:1] * k, base.layout, m, base.transfer_bytes)).segments
+        if m not in segment_counts:
+            segment_counts[m] = PathScenario(
+                hops[:1], base.layout, m, base.transfer_bytes).segments
+
+    # A stem is a point's (ber, r, alpha, mss), all but its h: it fixes the
+    # frames and the hop models. With an h column the points of one stem
+    # are resolved and keyed once; without one each point is its own stem.
+    stems = [ber, r, alphas, msss]
+    inverse = None  # each point's stem, where points are regrouped
+    if h is not None:
+        ids = {}
+        inverse = [ids.setdefault(key, len(ids)) for key in zip(
+            *(repeat(None) if col is None else col for col in stems))]
+        stems = [None if col is None else list(stem) for col, stem in
+                 zip(stems, zip(*ids) if ids else [()] * 4)]
+    s_ber, s_r, s_alpha, s_mss = stems
+    n_stems = len(s_mss)
     frames = {}  # (mss, alpha) -> (m, then (d, c) of the data and the ACK frame) or LayoutError
-    for m, a in dict.fromkeys(zip(msss, alphas)):
+    for m, a in dict.fromkeys(zip(s_mss, s_alpha)):
         layout = base.layout if a == base.layout.alpha else replace(base.layout, alpha=a)
         try:
             fr = resolve_frames(m, layout)
@@ -308,35 +350,41 @@ def segment_models(
             frames[m, a] = exc
         else:
             frames[m, a] = fr.m, fr.d_data_bits, fr.c_data_bits, fr.d_ack_bits, fr.c_ack_bits
-    point_frames = [frames[key] for key in zip(msss, alphas)]
-    errors = [fr if isinstance(fr, LayoutError) else None for fr in point_frames]
-    point_frames = [(None,) * 5 if err else fr for fr, err in zip(point_frames, errors)]
+    stem_frames = [frames[key] for key in zip(s_mss, s_alpha)]
+    stem_errors = [fr if isinstance(fr, LayoutError) else None for fr in stem_frames]
+    stem_frames = [(None,) * 5 if err else fr for fr, err in zip(stem_frames, stem_errors)]
 
     # a row of (ber, r) per hop position that can differ, one for a repeated hop
     one_hop = h is not None or (ber_shared or ber is not None) and (r_shared or r is not None)
-    pairs = [  # each hop position's (ber, r) at every point
-        list(zip(repeat(hp.ber, n) if ber is None else ber, repeat(hp.r, n) if r is None else r))
+    pairs = [  # each hop position's (ber, r) at every stem
+        list(zip(repeat(hp.ber, n_stems) if s_ber is None else s_ber,
+                 repeat(hp.r, n_stems) if s_r is None else s_r))
         for hp in (hops[:1] if one_hop else hops)
     ]
     for pair in dict.fromkeys(chain.from_iterable(pairs)):
         HopParams(*pair)
 
     # One table for the data and the ACK hops: a column per distinct (frame,
-    # ber, r), column 0 the no-op hop that pads shorter paths and fills those
-    # of points whose frames did not resolve. The index holds the data paths,
-    # then the ACK paths, which cross the hops in reverse.
+    # ber, r), column 0 the no-op hop that fills the paths of stems whose
+    # frames did not resolve. The index holds the data paths, then the ACK
+    # paths, which cross the hops in reverse, a column per stem.
     table_ids = {}  # (d, c, ber, r) -> table column
-    bits = [fr[1:3] for fr in point_frames] + [fr[3:] for fr in point_frames]
+    bits = [fr[1:3] for fr in stem_frames] + [fr[3:] for fr in stem_frames]
     index = np.array([
         [table_ids.setdefault(frame + pair, len(table_ids) + 1) if frame[0] else 0
          for frame, pair in zip(bits, there + back)]
         for there, back in zip(pairs, pairs[::-1])
     ], dtype=np.int64)
-    lengths = [0 if err else k for k, err in zip(hs, errors)] * 2
-    width = max([len(index), *lengths])
-    index = index.repeat(width // len(index), axis=0)  # a repeated hop's row, h times
-    if min(lengths, default=width) < width:  # shorter paths end in no-op hops
-        index = np.where(np.arange(width)[:, None] < lengths, index, 0)
+    if one_hop:  # a path of one repeated hop per table column, 0 the no-op
+        paths, path = np.arange(len(table_ids) + 1)[None, :], index[0]
+    else:
+        paths, path = index, np.arange(2 * n_stems)
+    if inverse is None:
+        point_frames, errors = stem_frames, stem_errors
+    else:
+        point_frames = [stem_frames[i] for i in inverse]
+        errors = [stem_errors[i] for i in inverse]
+        path = path.reshape(2, n_stems)[:, inverse].ravel()
     d, c, bers, rs = zip(*table_ids) if table_ids else ((),) * 4
     a = base.layout.ll_ack_bits
     hop_table = hop_model_array(d, c, a, bers, rs)
@@ -356,22 +404,23 @@ def segment_models(
         "m": m_col,
         **dict(zip(("d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits"), bits)),
         "a_bits": [a] * n,
-        "segments": [segment_counts[key] for key in zip(hs, msss)],
+        "segments": [segment_counts[m] for m in msss],
     }
     if any(errors):  # a point whose frames did not resolve reads None throughout
         columns = {name: [None if err else v for v, err in zip(values, errors)]
                    for name, values in columns.items()}
     # float(int) rounds as Python's int * float does, and None becomes NaN
     m, segments = (np.array(columns[name], dtype=float) for name in ("m", "segments"))
-    columns.update(_segment_columns(_path(table, index), m, segments, energy))
-    return ModelBatch({name: columns[name] for name in FIELDS}, errors, hop_table, index)
+    lengths = np.array([0 if err else count for count, err in zip(hs, errors)] * 2)
+    columns.update(_segment_columns(_path(table, paths, path, lengths), m, segments, energy))
+    return ModelBatch({name: columns[name] for name in FIELDS}, errors, hop_table, paths, path)
 
 
 def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyParams) -> dict:
     """The computed columns and ``flags``, from ``_path``'s result over the
     data paths then the ACK paths, and each point's m and segment count. A
     point whose frames did not resolve (an empty path, m = NaN) reads NaN
-    in every computed column, None in ``flags``."""
+    in every computed column, code -1 in ``flags``."""
     n = len(m)
     (q_s, q_s_ack), (e_s, e_s_ack), (fail, fail_ack), (dead_data, dead_ack) = (
         (x[:n], x[n:]) for x in path)
@@ -426,10 +475,5 @@ def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyPa
         np.array([x for x, _ in defined.values()]),
         math.nan,
     )))
-    columns["flags"] = [
-        ";".join((FLAG_DEGENERATE_HOP,) * dead + (FLAG_DIVERGES,) * (not ok)) if live else None
-        for dead, ok, live in zip(
-            (dead_data | dead_ack).tolist(), finite.tolist(), resolved.tolist()
-        )
-    ]
+    columns["flags"] = np.where(resolved, (dead_data | dead_ack) + 2 * ~finite, -1)
     return columns

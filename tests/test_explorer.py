@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from lln_energy import explorer
+from lln_energy import explorer, pathmodel
 from lln_energy.cli import _blocks, _strict_trips, main
 from lln_energy.config import RunConfig
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
@@ -313,6 +313,28 @@ class TestFrontier:
         ]
         assert got == want
         assert all(p.flags == ("no_crossover",) for p in got[-9:])
+
+    @pytest.mark.parametrize("config, family, values, most", [
+        (RunConfig(), "r", [1, 2, 3, 4, 5, 7], 2400),
+        (RunConfig(retries=1, fragments="fit"), "alpha", [1e-3, 1e-2, 1e-1], 1200),
+    ])
+    def test_scan_calls_share_hop_keys_across_hop_counts(self, monkeypatch, config, family,
+                                                         values, most):
+        # the scan runs grid-major, so a call holds every h of a few BERs and
+        # the hop layer sees each (frame, BER, r) of those BERs once per call:
+        # 2 331 keys for the r family and 1 116 for alpha, against 6 477 and
+        # 3 186 when each search scanned its BERs in turn
+        keys = []
+        real = pathmodel.hop_model_array
+
+        def counted(d, *rest):
+            keys.append(len(d))
+            return real(d, *rest)
+
+        monkeypatch.setattr(pathmodel, "hop_model_array", counted)
+        points = frontier(config.scenario(), family, values, range(1, 10))
+        assert len(points) == 9 * len(values)
+        assert 0 < sum(keys) <= most
 
     def test_scan_streams_in_full_calls_then_one_call_per_step(self, monkeypatch):
         # the scans of all the frontier's searches stream through calls of

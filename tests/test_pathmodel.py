@@ -509,6 +509,59 @@ class TestBatchedCore:
             with pytest.raises(LayoutError):
                 segment_model(replace(bad, mss_bytes=mss))
 
+    @pytest.mark.parametrize("base, columns", [
+        # h = 1..9 over repeated stems (ber, r, alpha, mss), a stem whose
+        # alpha "fit" cannot lay out, and a dead hop (ber 0.05, r 1)
+        (PathScenario(uniform_path(1, 3e-4), FrameLayout(fragments="fit"), 64), {
+            "h": [9, 1, 5, 2, 9, 3, 4, 7, 6, 8, 1, 5, 2],
+            "ber": [3e-4, 3e-4, 3e-4, 0.05, 1e-5, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4],
+            "r": [3, 3, 3, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+            "alpha": [0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.1, 0.0, 0.0],
+            "mss": [512, 512, 512, 64, 512, 64, 512, 512, 64, 512, 512, 512, 64],
+        }),
+        # a hop_bers path: no h column, each point its own stem and path
+        (RunConfig(hops=9, hop_bers=(1e-5, 3e-5, 1e-4, 2e-4, 3e-4, 5e-4, 1e-4, 3e-5, 1e-5),
+                   fragments="fit").scenario(), {
+            "alpha": [0.0, 5.0, 0.0, 0.1, 0.0],
+            "mss": [512, 64, 512, 64, 16],
+        }),
+    ])
+    def test_stems_and_path_snapshots_equal_one_call_per_point(self, base, columns):
+        # one call shares each stem's frames and hop keys between its hop
+        # counts and walks each distinct path once, each point reading the
+        # snapshot after its own h; its records, per-hop lists included,
+        # equal those of a call per point and the scalar oracle's
+        batch = segment_models(base, **columns)
+        got = records(batch)
+        errors = 0
+        for i, row in enumerate(got):
+            (alone,) = records(segment_models(
+                base, **{name: values[i:i + 1] for name, values in columns.items()}))
+            assert row == alone
+            sc = scalar_oracle.point_scenario(base, columns, i)
+            try:
+                want = scalar_oracle.segment_model(sc)
+            except LayoutError as exc:
+                assert str(batch.errors[i]) == str(exc)
+                assert set(row.values()) == {None}
+                errors += 1
+                continue
+            assert row == want
+        assert errors == columns["alpha"].count(5.0)
+        empty = segment_models(base, **{name: [] for name in columns})
+        assert empty.errors == []
+        assert empty.record_columns(per_hop=True) == dict.fromkeys(got[0], [])
+
+    def test_flags_are_codes_joined_when_read(self):
+        # the edge rows' flags, and a layout error: alpha 1e308 codes
+        # frames past 2**53 bits
+        base = PathScenario(uniform_path(1, 1e-4), LAYOUT, 64)
+        batch = segment_models(base, h=[1, 1, 9, 1], ber=[0.05, 1e-4, 0.011343, 1e-4],
+                               r=[1, 3, 1, 3], alpha=[0.0, 0.0, 0.0, 1e308],
+                               mss=[64, 64, 512, 64])
+        assert batch.columns["flags"].tolist() == [3, 0, 2, -1]
+        assert batch.column("flags") == ["degenerate_hop;diverges", "", "diverges", None]
+
     def test_columns_must_have_one_length(self):
         base = PathScenario(uniform_path(2, 1e-4), LAYOUT, 64)
         with pytest.raises(ValueError, match="one length"):
