@@ -14,20 +14,22 @@ ends that bisection where it stands, flagged ``bracket_unresolved``.
 Both run on ``pathmodel.segment_models``, passing the base scenario and
 a column per quantity that varies (a sweep's axis and MSS; a frontier's
 family value, hop count, BER and MSS), not a scenario per point. A pass
-costs little more for hundreds of points than for one, and its memory
-grows with them, so every call takes ``BATCH_POINTS`` points. A frontier
-streams the BER scans of all its (family value, hop count) searches
-through such calls grid-major, every search at one BER before the next
-BER, two points (long and short MSS) per search and BER, then bisects
-all of its brackets in lockstep, one step at a time. A scan call so
-holds every hop count of a few BERs, and the core resolves, keys and
-walks each of their (BER, family value, MSS) stems once for all of
-those hop counts.
-``sweep_columns`` hands over each call's rows as blocks, each a run of
-consecutive rows with the same fields, held as a row count and a column
-per field: a run of points whose frames resolved, or a run of layout
-errors. The CLI writes CSV and JSON lines from them without building a
-row; ``sweep`` is their rows, a dict each.
+pays a fixed ~0.3 ms of numpy calls whatever its size, and its memory
+grows with its points, so every call takes up to ``BATCH_POINTS`` points.
+A frontier streams the BER scans of all its (family value, hop count)
+searches through such calls grid-major, every search at one BER before
+the next BER, two points (long and short MSS) per search and BER, then
+bisects all of its brackets in lockstep, one step at a time. A scan call
+so holds every hop count of nine or more BERs, and the core resolves,
+keys and walks each of their (BER, family value, MSS) stems once for all
+of those hop counts.
+``sweep_columns`` hands over each call's rows as blocks of at most
+``BLOCK_ROWS`` rows, each a run of consecutive rows with the same fields,
+held as a row count and a column per field: a run of points whose frames
+resolved, or a run of layout errors. A block's lists are built from the
+call's arrays only when it is due, so a sweep's memory follows the block,
+not the call. The CLI writes CSV and JSON lines from them without
+building a row; ``sweep`` is their rows, a dict each.
 """
 
 from __future__ import annotations
@@ -60,8 +62,15 @@ BER_RANGE = (1e-7, 1e-1)
 POINTS_PER_DECADE = 10
 #: Bisection stops once the bracket's relative width is at most this.
 REL_TOL = 1e-3
-#: The most points per model call of a sweep, a scan or a bisection step
-BATCH_POINTS = 256
+#: The most points per model call of a sweep, a scan or a bisection step:
+#: a call's arrays take about 0.6 KiB a point, and past this many points
+#: its fixed cost of numpy calls is a small part of its time (4 096 were
+#: no faster)
+BATCH_POINTS = 1024
+#: The most rows per block of a sweep: a block's lists and formatted cells
+#: take about 3 KiB a row, so they are built a window of this many rows at
+#: a time, not a call at a time
+BLOCK_ROWS = 256
 #: The fields of a sweep row whose point's frames cannot be laid out
 _ERROR_FIELDS = ("axis", "value", "mss_bytes", "flags", "error")
 
@@ -108,10 +117,10 @@ def _axis_column(axis: str, values) -> list:
 def sweep_columns(spec: SweepSpec) -> Iterator[tuple[int, dict[str, list]]]:
     """``sweep(spec)``'s rows as blocks (see the module docstring), in
     grid-then-MSS order, one model call of at most ``BATCH_POINTS`` points
-    at a time; no row is built. A run of points whose frames resolved has
-    ``axis``, ``value``, then the model record's fields
-    (``pathmodel.FIELDS``); a run of layout-error points has only
-    ``_ERROR_FIELDS``.
+    at a time, each call's rows in blocks of at most ``BLOCK_ROWS``; no row
+    is built. A run of points whose frames resolved has ``axis``,
+    ``value``, then the model record's fields (``pathmodel.FIELDS``); a run
+    of layout-error points has only ``_ERROR_FIELDS``.
     """
     mss_list = (None,) if spec.axis == "mss" else spec.mss_list
     labels = [value for value in spec.grid for _ in mss_list]
@@ -120,21 +129,26 @@ def sweep_columns(spec: SweepSpec) -> Iterator[tuple[int, dict[str, list]]]:
         columns["mss"] = list(mss_list) * len(spec.grid)
     for start in range(0, len(labels), BATCH_POINTS):
         chunk = {name: col[start:start + BATCH_POINTS] for name, col in columns.items()}
-        values = labels[start:start + BATCH_POINTS]
+        labelled = labels[start:start + BATCH_POINTS]
         batch = segment_models(spec.scenario, spec.energy, **chunk)
-        records = batch.record_columns(axis=[spec.axis] * len(values), value=values)
-        lo = 0
-        for failed, run in groupby(batch.errors, key=bool):
-            errors = list(run)
-            n, hi = len(errors), lo + len(errors)
-            if failed:
-                cells = ([spec.axis] * n, values[lo:hi], chunk["mss"][lo:hi],
-                         ["layout_error"] * n, list(map(str, errors)))
-                block = dict(zip(_ERROR_FIELDS, cells))
-            else:
-                block = {name: col[lo:hi] for name, col in records.items()}
-            yield n, block
-            lo = hi
+        # a window of the call's rows at a time: only its lists are built
+        for lo in range(0, len(labelled), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            errors, values, mss = batch.errors[rows], labelled[rows], chunk["mss"][rows]
+            if not all(errors):
+                records = batch.record_columns(rows=rows, axis=[spec.axis] * len(values),
+                                               value=values)
+            i = 0
+            for failed, run in groupby(errors, key=bool):
+                n = len(list(run))
+                if failed:
+                    cells = ([spec.axis] * n, values[i:i + n], mss[i:i + n],
+                             ["layout_error"] * n, list(map(str, errors[i:i + n])))
+                    block = dict(zip(_ERROR_FIELDS, cells))
+                else:
+                    block = {name: col[i:i + n] for name, col in records.items()}
+                yield n, block
+                i += n
 
 
 def sweep(spec: SweepSpec) -> list[dict]:
@@ -193,7 +207,7 @@ def _energy_gaps(base, points, mss_pair, energy) -> Iterator[float | None]:
         e_long, e_short = joules[::2], joules[1::2]
         lost_long, lost_short = np.isnan(e_long), np.isnan(e_short)
         gaps = np.where(lost_long, math.inf, np.where(lost_short, -math.inf, e_long - e_short))
-        errored = np.array([err is not None for err in batch.errors], dtype=bool)
+        errored = batch.columns["flags"] < 0  # frames that did not resolve
         unknown = (lost_long & lost_short) | errored[::2] | errored[1::2]
         yield from np.where(unknown, None, gaps).tolist()
 

@@ -34,9 +34,11 @@ The result, ``ModelBatch``, is one store: a column per record field
 (``FIELDS``). A computed field's column is a float64 array in which NaN
 means None (undefined, or a point whose frames do not resolve); a
 defined field is never NaN, which the tests' ``==`` against the scalar
-oracle checks; ``flags`` is an integer code column, joined to text
-when read. The records, per-hop lists included, are built as columns
-from the store, the hop table and the paths, only when read.
+oracle checks; a frame field (m, the bit counts, the segment count) is
+an int64 column, read as Python ints; ``flags`` is an integer code
+column, joined to text when read. The records, per-hop lists included,
+are built as columns from the store, the hop table and the paths, only
+when read and only for the rows asked for.
 """
 
 from __future__ import annotations
@@ -153,14 +155,15 @@ def fragment_failure_sum(m, q_s, e_s, e_f) -> np.ndarray:
     fragment fails, e_s is not read). Elementwise over arrays of one
     shape, or over scalars; m >= 1.
     """
-    return _failure_sum(m, q_s, e_s, e_f, *_one_minus_pows(q_s, m - 1.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _failure_sum(m, q_s, e_s, e_f, *_one_minus_pows(q_s, m - 1.0))
 
 
 def _failure_sum(m, q_s, e_s, e_f, miss_rest) -> np.ndarray:
-    """``fragment_failure_sum``, given ``miss_rest`` = 1 - q_s**(m - 1)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        mixed = m * (1.0 - q_s) * e_f + m * e_s * q_s * miss_rest
-        return np.where(q_s >= 1.0, 0.0, np.where(q_s <= 0.0, m * e_f, mixed))
+    """``fragment_failure_sum``, given ``miss_rest`` = 1 - q_s**(m - 1); the
+    caller ignores the float errors of the branch not taken."""
+    mixed = m * (1.0 - q_s) * e_f + m * e_s * q_s * miss_rest
+    return np.where(q_s >= 1.0, 0.0, np.where(q_s <= 0.0, m * e_f, mixed))
 
 
 def _path(table: np.ndarray, paths: np.ndarray, path: np.ndarray, lengths: np.ndarray):
@@ -207,6 +210,11 @@ FIELDS = (
 )
 
 
+#: The fields read from a point's frames and segment count, an int64 column
+#: each (object, of Python ints, where a segment count passes int64)
+_FRAME_FIELDS = ("m", "d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits", "segments")
+
+
 #: The text of each ``flags`` code: 1 marks a degenerate hop, 2 a
 #: divergent total, -1 a point whose frames did not resolve
 _FLAG_TEXT = {0: "", 1: FLAG_DEGENERATE_HOP, 2: FLAG_DIVERGES,
@@ -218,15 +226,17 @@ class ModelBatch:
     """``segment_models``' result: one column per field of ``FIELDS``.
 
     ``columns`` maps each field, in order, to its values over the points:
-    a list for the given fields, a float64 array, NaN where the field is
-    None, for the computed ones, and an int64 code array for ``flags``
-    (see ``_FLAG_TEXT``). ``errors[i]`` is the ``LayoutError`` raised
-    resolving point i's frames, else None; every field of that point is
-    then None. ``hops`` is the call's hop table; ``paths`` its distinct
+    a list for the given fields, an int64 array for the fields of
+    ``_FRAME_FIELDS`` (0 where errored), a float64 array, NaN where the
+    field is None, for the computed ones, and an int64 code array for
+    ``flags`` (see ``_FLAG_TEXT``). ``errors[i]`` is the ``LayoutError``
+    raised resolving point i's frames, else None; every field of that point
+    is then None. ``hops`` is the call's hop table; ``paths`` its distinct
     paths, a row per hop position (one row: one hop repeated) naming hop
     ``k - 1`` of the table as k, 0 the no-op hop; and ``path`` each point's
     data path column, then each point's ACK path column. A path is read up
-    to the point's ``h``.
+    to the point's ``h``. The lists of a record are built only when read,
+    for the rows asked for.
     """
 
     columns: dict[str, Sequence]
@@ -235,38 +245,46 @@ class ModelBatch:
     paths: np.ndarray
     path: np.ndarray
 
-    def column(self, name: str) -> list:
-        """Field ``name`` of every point, None where undefined or errored."""
-        values = self.columns[name]
+    def column(self, name: str, rows: slice = slice(None)) -> list:
+        """Field ``name`` of the points in ``rows`` (every point unless set),
+        None where undefined or errored; Python ints and floats."""
+        values = self.columns[name][rows]
         if not isinstance(values, np.ndarray):
-            return list(values)
+            return values  # a slice is a new list
         if name == "flags":
             return [_FLAG_TEXT[code] for code in values.tolist()]
+        if values.dtype.kind != "f":  # a frame field: None where errored
+            errors = self.errors[rows]
+            if any(errors):
+                return [None if err else v for v, err in zip(values.tolist(), errors)]
+            return values.tolist()
         if not np.isnan(values).any():
             return values.tolist()
         return [None if v != v else v for v in values.tolist()]  # NaN is None
 
-    def record_columns(self, per_hop: bool = False, **lead: list) -> dict[str, list]:
-        """The points' records as columns: ``lead``, which maps names to
-        columns (a value per point), then each field of ``FIELDS``; with
-        ``per_hop``, then a list per point of the data hops' ``f``, ``h_s``
-        and ``h_f`` (``f_data`` ...), then the ACK hops' in travel order
-        (``f_ack`` ...), None for a hop that can never deliver. An errored
-        point reads None in every field."""
-        columns = {**lead, **{name: self.column(name) for name in FIELDS}}
+    def record_columns(self, per_hop: bool = False, rows: slice = slice(None),
+                       **lead: list) -> dict[str, list]:
+        """The records of the points in ``rows`` (every point unless set) as
+        columns: ``lead``, which maps names to columns (a value per point of
+        ``rows``), then each field of ``FIELDS``; with ``per_hop``, then a
+        list per point of the data hops' ``f``, ``h_s`` and ``h_f``
+        (``f_data`` ...), then the ACK hops' in travel order (``f_ack``
+        ...), None for a hop that can never deliver. An errored point reads
+        None in every field."""
+        columns = {**lead, **{name: self.column(name, rows) for name in FIELDS}}
         if per_hop:
-            n = len(self.errors)
             table = np.concatenate([np.full((3, 1), math.nan),
                                     [self.hops.f, self.hops.h_s, self.hops.h_f]], axis=1)
-            # a list per field and point, of each hop position's value
-            fields = table[:, self.paths.T[self.path]].tolist()
+            # a list per field, side and point, of each hop position's value
+            path = self.path.reshape(2, len(self.errors))[:, rows]
+            fields = table[:, self.paths.T[path]].tolist()
             repeated = len(self.paths) == 1
-            for side, points in (("data", slice(None, n)), ("ack", slice(n, None))):
+            for i, side in enumerate(("data", "ack")):
                 for name, field in zip(("f", "h_s", "h_f"), fields):
                     columns[f"{name}_{side}"] = [
                         None if h is None else
                         [None if v != v else v for v in (hops * h if repeated else hops[:h])]
-                        for hops, h in zip(field[points], columns["h"])
+                        for hops, h in zip(field[i], columns["h"])
                     ]
         return columns
 
@@ -299,8 +317,13 @@ def segment_models(
     agree in BER, and in ``r`` unless a column sets it. A bad value raises,
     checked once per distinct value by ``HopParams`` (ber, r),
     ``check_hop_count`` (h), ``PathScenario`` (MSS) or ``FrameLayout``
-    (alpha); a point whose
-    frames cannot be resolved gets its LayoutError in ``errors`` instead.
+    (alpha); a point whose frames cannot be resolved gets its LayoutError
+    in ``errors`` instead.
+
+    A stem's frame fields (m, the data and ACK frames' d and c, and the
+    segment count) are one row of an int64 table, all 0 where its frames
+    do not resolve; each point reads its stem's row with one fancy index,
+    and its float m, segment count and path length come from that gather.
 
     Data fragments cross the hops in order, the TCP ACK in reverse. A
     round succeeds with probability q_s^m * q_s_ack; s_f conditions on it
@@ -341,18 +364,19 @@ def segment_models(
                  zip(stems, zip(*ids) if ids else [()] * 4)]
     s_ber, s_r, s_alpha, s_mss = stems
     n_stems = len(s_mss)
-    frames = {}  # (mss, alpha) -> (m, then (d, c) of the data and the ACK frame) or LayoutError
+    # (mss, alpha) -> the stem-table row (m, d, c, d_ack, c_ack, segments),
+    # all 0 where the frames do not resolve (a resolved m is at least 1)
+    frames, layout_errors = {}, {}
     for m, a in dict.fromkeys(zip(s_mss, s_alpha)):
         layout = base.layout if a == base.layout.alpha else replace(base.layout, alpha=a)
         try:
             fr = resolve_frames(m, layout)
         except LayoutError as exc:
-            frames[m, a] = exc
+            frames[m, a], layout_errors[m, a] = (0,) * 6, exc
         else:
-            frames[m, a] = fr.m, fr.d_data_bits, fr.c_data_bits, fr.d_ack_bits, fr.c_ack_bits
+            frames[m, a] = (fr.m, fr.d_data_bits, fr.c_data_bits, fr.d_ack_bits,
+                            fr.c_ack_bits, segment_counts[m])
     stem_frames = [frames[key] for key in zip(s_mss, s_alpha)]
-    stem_errors = [fr if isinstance(fr, LayoutError) else None for fr in stem_frames]
-    stem_frames = [(None,) * 5 if err else fr for fr, err in zip(stem_frames, stem_errors)]
 
     # a row of (ber, r) per hop position that can differ, one for a repeated hop
     one_hop = h is not None or (ber_shared or ber is not None) and (r_shared or r is not None)
@@ -369,7 +393,7 @@ def segment_models(
     # frames did not resolve. The index holds the data paths, then the ACK
     # paths, which cross the hops in reverse, a column per stem.
     table_ids = {}  # (d, c, ber, r) -> table column
-    bits = [fr[1:3] for fr in stem_frames] + [fr[3:] for fr in stem_frames]
+    bits = [fr[1:3] for fr in stem_frames] + [fr[3:5] for fr in stem_frames]
     index = np.array([
         [table_ids.setdefault(frame + pair, len(table_ids) + 1) if frame[0] else 0
          for frame, pair in zip(bits, there + back)]
@@ -379,11 +403,19 @@ def segment_models(
         paths, path = np.arange(len(table_ids) + 1)[None, :], index[0]
     else:
         paths, path = index, np.arange(2 * n_stems)
-    if inverse is None:
-        point_frames, errors = stem_frames, stem_errors
-    else:
-        point_frames = [stem_frames[i] for i in inverse]
-        errors = [stem_errors[i] for i in inverse]
+    try:
+        stem_table = np.array(stem_frames, dtype=np.int64).reshape(n_stems, 6)
+    except OverflowError:  # a segment count past int64 stays a Python int
+        stem_table = np.array(stem_frames, dtype=object).reshape(n_stems, 6)
+    errors = [None] * n
+    if layout_errors:
+        errors = [layout_errors.get(key) for key in zip(s_mss, s_alpha)]
+    point_table = stem_table
+    if inverse is not None:  # each point reads its stem's row
+        if layout_errors:
+            errors = [errors[i] for i in inverse]
+        inverse = np.array(inverse, dtype=np.intp)
+        point_table = stem_table[inverse]
         path = path.reshape(2, n_stems)[:, inverse].ravel()
     d, c, bers, rs = zip(*table_ids) if table_ids else ((),) * 4
     a = base.layout.ll_ack_bits
@@ -393,7 +425,6 @@ def segment_models(
         hop_table.f, np.where(degenerate, 0.0, hop_table.h_s), hop_table.h_f, degenerate,
     ]], axis=1)
 
-    m_col, *bits = list(zip(*point_frames)) or [()] * 5
     columns = {
         "mss_bytes": msss,
         "transfer_bytes": [base.transfer_bytes] * n,
@@ -401,30 +432,32 @@ def segment_models(
         "ber": list(ber) if ber is not None else [hops[0].ber if ber_shared else None] * n,
         "r": list(r) if r is not None else [hops[0].r if r_shared else None] * n,
         "alpha": alphas,
-        "m": m_col,
-        **dict(zip(("d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits"), bits)),
         "a_bits": [a] * n,
-        "segments": [segment_counts[m] for m in msss],
     }
-    if any(errors):  # a point whose frames did not resolve reads None throughout
+    if layout_errors:  # a point whose frames did not resolve reads None throughout
         columns = {name: [None if err else v for v, err in zip(values, errors)]
                    for name, values in columns.items()}
-    # float(int) rounds as Python's int * float does, and None becomes NaN
-    m, segments = (np.array(columns[name], dtype=float) for name in ("m", "segments"))
-    lengths = np.array([0 if err else count for count, err in zip(hs, errors)] * 2)
-    columns.update(_segment_columns(_path(table, paths, path, lengths), m, segments, energy))
+    columns.update(zip(_FRAME_FIELDS, point_table.T))
+    errored = point_table[:, 0] == 0
+    # float(int) rounds as Python's int * float does; NaN where errored
+    m, segments = np.where(errored, math.nan, point_table[:, [0, 5]].T.astype(float))
+    lengths = np.where(errored, 0, hs)
+    walked = _path(table, paths, path, np.concatenate([lengths, lengths]))
+    columns.update(_segment_columns(walked, m, segments, energy,
+                                    errored if layout_errors else None))
     return ModelBatch({name: columns[name] for name in FIELDS}, errors, hop_table, paths, path)
 
 
-def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyParams) -> dict:
+def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyParams,
+                     errored: np.ndarray | None) -> dict:
     """The computed columns and ``flags``, from ``_path``'s result over the
-    data paths then the ACK paths, and each point's m and segment count. A
-    point whose frames did not resolve (an empty path, m = NaN) reads NaN
-    in every computed column, code -1 in ``flags``."""
+    data paths then the ACK paths, and each point's m and segment count.
+    ``errored``, None when every point resolved, marks the points whose
+    frames did not resolve (an empty path, m = NaN): they read NaN in every
+    computed column, code -1 in ``flags``."""
     n = len(m)
     (q_s, q_s_ack), (e_s, e_s_ack), (fail, fail_ack), (dead_data, dead_ack) = (
         (x[:n], x[n:]) for x in path)
-    resolved = ~np.isnan(m)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e_f = fail / (1.0 - q_s)
@@ -454,26 +487,31 @@ def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyPa
     # p_s = 0, or a p_s so small that the expected bits pass the float range;
     # s and the totals are non-negative, so "< inf" is false just for inf and NaN
     finite = total_bits < math.inf
-    defined = {  # each computed field, and where the scalar formulas define it
-        "q_s": (q_s, resolved),
-        "q_s_ack": (q_s_ack, resolved),
-        "e_s": (e_s, ~dead_data),
-        "e_f": (e_f, 1.0 - q_s > 0.0),
-        "e_s_ack": (e_s_ack, ~dead_ack),
-        "e_f_ack": (e_f_ack, 1.0 - q_s_ack > 0.0),
-        "i_f": (i_f, (q_s > 0.0) & (q_s < 1.0)),
-        "p_s": (p_s, resolved),
-        "s_s": (s_s, ~(dead_data | dead_ack)),
-        "s_f": (s_f, p_s < 1.0),
-        "s": (s, s < math.inf),
-        "total_bits": (total_bits, finite),
-        "total_joules": (total_joules, finite),
+    dead = dead_data | dead_ack
+    flags = dead + 2 * ~finite
+    # each computed field, and where the scalar formulas leave it undefined
+    # (None: only at an errored point); every mask is taken before any field
+    # is masked, each field in place
+    undefined = {
+        "q_s": (q_s, None),
+        "q_s_ack": (q_s_ack, None),
+        "e_s": (e_s, dead_data),
+        "e_f": (e_f, ~(1.0 - q_s > 0.0)),
+        "e_s_ack": (e_s_ack, dead_ack),
+        "e_f_ack": (e_f_ack, ~(1.0 - q_s_ack > 0.0)),
+        "i_f": (i_f, ~((q_s > 0.0) & (q_s < 1.0))),
+        "p_s": (p_s, None),
+        "s_s": (s_s, dead),
+        "s_f": (s_f, ~(p_s < 1.0)),
+        "s": (s, ~(s < math.inf)),
+        "total_bits": (total_bits, ~finite),
+        "total_joules": (total_joules, ~finite),
     }
-    # one (fields x points) array; each field's column is a row of it
-    columns = dict(zip(defined, np.where(
-        np.array([ok for _, ok in defined.values()]) & resolved,
-        np.array([x for x, _ in defined.values()]),
-        math.nan,
-    )))
-    columns["flags"] = np.where(resolved, (dead_data | dead_ack) + 2 * ~finite, -1)
-    return columns
+    for x, mask in undefined.values():
+        if mask is not None:
+            x[mask] = math.nan
+        if errored is not None:
+            x[errored] = math.nan
+    if errored is not None:
+        flags[errored] = -1
+    return {"flags": flags, **{name: x for name, (x, _) in undefined.items()}}

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from lln_energy import explorer, pathmodel
+from lln_energy import cli, explorer, pathmodel
 from lln_energy.cli import _blocks, _strict_trips, main
 from lln_energy.config import RunConfig
 from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
@@ -104,6 +104,43 @@ class TestSweep:
         assert sweep(spec) == whole
         assert sizes == [4, 4, 4, 3]
         assert [r["flags"] for r in whole[-3:]] == ["layout_error"] * 3
+
+    def test_blocks_hold_at_most_block_rows_and_the_output_stays_the_same(
+            self, monkeypatch, tmp_path):
+        # 600 rows whose layout errors run from row 478 to the end, so that
+        # they start inside a call of 256 or 1024 points and cross the block
+        # boundary at row 512; CSV and JSON lines are byte-identical at every
+        # call size, and no block holds more than BLOCK_ROWS rows
+        argv = ["sweep", "--axis", "alpha", "--grid", "1e-3:8:log:300", "--fragments", "fit"]
+        blocks = []
+        real = cli.sweep_columns
+
+        def recorded(spec):
+            for n, columns in real(spec):
+                assert all(len(column) == n for column in columns.values())
+                blocks.append((n, columns["flags"][0] == "layout_error"))
+                yield n, columns
+
+        monkeypatch.setattr(cli, "sweep_columns", recorded)
+
+        def run(batch_points, fmt):
+            monkeypatch.setattr(explorer, "BATCH_POINTS", batch_points)
+            blocks.clear()
+            out = tmp_path / f"{batch_points}.{fmt}"
+            assert main([*argv, "--format", fmt, "--output", str(out)]) == 0
+            return [l for l in out.read_text().splitlines() if not l.startswith("#")]
+
+        for fmt in ("csv", "jsonl"):
+            outputs = {}
+            for batch_points in (4, 256, 1024):
+                outputs[batch_points] = run(batch_points, fmt)
+                assert max(n for n, _ in blocks) <= explorer.BLOCK_ROWS
+                starts = [sum(n for n, _ in blocks[:i]) for i in range(len(blocks))]
+                errored = [start for start, (_, failed) in zip(starts, blocks) if failed]
+                assert errored[0] == 478 and 512 in errored  # a run split at 512
+            assert outputs[4] == outputs[256] == outputs[1024]
+        assert len(outputs[1024]) == 600
+        assert sum('"layout_error"' in line for line in outputs[1024]) == 122
 
     def test_ber_axis_keeps_each_hops_attempt_limit(self):
         rs = (1, 3, 7, 3)
@@ -361,7 +398,7 @@ class TestFrontier:
 
         points, both = calls([1, 3])
         scan = scan_calls(10)
-        assert both[:len(scan)] == scan == [256, 256, 256, 256, 196]
+        assert both[:len(scan)] == scan == [1024, 196]
         steps = both[len(scan):]
         assert steps[0] == 2 * sum(p.crossover_ber is not None for p in points) == 20
         assert all(a >= b for a, b in zip(steps, steps[1:]))

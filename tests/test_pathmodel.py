@@ -552,6 +552,29 @@ class TestBatchedCore:
         assert empty.errors == []
         assert empty.record_columns(per_hop=True) == dict.fromkeys(got[0], [])
 
+    @pytest.mark.parametrize("transfer_bytes", [51200, 10**23])
+    def test_frame_fields_read_as_python_ints(self, transfer_bytes):
+        # m, the bit counts and segments are int64 columns (Python ints past
+        # int64: 10**23 bytes at MSS 1) gathered per point from the stems;
+        # they read as Python ints, None at an errored point, and a row
+        # slice reads the same values as the whole batch, per-hop lists too
+        base = PathScenario(uniform_path(1, 3e-4), FrameLayout(fragments="fit"), 64,
+                            transfer_bytes)
+        columns = {"h": [5, 1, 5, 3], "alpha": [0.0, 5.0, 0.1, 0.0], "mss": [1, 64, 512, 1]}
+        batch = segment_models(base, **columns)
+        got = batch.record_columns(per_hop=True)
+        frame_fields = ("m", "d_data_bits", "c_data_bits", "d_ack_bits", "c_ack_bits",
+                        "segments")
+        for name in frame_fields:
+            assert got[name][1] is None, name
+            assert all(type(got[name][i]) is int for i in (0, 2, 3)), name
+        assert got["segments"] == [-(-transfer_bytes // 1), None,
+                                   -(-transfer_bytes // 512), -(-transfer_bytes // 1)]
+        assert batch.record_columns(per_hop=True, rows=slice(1, 3)) == {
+            name: values[1:3] for name, values in got.items()}
+        assert records(batch)[0] == scalar_oracle.segment_model(
+            scalar_oracle.point_scenario(base, columns, 0))
+
     def test_flags_are_codes_joined_when_read(self):
         # the edge rows' flags, and a layout error: alpha 1e308 codes
         # frames past 2**53 bits
