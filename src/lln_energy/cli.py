@@ -347,8 +347,6 @@ def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
     values = _parse_grid(args.values, "--values")
     h_values = _parse_int_list(args.h_range, "--h-range")
     mss_pair = _parse_int_list(args.mss_pair, "--mss-pair")
-    if len(mss_pair) != 2:
-        raise _CliError(f"--mss-pair needs exactly two values, got {args.mss_pair!r}")
     try:
         lo, hi = (float(x) for x in args.ber_range.split(":"))
     except ValueError:
@@ -358,7 +356,7 @@ def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
         family=args.family,
         family_values=values,
         h_values=h_values,
-        mss_pair=(int(mss_pair[0]), int(mss_pair[1])),
+        mss_pair=mss_pair,
         energy=cfg.energy(),
         ber_range=(lo, hi),
         points_per_decade=args.points_per_decade,

@@ -236,7 +236,7 @@ def _crossovers(
         raise ValueError(f"ber_range must satisfy 0 < lo < hi < 1, got {ber_range}")
     if points_per_decade < 1:
         raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
-    if len(set(mss_pair)) != 2:
+    if len(mss_pair) != 2 or mss_pair[0] == mss_pair[1]:
         raise ValueError(f"mss_pair needs two different sizes, got {tuple(mss_pair)}")
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
     grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]

@@ -22,7 +22,9 @@ may differ from libm in the last bit. Integer products (``k*d + a``,
 every element equals the scalar evaluation bit for bit. The scalar names
 (``frame_error_prob``, ``attempt_probs``, ``expected_success_bits``,
 ``hop_model``) check their one key, refusing a fractional bit count or
-attempt limit rather than truncate it, and call the steps on it.
+attempt limit rather than truncate it, and call the steps on it. All
+but ``expected_success_bits``, which takes attempt probabilities, not a
+BER, check it with ``_key``, which returns the key's columns.
 ``hop_model`` returns its key's row of ``HopArrays`` as a dict;
 ``attempt_probs`` the (p_fail, p_partial, p_succ) triple that
 ``expected_success_bits`` takes.
@@ -124,23 +126,21 @@ def _bit_counts(**counts) -> list[int]:
     return [int(value) for value in counts.values()]
 
 
-def _check_keys(d, c, ber, a=None) -> None:
-    """Refuse a frame of no bits, correctable bits outside [0, d], a BER
-    outside [0, 1) or an ACK of no bits, naming the first such key."""
-    bad = (d < 1) | (c < 0) | (c > d) | ~((0.0 <= ber) & (ber < 1.0))
-    if a is not None:
-        bad |= a < 1
-    if not bad.any():
-        return
-    i = bad.argmax()
-    d, c, ber = d.item(i), c.item(i), ber.item(i)
-    if a is not None and a.item(i) < 1:
-        raise ValueError(f"ack frame size must be >= 1 bit, got {a.item(i)}")
+def _key(d_bits, c_bits, ber, a_bits=1) -> list[np.ndarray]:
+    """The one key's (d, c, a, ber) columns, refusing a bit count that is
+    not an integer in [0, MAX_FRAME_BITS], a frame or ACK of no bits,
+    correctable bits outside [0, d] or a BER outside [0, 1)."""
+    d, c, a = _bit_counts(d_bits=d_bits, c_bits=c_bits, a_bits=a_bits)
+    ber = float(ber)
+    if a < 1:
+        raise ValueError(f"ack frame size must be >= 1 bit, got {a}")
     if d < 1:
         raise ValueError(f"frame size must be positive, got {d}")
     if not 0 <= c <= d:
         raise ValueError(f"correctable bits {c} outside [0, {d}]")
-    raise ValueError(f"ber must be in [0, 1), got {ber}")
+    if not 0.0 <= ber < 1.0:
+        raise ValueError(f"ber must be in [0, 1), got {ber}")
+    return _columns(d, c, a, floats=(ber,))
 
 
 def _exact(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -282,8 +282,7 @@ def frame_error_prob(d_bits: int, c_bits: int, ber: float) -> float:
     Whichever tail of the distribution is the smaller sum is evaluated
     directly, so results near 0 and near 1 both keep full precision.
     """
-    d, c, ber = _columns(*_bit_counts(d_bits=d_bits, c_bits=c_bits), floats=(ber,))
-    _check_keys(d, c, ber)
+    d, c, _, ber = _key(d_bits, c_bits, ber)
     return _frame_error_probs(d, c, ber, _log1p_neg(ber)).item(0)
 
 
@@ -293,10 +292,7 @@ def attempt_probs(d_bits: int, c_bits: int, a_bits: int, ber: float) -> tuple[fl
     The acknowledgement frame carries no redundancy, so a partial failure
     needs every one of its ``a_bits`` to survive.
     """
-    d, c, a, ber = _columns(*_bit_counts(d_bits=d_bits, c_bits=c_bits, a_bits=a_bits),
-                            floats=(ber,))
-    _check_keys(d, c, ber, a)
-    return tuple(x.item(0) for x in _attempt_probs(d, c, a, ber))
+    return tuple(x.item(0) for x in _attempt_probs(*_key(d_bits, c_bits, ber, a_bits)))
 
 
 def expected_success_bits(probs, r: int, d_bits: int, a_bits: int) -> float | None:
@@ -325,8 +321,6 @@ def hop_model(d_bits: int, c_bits: int, a_bits: int, hop: HopParams) -> dict:
     """Full one-hop model for a frame of ``d_bits`` over the given hop: its
     key's row of ``hop_model_array`` as a dict, ``h_s`` None where the hop
     can never deliver."""
-    d, c, a, ber = _columns(*_bit_counts(d_bits=d_bits, c_bits=c_bits, a_bits=a_bits),
-                            floats=(hop.ber,))
-    _check_keys(d, c, ber, a)
-    row = {name: x.item(0) for name, x in hop_model_array(d, c, a, ber, hop.r)._asdict().items()}
+    arrays = hop_model_array(*_key(d_bits, c_bits, hop.ber, a_bits), hop.r)
+    row = {name: x.item(0) for name, x in arrays._asdict().items()}
     return row | {"h_s": None} if math.isnan(row["h_s"]) else row

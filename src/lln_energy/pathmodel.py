@@ -231,12 +231,13 @@ class ModelBatch:
     field is None, for the computed ones, and an int64 code array for
     ``flags`` (see ``_FLAG_TEXT``). ``errors[i]`` is the ``LayoutError``
     raised resolving point i's frames, else None; every field of that point
-    is then None. ``hops`` is the call's hop table; ``paths`` its distinct
-    paths, a row per hop position (one row: one hop repeated) naming hop
-    ``k - 1`` of the table as k, 0 the no-op hop; and ``path`` each point's
-    data path column, then each point's ACK path column. A path is read up
-    to the point's ``h``. The lists of a record are built only when read,
-    for the rows asked for.
+    then reads None, as ``column`` masks the given and frame fields by
+    ``errors`` when it reads them. ``hops`` is the call's hop table;
+    ``paths`` its distinct paths, a row per hop position (one row: one hop
+    repeated) naming hop ``k - 1`` of the table as k, 0 the no-op hop; and
+    ``path`` each point's data path column, then each point's ACK path
+    column. A path is read up to the point's ``h``. The lists of a record
+    are built only when read, for the rows asked for.
     """
 
     columns: dict[str, Sequence]
@@ -249,18 +250,18 @@ class ModelBatch:
         """Field ``name`` of the points in ``rows`` (every point unless set),
         None where undefined or errored; Python ints and floats."""
         values = self.columns[name][rows]
-        if not isinstance(values, np.ndarray):
-            return values  # a slice is a new list
         if name == "flags":
             return [_FLAG_TEXT[code] for code in values.tolist()]
-        if values.dtype.kind != "f":  # a frame field: None where errored
-            errors = self.errors[rows]
-            if any(errors):
-                return [None if err else v for v, err in zip(values.tolist(), errors)]
-            return values.tolist()
-        if not np.isnan(values).any():
-            return values.tolist()
-        return [None if v != v else v for v in values.tolist()]  # NaN is None
+        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+            if not np.isnan(values).any():
+                return values.tolist()
+            return [None if v != v else v for v in values.tolist()]  # NaN is None
+        # a given or frame field: None where errored
+        values = values if isinstance(values, list) else values.tolist()
+        errors = self.errors[rows]
+        if any(errors):
+            return [None if err else v for v, err in zip(values, errors)]
+        return values  # a slice is a new list
 
     def record_columns(self, per_hop: bool = False, rows: slice = slice(None),
                        **lead: list) -> dict[str, list]:
@@ -313,8 +314,8 @@ def segment_models(
     The points are ``base`` with the given columns applied, one value per
     point; with no column there is one point, ``base``. ``ber`` and ``r``
     set every hop's, ``alpha`` the layout's, ``mss`` the segment size; ``h``
-    makes the path that many copies of the base's hop, so its hops must
-    agree in BER, and in ``r`` unless a column sets it. A bad value raises,
+    makes the path that many copies of the base's first hop, so its hops
+    must agree in BER and in ``r`` unless a column sets them. A bad value raises,
     checked once per distinct value by ``HopParams`` (ber, r),
     ``check_hop_count`` (h), ``PathScenario`` (MSS) or ``FrameLayout``
     (alpha); a point whose frames cannot be resolved gets its LayoutError
@@ -337,7 +338,9 @@ def segment_models(
     hops = base.hops
     ber_shared = len({hp.ber for hp in hops}) == 1
     r_shared = len({hp.r for hp in hops}) == 1
-    if h is not None and not (ber_shared and (r_shared or r is not None)):
+    # every hop position takes one (ber, r) at a stem: a path of one hop repeated
+    one_hop = (ber_shared or ber is not None) and (r_shared or r is not None)
+    if h is not None and not one_hop:
         raise ValueError("the h axis needs a homogeneous path; its hops differ")
     hs = [len(hops)] * n if h is None else list(h)
     alphas = [base.layout.alpha] * n if alpha is None else list(alpha)
@@ -355,12 +358,12 @@ def segment_models(
     # frames and the hop models. With an h column the points of one stem
     # are resolved and keyed once; without one each point is its own stem.
     stems = [ber, r, alphas, msss]
-    inverse = None  # each point's stem, where points are regrouped
+    stem = np.arange(n)  # each point's stem
     if h is not None:
         ids = {}
-        inverse = [ids.setdefault(key, len(ids)) for key in zip(
-            *(repeat(None) if col is None else col for col in stems))]
-        stems = [None if col is None else list(stem) for col, stem in
+        stem = np.array([ids.setdefault(key, len(ids)) for key in zip(
+            *(repeat(None) if col is None else col for col in stems))], dtype=np.intp)
+        stems = [None if col is None else list(values) for col, values in
                  zip(stems, zip(*ids) if ids else [()] * 4)]
     s_ber, s_r, s_alpha, s_mss = stems
     n_stems = len(s_mss)
@@ -379,7 +382,6 @@ def segment_models(
     stem_frames = [frames[key] for key in zip(s_mss, s_alpha)]
 
     # a row of (ber, r) per hop position that can differ, one for a repeated hop
-    one_hop = h is not None or (ber_shared or ber is not None) and (r_shared or r is not None)
     pairs = [  # each hop position's (ber, r) at every stem
         list(zip(repeat(hp.ber, n_stems) if s_ber is None else s_ber,
                  repeat(hp.r, n_stems) if s_r is None else s_r))
@@ -409,14 +411,9 @@ def segment_models(
         stem_table = np.array(stem_frames, dtype=object).reshape(n_stems, 6)
     errors = [None] * n
     if layout_errors:
-        errors = [layout_errors.get(key) for key in zip(s_mss, s_alpha)]
-    point_table = stem_table
-    if inverse is not None:  # each point reads its stem's row
-        if layout_errors:
-            errors = [errors[i] for i in inverse]
-        inverse = np.array(inverse, dtype=np.intp)
-        point_table = stem_table[inverse]
-        path = path.reshape(2, n_stems)[:, inverse].ravel()
+        errors = [layout_errors.get(key) for key in zip(msss, alphas)]
+    point_table = stem_table.take(stem, axis=0)  # each point reads its stem's row
+    path = path.reshape(2, n_stems).take(stem, axis=1).ravel()
     d, c, bers, rs = zip(*table_ids) if table_ids else ((),) * 4
     a = base.layout.ll_ack_bits
     hop_table = hop_model_array(d, c, a, bers, rs)
@@ -434,27 +431,23 @@ def segment_models(
         "alpha": alphas,
         "a_bits": [a] * n,
     }
-    if layout_errors:  # a point whose frames did not resolve reads None throughout
-        columns = {name: [None if err else v for v, err in zip(values, errors)]
-                   for name, values in columns.items()}
     columns.update(zip(_FRAME_FIELDS, point_table.T))
     errored = point_table[:, 0] == 0
     # float(int) rounds as Python's int * float does; NaN where errored
     m, segments = np.where(errored, math.nan, point_table[:, [0, 5]].T.astype(float))
     lengths = np.where(errored, 0, hs)
     walked = _path(table, paths, path, np.concatenate([lengths, lengths]))
-    columns.update(_segment_columns(walked, m, segments, energy,
-                                    errored if layout_errors else None))
+    columns.update(_segment_columns(walked, m, segments, energy, errored))
     return ModelBatch({name: columns[name] for name in FIELDS}, errors, hop_table, paths, path)
 
 
 def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyParams,
-                     errored: np.ndarray | None) -> dict:
+                     errored: np.ndarray) -> dict:
     """The computed columns and ``flags``, from ``_path``'s result over the
     data paths then the ACK paths, and each point's m and segment count.
-    ``errored``, None when every point resolved, marks the points whose
-    frames did not resolve (an empty path, m = NaN): they read NaN in every
-    computed column, code -1 in ``flags``."""
+    ``errored`` marks the points whose frames did not resolve (an empty
+    path, m = NaN): they read NaN in every computed column, code -1 in
+    ``flags``."""
     n = len(m)
     (q_s, q_s_ack), (e_s, e_s_ack), (fail, fail_ack), (dead_data, dead_ack) = (
         (x[:n], x[n:]) for x in path)
@@ -510,8 +503,6 @@ def _segment_columns(path, m: np.ndarray, segments: np.ndarray, energy: EnergyPa
     for x, mask in undefined.values():
         if mask is not None:
             x[mask] = math.nan
-        if errored is not None:
-            x[errored] = math.nan
-    if errored is not None:
-        flags[errored] = -1
+        x[errored] = math.nan
+    flags[errored] = -1
     return {"flags": flags, **{name: x for name, (x, _) in undefined.items()}}

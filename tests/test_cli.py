@@ -342,6 +342,23 @@ class TestSubcommands:
             assert col in header
         assert len(lines) == 1 + 4
 
+    @pytest.mark.parametrize("family", [
+        ("--family", "r", "--values", "3"),
+        ("--family", "alpha", "--values", "1e-3,1e-1", "-r", "1", "--fragments", "fit"),
+    ])
+    def test_frontier_on_a_hop_bers_path_is_the_homogeneous_one(self, tmp_path, capsys,
+                                                                family):
+        # the scan sets every hop's BER and the h range the hop count, so
+        # the path's own BERs and length drop out
+        path = tmp_path / "het.ini"
+        path.write_text("[path]\nhops = 3\nhop_bers = 1e-4, 3e-4, 5e-4\n")
+        argv = ("frontier", *family, "--h-range", "1:3")
+        het = run_cli(capsys, *argv, "--config", str(path))
+        homogeneous = run_cli(capsys, *argv)
+        assert het[0] == homogeneous[0] == 0 and het[2] == ""
+        assert body(het[1]) == body(homogeneous[1])
+        assert len(body(het[1]).splitlines()) == 1 + 3 * (len(family[3].split(",")))
+
     def test_csv_rows_match_a_dict_writer(self, capsys):
         # a sweep whose second point cannot be laid out: its row lacks the
         # model columns, and the first row's error column is empty
@@ -523,6 +540,10 @@ class TestExitCodes:
          "--mss-pair must be"),
         (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64,64"),
          "mss_pair needs two different sizes, got (64, 64)"),
+        (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64,512,512"),
+         "mss_pair needs two different sizes, got (64, 512, 512)"),
+        (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64,512,1024"),
+         "mss_pair needs two different sizes, got (64, 512, 1024)"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)

@@ -482,6 +482,6 @@ class TestFrontier:
         # one size against itself costs the same everywhere: no crossover to find
         with pytest.raises(ValueError, match=r"two different sizes, got \(64, 64\)"):
             frontier(base_scenario(), "r", [3], [1], mss_pair=(64, 64))
-        for pair in ((512, 512), (64,), (64, 512, 1024)):
+        for pair in ((512, 512), (64,), (64, 512, 1024), (64, 512, 512)):
             with pytest.raises(ValueError, match="two different sizes"):
                 crossover_ber(base_scenario(), mss_pair=pair)

@@ -585,6 +585,18 @@ class TestBatchedCore:
         assert batch.columns["flags"].tolist() == [3, 0, 2, -1]
         assert batch.column("flags") == ["degenerate_hop;diverges", "", "diverges", None]
 
+    def test_a_ber_column_makes_a_hop_bers_path_one_hop_repeated(self):
+        # a BER column sets every hop's BER, so an h column over a hop_bers
+        # path reads copies of its first hop, per-hop lists included; the
+        # h column alone still needs hops that agree in BER
+        het = RunConfig(hops=3, hop_bers=(1e-4, 3e-4, 5e-4)).scenario()
+        columns = {"ber": [1e-5, 1e-4, 4e-4, 4e-4, 0.05], "h": [1, 3, 5, 2, 9],
+                   "mss": [64, 512, 64, 512, 64]}
+        one = replace(het, hops=het.hops[:1])
+        assert records(segment_models(het, **columns)) == records(segment_models(one, **columns))
+        with pytest.raises(ValueError, match="homogeneous"):
+            segment_models(het, h=[1, 3])
+
     def test_columns_must_have_one_length(self):
         base = PathScenario(uniform_path(2, 1e-4), LAYOUT, 64)
         with pytest.raises(ValueError, match="one length"):
