@@ -55,7 +55,7 @@ from .config import (
 from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
                        SWEEP_AXES, SweepSpec, frontier, sweep_columns)
 from .framing import LayoutError
-from .pathmodel import segment_models
+from .pathmodel import MAX_HOPS, check_hop_count, segment_models
 from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
@@ -173,16 +173,17 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    """The values of integer-list flag ``flag``: "lo:hi", or a comma list."""
+def _parse_int_list(text: str, flag: str, ranges: bool = True) -> tuple[int, ...] | range:
+    """The values of integer-list flag ``flag``: a comma list or, where
+    ``ranges`` is set, "lo:hi", as a range that is not listed here."""
+    form = '"lo:hi" or a comma list' if ranges else "a comma list"
     try:
-        if ":" in text:
+        if ranges and ":" in text:
             lo, hi = (int(x) for x in text.split(":"))
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise _CliError(f'{flag} must be "lo:hi" or a comma list of integers, '
-                        f'got {text!r}') from None
+        raise _CliError(f"{flag} must be {form} of integers, got {text!r}") from None
 
 
 def _metadata(cfg: RunConfig, include_seed: bool) -> list[str]:
@@ -346,7 +347,12 @@ def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
 def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
     values = _parse_grid(args.values, "--values")
     h_values = _parse_int_list(args.h_range, "--h-range")
-    mss_pair = _parse_int_list(args.mss_pair, "--mss-pair")
+    # refused before the explorer lists a long range: only MAX_HOPS hop
+    # counts are valid, so a range's first refused one (the one the
+    # explorer would name) is among its first MAX_HOPS + 1
+    for h in h_values[:MAX_HOPS + 1]:
+        check_hop_count(h)
+    mss_pair = _parse_int_list(args.mss_pair, "--mss-pair", ranges=False)
     try:
         lo, hi = (float(x) for x in args.ber_range.split(":"))
     except ValueError:

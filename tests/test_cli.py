@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -38,6 +39,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_child(*argv: str, address_kib: int | None = None) -> dict:
+    """``subprocess.run``/``Popen`` arguments running ``lln-energy argv`` in a
+    child, output piped; ``address_kib`` caps the child's address space alone."""
+    limit = None if address_kib is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_kib * 1024,) * 2))
+    return dict(args=[sys.executable, "-m", "lln_energy.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(Path(lln_energy.__file__).parents[1])},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit)
 
 
 def body(out: str) -> str:
@@ -79,6 +90,7 @@ class TestConfigFile:
         path.write_text(out)
         reparsed = load_config(str(path))
         assert dump_config(reparsed) == out
+        assert run_cli(capsys, "model", "--config", str(path), "--print-config")[1] == out
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -92,12 +104,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown section"):
             load_config(str(path))
 
-    def test_byte_units_converted(self, tmp_path):
+    def test_byte_units_converted(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
         path.write_text("[frames]\nmtu_bytes = 127\nll_ack_bytes = 5\n")
         cfg = load_config(str(path))
         assert cfg.mtu_bits == 1016
         assert cfg.ll_ack_bits == 40
+        # the byte twins of the defaults give the default effective config,
+        # which itself round-trips through --config
+        default = run_cli(capsys, "model", "--print-config")[1]
+        for text in (path.read_text(), default):
+            path.write_text(text)
+            assert run_cli(capsys, "model", "--config", str(path), "--print-config")[1] == default
 
     def test_conflicting_units_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -297,15 +315,15 @@ class TestSubcommands:
 
     def test_fragments_past_1029_are_simulated(self, capsys):
         # no binomial coefficient bounds the dropped-fragment draw: a
-        # segment of 1030 fragments gets a sim row and a verdict
-        argv = ("--fragments", "1030", "--mss", "512", "--reps", "20", "--format", "jsonl")
+        # segment of 1030 fragments gets a sim row and a PASS verdict
+        argv = ("--fragments", "1030", "--mss", "512", "--reps", "100", "--format", "jsonl")
         code, out, _ = run_cli(capsys, "simulate", *argv)
         assert code == 0 and json.loads(body(out))["segments"] == 100
-        code, out, _ = run_cli(capsys, "validate", *argv)
+        code, out, _ = run_cli(capsys, "validate", *argv, "--strict")
         assert code == 0
         model, sim, verdict = [json.loads(l) for l in body(out).splitlines()]
         assert model["m"] == 1030 and sim["source"] == "sim"
-        assert verdict["verdict"] in ("PASS", "FAIL")
+        assert verdict["verdict"] == "PASS"
 
     def test_bit_replay_past_its_frame_bound_is_refused(self, capsys):
         # 1.5625e10 segments: the replay's per-block index arrays would need
@@ -350,13 +368,14 @@ class TestSubcommands:
                                                                 family):
         # the scan sets every hop's BER and the h range the hop count, so
         # the path's own BERs and length drop out
-        path = tmp_path / "het.ini"
-        path.write_text("[path]\nhops = 3\nhop_bers = 1e-4, 3e-4, 5e-4\n")
         argv = ("frontier", *family, "--h-range", "1:3")
-        het = run_cli(capsys, *argv, "--config", str(path))
         homogeneous = run_cli(capsys, *argv)
-        assert het[0] == homogeneous[0] == 0 and het[2] == ""
-        assert body(het[1]) == body(homogeneous[1])
+        for text in ("[path]\nhops = 3\nhop_bers = 1e-4, 3e-4, 5e-4\n", HETERO_INI):
+            path = tmp_path / "het.ini"
+            path.write_text(text)
+            het = run_cli(capsys, *argv, "--config", str(path))
+            assert het[0] == homogeneous[0] == 0 and het[2] == ""
+            assert csv_body(het[1]) == csv_body(homogeneous[1])
         assert len(body(het[1]).splitlines()) == 1 + 3 * (len(family[3].split(",")))
 
     def test_csv_rows_match_a_dict_writer(self, capsys):
@@ -389,6 +408,8 @@ class TestSubcommands:
         (3.0, 4.0, 5.0),  # every point
         tuple(1e-3 * 5e3 ** (i / 299) for i in range(300)),  # past a chunk boundary
         tuple(1e-3 * 5e3 ** (i / 299) for i in range(299, -1, -1)),
+        cli._parse_grid("1e-3:5:log:40", "--grid"),  # the last 14 rows
+        (20.0, 5.0, 2.0, 1.0, 0.5, 0.1, 0.01),  # the first 6 rows
     ])
     def test_layout_error_sweep_csv_matches_a_dict_writer(self, capsys, grid):
         # rows flagged layout_error lack the model fields and add "error", so
@@ -401,6 +422,9 @@ class TestSubcommands:
         rows = sweep(SweepSpec(cfg.scenario(), "alpha", grid, (64, 512), cfg.energy()))
         assert any(row["flags"] == "layout_error" for row in rows)
         assert csv_body(out) == dict_writer_csv(rows)
+        # and the JSON lines are the same rows, so the CSV is theirs too
+        code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
+        assert code == 0 and [json.loads(l) for l in body(out).splitlines()] == rows
         assert run_cli(capsys, *argv, "--strict")[0] == 2
 
     @pytest.mark.parametrize("rows", [
@@ -450,12 +474,9 @@ class TestProcess:
     def test_closed_pipe_exits_1_quietly(self):
         # 800 rows, far more than a pipe holds: the CLI is still writing
         # when the reader stops after five lines, as `| head -5` does
-        env = {**os.environ, "PYTHONPATH": str(Path(lln_energy.__file__).parents[1])}
-        with subprocess.Popen(
-            [sys.executable, "-m", "lln_energy.cli", "sweep", "--axis", "ber",
-             "--grid", "1e-7:0.1:log:200", "--mss-list", "64,128,256,512"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        ) as proc:
+        with subprocess.Popen(**cli_child(
+            "sweep", "--axis", "ber", "--grid", "1e-7:0.1:log:200", "--mss-list", "64,128,256,512",
+        )) as proc:
             lines = [proc.stdout.readline() for _ in range(5)]
             proc.stdout.close()
             code = proc.wait(timeout=60)
@@ -544,6 +565,12 @@ class TestExitCodes:
          "mss_pair needs two different sizes, got (64, 512, 512)"),
         (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64,512,1024"),
          "mss_pair needs two different sizes, got (64, 512, 1024)"),
+        (("frontier", "--family", "r", "--values", "3", "--mss-pair", "64:512"),
+         "--mss-pair must be a comma list of integers, got '64:512'"),
+        (("frontier", "--family", "r", "--values", "3", "--mss-pair", "512:64"),
+         "--mss-pair must be a comma list of integers, got '512:64'"),
+        (("frontier", "--family", "r", "--values", "3", "--h-range=-1000000000000:3"),
+         "scenario needs at least one hop, got -1000000000000"),
     ])
     def test_bad_value_is_exit_1_with_a_message(self, capsys, argv, says):
         code, out, err = run_cli(capsys, *argv)
