@@ -37,9 +37,15 @@ Replications run in blocks (each sampler's ``block``): each numpy call
 draws one quantity for a whole block, the replay's for every frame of the
 block still at that hop and attempt. A replay block holds 16
 replications; an aggregate block as many as fill ``_BLOCK_CELLS`` cells
-of its largest arrays, and at least 16. Block ``b`` derives its RNG
-stream from ``(master_seed, b)`` and workers run whole blocks, so serial
-and parallel execution produce byte-identical reports. Bits and counters
+of its largest arrays, and at least 16. The aggregate draw runs its
+blocks one at a time. The replay pipelines them: the next block joins a
+round while fewer than one block's segments are in flight and the
+fragments stay within ``_MAX_BLOCK_FRAMES``, so a round carries one
+block's first round and the others' shrinking tails, its bookkeeping runs
+once over all of them, and it holds at most two blocks' segments. Block
+``b`` derives its RNG stream from ``(master_seed, b)`` and draws from it
+just what it would alone, and workers run whole blocks, so serial and
+parallel execution produce byte-identical reports. Bits and counters
 are integers, exact until the report divides their totals by the
 replication count: int64 where a float bound shows a sum fits, Python
 ints past that.
@@ -69,9 +75,10 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 _INT64_MAX = 2**63 - 1
-#: The most fragments a block holds at once: the bit replay's index arrays,
-#: a few int64 entries per fragment, and the aggregate draw's first-drop
-#: counts, an int64 per replication and fragment, stay under about 1 GiB
+#: The most fragments a block, or the bit replay's blocks in flight, hold at
+#: once: the replay's index arrays, a few int64 entries per fragment, and
+#: the aggregate draw's first-drop counts, an int64 per replication and
+#: fragment, stay under about 1 GiB
 _MAX_BLOCK_FRAMES = 2**24
 #: The cells an aggregate block's largest arrays hold past its floor of 16
 #: replications, 128 KiB of int64 each: a run of a few hundred replications
@@ -337,12 +344,23 @@ class _Aggregate:
             "segment_retx": failed,
         }, False
 
+    def run(self, rngs, counts):
+        """Blocks of ``counts`` replications, drawn from ``rngs``, one at a
+        time: each replication's bits, each counter's exact total, and False."""
+        bits, totals = [], dict.fromkeys(COUNTER_NAMES, 0)
+        for rng, n in zip(rngs, counts):
+            block_bits, counters, _ = self.run_block(rng, n)
+            bits.append(block_bits)
+            for k, v in counters.items():
+                totals[k] += sum(v.tolist())
+        return np.concatenate(bits), totals, False
+
 
 class _Replay:
     """Bit fidelity: every attempt that happens, event by event."""
 
     method = "replay"
-    #: replications whose frames share each attempt's numpy calls
+    #: replications per generator; each attempt draws once per block in flight
     block = 16
 
     def __init__(self, config: SimConfig):
@@ -366,106 +384,140 @@ class _Replay:
                 f"segment) at once, past its {_MAX_BLOCK_FRAMES}"
             )
 
-    def _phase(self, rng, phase, owners, reps, counts, attempts):
+    def _phase(self, rngs, phase, owners, cuts, marks, tried, arrived):
         """Carry frames across the phase's hops; the owners of those through.
 
-        ``owners`` holds each frame's segment, and ``reps`` each segment's
-        replication, a column of ``counts``. Each event adds one to its
-        replication's column: an attempt to row ``attempts``; a failed data
-        copy, a lost link ACK, a drop and a late delivery (a frame out of
-        attempts whose data got through at least once) to rows 2 to 5.
+        ``owners`` holds each frame's segment position, sorted. Position
+        ``cuts[i]`` starts the i-th replication in flight (the last cut is
+        the end), and cut ``marks[j]`` the j-th block's replications, which
+        draw from ``rngs[j]``. Each draw's frames add, cumulatively at the
+        cuts, to ``tried`` (data or TCP-ACK attempts) or ``arrived`` (link
+        ACKs). Returns the owners through and the phase's partials (lost
+        link ACKs), drops and late deliveries (a frame out of attempts whose
+        data got through at least once).
         """
         hops, d_bits, c_bits = phase
-        n = counts.shape[1]
-        rep = reps[owners]  # each frame's replication
-        in_flight = np.bincount(rep, minlength=n)
-        tried = np.zeros(n, np.int64)  # frames that tried a hop, over the hops
-        dropped = np.zeros(n, np.int64)
-        # the replications of each failed data copy, lost link ACK and late
-        # delivery, counted once the phase is over
-        events = fails, partials, lates = [rep[:0]], [rep[:0]], [rep[:0]]
+        partials = drops = lates = 0
         for hp in hops:
-            if not rep.size:
+            if not owners.size:
                 break
-            tried += in_flight
-            # the first attempt: every frame in flight
-            arrived = rng.binomial(d_bits, hp.ber, size=rep.size) <= c_bits
-            ok = arrived.copy()
-            ok[ok] = rng.binomial(self.a, hp.ber, size=np.count_nonzero(ok)) == 0
-            fails.append(rep[~arrived])
-            partials.append(rep[arrived & ~ok])
-            pending = np.flatnonzero(~ok)  # frames still trying this hop
+            # the first attempt: every frame in flight. ``at`` counts the
+            # frames before each cut, ``got`` the arrivals, and ``edges``
+            # the frames before each block mark
+            at = owners.searchsorted(cuts)
+            edges = at[marks].tolist()
+            stay = _draws(rngs, d_bits, hp.ber, c_bits, edges, edges)  # still trying this hop
+            failed = stay.nonzero()[0]  # failed data copies
+            got = at - failed.searchsorted(at)
+            lost = _draws(rngs, self.a, hp.ber, 0, got[marks].tolist(), edges).nonzero()[0]
+            tried += at
+            arrived += got
+            pending, seen = failed, np.zeros(failed.size, bool)  # seen: its data got through
+            if lost.size:
+                # the i-th arrival follows the failed copies j with failed[j] - j <= i
+                lost += (failed - np.arange(failed.size)).searchsorted(lost, side="right")
+                partials += lost.size
+                stay[lost] = True
+                pending = stay.nonzero()[0]
+                seen = np.zeros(pending.size, bool)
+                seen[pending.searchsorted(lost)] = True
             for _ in range(hp.r - 1):
                 if not pending.size:
                     break
-                ok = rng.binomial(d_bits, hp.ber, size=pending.size) <= c_bits
-                got = pending[ok]
-                arrived[got] = True
-                acked = rng.binomial(self.a, hp.ber, size=got.size) == 0
-                fails.append(rep[pending[~ok]])
-                partials.append(rep[got[~acked]])
-                ok[ok] = acked  # a frame leaves the attempt loop at its first success
-                pending = pending[~ok]
-            lates.append(rep[pending[arrived[pending]]])
-            if not arrived.all():  # a frame that arrived nowhere leaves the path
-                drops = np.bincount(rep[~arrived], minlength=n)
-                dropped += drops
-                in_flight -= drops
-                rep, owners = rep[arrived], owners[arrived]
-        fail, partial, late = (np.bincount(np.concatenate(e), minlength=n) for e in events)
-        counts[2:6] += fail, partial, dropped, late
-        # an attempt fails, loses its link ACK or is a frame's one success,
-        # and every frame that tries a hop succeeds there but those dropped
-        # or late
-        counts[attempts] += fail + partial + tried - dropped - late
-        return owners
+                tries = pending.searchsorted(at)
+                edges = tries[marks].tolist()
+                ok = ~_draws(rngs, d_bits, hp.ber, c_bits, edges, edges)
+                got = pending[ok].searchsorted(at)
+                lost = _draws(rngs, self.a, hp.ber, 0, got[marks].tolist(), edges)
+                tried += tries
+                arrived += got
+                partials += np.count_nonzero(lost)
+                seen |= ok
+                ok[ok] = ~lost  # a frame leaves the attempt loop at its first success
+                keep = ~ok
+                pending, seen = pending[keep], seen[keep]
+            lates += np.count_nonzero(seen)
+            dropped = pending[~seen]  # arrived nowhere: the frame leaves the path
+            if dropped.size:
+                drops += dropped.size
+                keep = np.ones(owners.size, bool)
+                keep[dropped] = False
+                owners = owners[keep]
+        return owners, partials, drops, lates
 
-    def round_batch(self, rng, reps, counts):
-        """One full round for segments of replications ``reps``: which
-        segments got their TCP ACK.
+    def run(self, rngs, counts):
+        """Blocks of ``counts`` replications, drawn from ``rngs``, in turn:
+        each replication's bits, each counter's exact total, and whether a
+        segment hit the round cap.
 
-        The round's events add to ``counts``, one int64 column per
-        replication, in these rows: data attempts, TCP-ACK attempts, failed
-        data copies, lost link ACKs, drops and late deliveries.
+        The blocks are pipelined. The next block joins at a round's start
+        while fewer than one block's segments are in flight and its
+        fragments fit within ``_MAX_BLOCK_FRAMES``, so a round carries one
+        block's first round and the other blocks' shrinking tails. Every
+        block draws just what it would alone, from its own generator.
         """
-        n = reps.size
-        frags = np.repeat(np.arange(n), self.m)
-        through = self._phase(rng, self.data, frags, reps, counts, 0)
-        seg_ok = np.bincount(through, minlength=n) == self.m
-        # the TCP ACK is only sent if every fragment arrived
-        through = self._phase(rng, self.ack, np.flatnonzero(seg_ok), reps, counts, 1)
-        ok = np.zeros(n, bool)
-        ok[through] = True
-        return ok
-
-    def run_block(self, rng, n: int):
-        """n replications' (bits, counters, truncated): integer arrays of n,
-        and whether a segment hit the round cap."""
-        n_seg = self.segments
-        totals = np.zeros((6, n), np.int64)
-        sends = np.zeros(n * n_seg, dtype=np.int64)  # per (replication, segment) pair
+        n_seg, m = self.segments, self.m
+        rngs, live, joined = iter(rngs), {}, 0
+        # per replication: data attempts, TCP-ACK attempts, arrivals
+        tally = np.zeros((3, sum(counts)), np.int64)
+        rep = np.empty(0, np.int64)  # each segment in flight's replication, sorted
+        sends = np.empty(0, np.int64)  # its rounds so far
+        partials = drops = lates = segment_sends = 0
         truncated = False
-        active = np.arange(n * n_seg)
-        while active.size:
-            ok = self.round_batch(rng, active // n_seg, totals)
-            sends[active] += 1
-            capped = ~ok & (sends[active] >= self.round_cap)
+        while True:
+            while joined < len(counts) and rep.size < self.block * n_seg and (
+                    (rep.size + counts[joined] * n_seg) * m <= _MAX_BLOCK_FRAMES):
+                live[joined] = next(rngs)
+                first = joined * self.block
+                rep = np.concatenate([rep, np.repeat(np.arange(first, first + counts[joined]), n_seg)])
+                sends = np.concatenate([sends, np.zeros(counts[joined] * n_seg, np.int64)])
+                joined += 1
+            if not rep.size:
+                break
+            cuts = np.concatenate([[0], np.flatnonzero(np.diff(rep)) + 1, [rep.size]])
+            reps = rep[cuts[:-1]]
+            blocks = reps // self.block
+            marks = np.concatenate([[0], np.flatnonzero(np.diff(blocks)) + 1, [reps.size]])
+            live = {b: live[b] for b in blocks[marks[:-1]].tolist()}
+            block_rngs = list(live.values())
+            drawn = np.zeros((3, cuts.size), np.int64)
+            through, *data = self._phase(block_rngs, self.data, np.arange(rep.size).repeat(m),
+                                         cuts, marks, drawn[0], drawn[2])
+            # the TCP ACK is only sent if every fragment arrived
+            seg_ok = np.flatnonzero(np.bincount(through, minlength=rep.size) == m)
+            through, *ack = self._phase(block_rngs, self.ack, seg_ok, cuts, marks,
+                                        drawn[1], drawn[2])
+            partials, drops, lates = map(sum, zip((partials, drops, lates), data, ack))
+            tally[:, reps] += np.diff(drawn, axis=1)
+            segment_sends += rep.size
+            sends += 1
+            ok = np.zeros(rep.size, bool)
+            ok[through] = True
+            capped = ~ok & (sends >= self.round_cap)
             truncated |= bool(capped.any())
-            active = active[~(ok | capped)]
-        data_att, ack_att, failures, partials, drops, late = totals
-        arrivals = data_att + ack_att - failures
-        bits = _exact_dot(np.stack([data_att, ack_att, arrivals], axis=1), self.frame_bits)[:, 0]
-        segment_sends = sends.reshape(n, n_seg).sum(axis=1)
-        return bits, {
+            keep = ~(ok | capped)
+            rep, sends = rep[keep], sends[keep]
+        data_att, ack_att, arrivals = (sum(x.tolist()) for x in tally)
+        return _exact_dot(tally.T, self.frame_bits)[:, 0], {
             "link_attempts": data_att + ack_att,
-            "link_failures": failures,
+            "link_failures": data_att + ack_att - arrivals,
             "partial_failures": partials,
             "hop_drops": drops,
             # every arrival after a hop's first: partials less the late deliveries
-            "duplicates_suppressed": partials - late,
+            "duplicates_suppressed": partials - lates,
             "segment_sends": segment_sends,
-            "segment_retx": segment_sends - n_seg,
+            "segment_retx": segment_sends - sum(counts) * n_seg,
         }, truncated
+
+
+def _draws(rngs, n, p, c, edges, tried):
+    """The blocks' Binomial(n, p) draws end to end, as whether each passes
+    ``c``. Block j draws ``edges[j + 1] - edges[j]`` from ``rngs[j]`` in one
+    call, made even for none where ``tried`` steps up: the block had frames
+    at the attempt."""
+    parts = [rng.binomial(n, p, size=hi - lo) > c
+             for rng, lo, hi, t0, t1 in zip(rngs, edges, edges[1:], tried, tried[1:]) if t1 > t0]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 _SAMPLERS = {"frame": _Aggregate, "bit": _Replay}
@@ -481,17 +533,9 @@ def _run_blocks(sampler, config: SimConfig, start: int, stop: int):
     whether the round cap fired.
     """
     size, reps = sampler.block, config.replications
-    bits, totals, truncated = [], dict.fromkeys(COUNTER_NAMES, 0), False
-    for b in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, b]))
-        block_bits, counters, block_truncated = sampler.run_block(
-            rng, min(size, reps - b * size)
-        )
-        bits.append(block_bits)
-        for k, v in counters.items():
-            totals[k] += sum(v.tolist())
-        truncated |= block_truncated
-    return np.concatenate(bits), totals, truncated
+    rngs = (np.random.default_rng(np.random.SeedSequence([config.master_seed, b]))
+            for b in range(start, stop))
+    return sampler.run(rngs, [min(size, reps - b * size) for b in range(start, stop)])
 
 
 def simulate(config: SimConfig) -> SimReport:

@@ -1,5 +1,6 @@
 """Monte Carlo simulator tests: exactness, determinism, statistical agreement."""
 
+import itertools
 import json
 import math
 import warnings
@@ -193,17 +194,19 @@ def test_replay_draws_only_the_attempts_that_happen():
             return self.rng.binomial(n, p, size=size)
 
     n = 4
-    _, counters, _ = simulator._Replay(SimConfig(scenario=sc, fidelity="bit")).run_block(Spy(), n)
-    attempts = int(counters["link_attempts"].sum())
-    arrivals = attempts - int(counters["link_failures"].sum())
-    assert counters["segment_retx"].sum() > 0 and arrivals < attempts
+    _, counters, _ = simulator._Replay(SimConfig(scenario=sc, fidelity="bit")).run([Spy()], [n])
+    attempts = counters["link_attempts"]
+    arrivals = attempts - counters["link_failures"]
+    assert counters["segment_retx"] > 0 and arrivals < attempts
     assert draws[frames.d_data_bits] + draws[frames.d_ack_bits] == attempts
     assert draws[sc.layout.ll_ack_bits] == arrivals
 
 
-#: bit-fidelity reports of three seeded runs, 40 replications (two blocks
-#: of 16 and a partial one) each: the replay's bookkeeping may change, but
-#: no draw's order or size, so these stay exactly as they are
+#: bit-fidelity reports of seeded runs, 40 replications (two blocks of 16
+#: and a partial one) unless stated: the replay's bookkeeping may change,
+#: but no draw's order or size, so these stay exactly as they are. The last
+#: two are the benchmark's bit line, 13 blocks, and a run whose round cap
+#: fires, its last block partial
 PINNED_REPLAYS = [
     (dict(ber=3e-4, retries=3, mss_bytes=512, seed=3), {
         "segments": 100, "mean_total_bits": 6678968.2,
@@ -227,17 +230,114 @@ PINNED_REPLAYS = [
         "link_attempts": 370.125, "link_failures": 21.775, "partial_failures": 264.725,
         "hop_drops": 1.075, "duplicates_suppressed": 141.15, "segment_sends": 21.075,
         "segment_retx": 1.075}),
+    (dict(ber=3e-4, retries=3, mss_bytes=512, replications=200, seed=11), {
+        "segments": 100, "mean_total_bits": 6598561.88,
+        "stddev_total_bits": 320653.0829806421, "stderr_total_bits": 22673.596938398474,
+        "ci95_half_width": 44440.24999926101, "mean_total_joules": 4.355050840799999,
+        "link_attempts": 8112.25, "link_failures": 1694.005, "partial_failures": 76.135,
+        "hop_drops": 59.53, "duplicates_suppressed": 67.63, "segment_sends": 150.635,
+        "segment_retx": 50.635}),
+    (dict(ber=3e-3, retries=1, mss_bytes=64, round_cap=3, replications=37, seed=13), {
+        "segments": 800, "mean_total_bits": 2426361.081081081,
+        "stddev_total_bits": 13905.437358534688, "stderr_total_bits": 2286.039819781185,
+        "ci95_half_width": 4480.638046771122, "mean_total_joules": 1.6013983135135132,
+        "truncated": True, "flags": "truncated",
+        "link_attempts": 2542.7027027027025, "link_failures": 2400.0,
+        "partial_failures": 15.675675675675675, "hop_drops": 2400.0,
+        "duplicates_suppressed": 0.0, "segment_sends": 2400.0, "segment_retx": 1600.0}),
 ]
+
+
+def bit_config(knobs):
+    """The bit-fidelity run of a ``PINNED_REPLAYS`` entry's knobs."""
+    return RunConfig(**{"fidelity": "bit", "replications": 40, **knobs}).sim()
 
 
 @pytest.mark.parametrize("knobs, pinned", PINNED_REPLAYS)
 def test_replay_reports_are_pinned(knobs, pinned):
-    rep = simulate(RunConfig(fidelity="bit", replications=40, **knobs).sim())
+    cfg = bit_config(knobs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rep = simulate(cfg)
     assert rep.to_record() == {
-        "replications": 40, **pinned, "method": "replay", "fidelity": "bit",
-        "truncated": False, "master_seed": knobs["seed"], "rng_algorithm": "PCG64",
-        "flags": "",
+        "replications": cfg.replications, "truncated": False, "flags": "", **pinned,
+        "method": "replay", "fidelity": "bit", "master_seed": knobs["seed"],
+        "rng_algorithm": "PCG64",
     }
+
+
+class BlockSpy:
+    """Block ``b``'s generator, logging each binomial call to its own
+    ``calls`` and, with the block, to the run's shared ``log``."""
+
+    def __init__(self, seed, b, log):
+        self.rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        self.b, self.log, self.calls = b, log, []
+
+    def binomial(self, n, p, size):
+        self.calls.append((n, p, size))
+        self.log.append((self.b, n, size))
+        return self.rng.binomial(n, p, size=size)
+
+
+def spied_replay(cfg, blocks):
+    """The replay of ``cfg``'s ``blocks`` (block numbers, in order), each
+    drawing from a ``BlockSpy``: the result, the spies and the shared log."""
+    replay, log = simulator._Replay(cfg), []
+    spies = [BlockSpy(cfg.master_seed, b, log) for b in blocks]
+    counts = [min(replay.block, cfg.replications - b * replay.block) for b in blocks]
+    return replay.run(spies, counts), spies, log
+
+
+@pytest.mark.parametrize("knobs", [PINNED_REPLAYS[i][0] for i in (0, 1, 2, 4)])
+def test_pipelined_blocks_draw_what_each_draws_alone(knobs):
+    # each block of a pipelined run makes the calls, in order, and gets the
+    # tallies it makes and gets when it runs alone
+    cfg = bit_config(knobs)
+    n_blocks = -(-cfg.replications // simulator._Replay.block)
+    (bits, totals, truncated), spies, _ = spied_replay(cfg, range(n_blocks))
+    alone_bits, alone_totals, alone_truncated = [], [], []
+    for b in range(n_blocks):
+        (b_bits, b_totals, b_truncated), (spy,), _ = spied_replay(cfg, [b])
+        assert spies[b].calls == spy.calls
+        alone_bits += b_bits.tolist()
+        alone_totals.append(b_totals)
+        alone_truncated.append(b_truncated)
+    assert bits.tolist() == alone_bits
+    assert totals == {k: sum(t[k] for t in alone_totals) for k in totals}
+    assert truncated == any(alone_truncated) == (knobs.get("round_cap") == 3)
+
+
+def test_fragments_in_flight_stay_within_two_blocks(monkeypatch):
+    # a step's fragments in flight are its data-frame draws, one call per
+    # block between two link-ACK steps: never past two blocks' worth nor
+    # _MAX_BLOCK_FRAMES, and past one block's once the blocks overlap. A
+    # bound of one block's fragments runs the blocks one at a time, with
+    # the same draws and so the same result
+    cfg = bit_config(PINNED_REPLAYS[0][0])
+    replay = simulator._Replay(cfg)
+    one_block = replay.block * replay.segments * replay.m
+    d_data_bits = replay.data[1]
+
+    def run(bound):
+        monkeypatch.setattr(simulator, "_MAX_BLOCK_FRAMES", bound)
+        (bits, totals, _), _, log = spied_replay(cfg, range(3))
+        steps, seen = [], set()
+        for n, calls in itertools.groupby(log, key=lambda call: call[1]):
+            if n == d_data_bits:
+                sizes = {b: size for b, _, size in calls}
+                steps.append(sum(sizes.values()))
+                # a block joins only while fewer than one block's are in flight
+                for b in sizes.keys() - seen:
+                    assert sum(size for c, size in sizes.items() if c < b) < one_block
+                seen |= sizes.keys()
+        return bits.tolist(), totals, max(steps)
+
+    *pipelined, most = run(simulator._MAX_BLOCK_FRAMES)
+    assert one_block < most <= min(2 * one_block, simulator._MAX_BLOCK_FRAMES)
+    *one_at_a_time, most = run(one_block)
+    assert most == one_block
+    assert one_at_a_time == pipelined
 
 
 def test_aggregate_samples_heavy_tails():
