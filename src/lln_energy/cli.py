@@ -44,7 +44,6 @@ from itertools import groupby
 
 from . import __version__
 from .config import (
-    ConfigError,
     RunConfig,
     config_sha256,
     dump_config,
@@ -54,8 +53,7 @@ from .config import (
 )
 from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
                        SWEEP_AXES, SweepSpec, frontier, sweep_columns)
-from .framing import LayoutError
-from .pathmodel import MAX_HOPS, check_hop_count, segment_models
+from .pathmodel import segment_models
 from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
@@ -347,11 +345,6 @@ def _cmd_sweep(cfg: RunConfig, args) -> Iterator[Block]:
 def _cmd_frontier(cfg: RunConfig, args) -> Iterator[Block]:
     values = _parse_grid(args.values, "--values")
     h_values = _parse_int_list(args.h_range, "--h-range")
-    # refused before the explorer lists a long range: only MAX_HOPS hop
-    # counts are valid, so a range's first refused one (the one the
-    # explorer would name) is among its first MAX_HOPS + 1
-    for h in h_values[:MAX_HOPS + 1]:
-        check_hop_count(h)
     mss_pair = _parse_int_list(args.mss_pair, "--mss-pair", ranges=False)
     try:
         lo, hi = (float(x) for x in args.ber_range.split(":"))
@@ -404,10 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        cfg = RunConfig()
         config_path = args.config or os.environ.get(ENV_CONFIG)
-        if config_path:
-            cfg = load_config(config_path, cfg)
+        cfg = load_config(config_path) if config_path else RunConfig()
         cfg = _apply_flags(cfg, args)
         validate_config(cfg)
 
@@ -420,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         text = io.StringIO()
         meta = _metadata(cfg, include_seed=args.command in ("simulate", "validate"))
         tripped = _emit(blocks, args.format, meta, text)
-    except (_CliError, ConfigError, LayoutError, ValueError) as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

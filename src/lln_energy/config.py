@@ -19,7 +19,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .framing import FrameLayout
 from .hopmodel import HopParams
@@ -122,8 +122,8 @@ def _parse_value(name: str, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {name} = {raw!r} ({exc})") from None
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse an INI config file on top of ``base`` (or the defaults)."""
+def load_config(path: str) -> RunConfig:
+    """Parse an INI config file on top of the defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -153,7 +153,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
                 )
             value = _parse_value(name, raw, where)
             updates[name] = value if name == key else 8 * value
-    cfg = replace(base or RunConfig(), **updates)
+    cfg = RunConfig(**updates)
     validate_config(cfg)
     return cfg
 

@@ -322,10 +322,11 @@ def frontier(
     """
     if family not in FRONTIER_FAMILIES:
         raise ValueError(f"family must be one of {FRONTIER_FAMILIES}, got {family!r}")
-    values, hs = list(family_values), list(h_values)
+    # each hop count is checked before the next is listed, so a long range
+    # is refused at its first hop count past MAX_HOPS
+    values, hs = list(family_values), _axis_column("h", h_values)
     if not values or not hs:
         raise ValueError("a frontier needs at least one family value and one hop count")
-    hs = _axis_column("h", hs)
     searches = [{family: v, "h": h} for v in _axis_column(family, values) for h in hs]
     brackets = _crossovers(scenario, searches, mss_pair, energy, ber_range, points_per_decade)
     return [br.point(s["h"], family, float(s[family])) for s, br in zip(searches, brackets)]

@@ -29,7 +29,8 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   replayed, drawing the raw per-bit error counts and applying the
   correction threshold: hop by hop, attempt by attempt, over the frames
   still in flight, so a frame draws no attempt after its hop's first
-  success and none past the hop that dropped it. ``round_cap`` bounds its
+  success and none past the hop that dropped it. The first attempt and
+  the r - 1 retries run through one loop body. ``round_cap`` bounds its
   work; a segment that hits the cap sets ``truncated``. A block of more
   than ``_MAX_BLOCK_FRAMES`` fragments is refused with a ``ValueError``.
 
@@ -392,52 +393,46 @@ class _Replay:
         the end), and cut ``marks[j]`` the j-th block's replications, which
         draw from ``rngs[j]``. Each draw's frames add, cumulatively at the
         cuts, to ``tried`` (data or TCP-ACK attempts) or ``arrived`` (link
-        ACKs). Returns the owners through and the phase's partials (lost
-        link ACKs), drops and late deliveries (a frame out of attempts whose
-        data got through at least once).
+        ACKs). A hop's r attempts run through one loop body over the frames
+        still trying: draw their data, then the arrivals' link ACKs; a frame
+        leaves at its first link ACK. Returns the owners through and the
+        phase's partials (lost link ACKs), drops and late deliveries (a frame
+        out of attempts whose data got through at least once), as ints.
         """
         hops, d_bits, c_bits = phase
         partials = drops = lates = 0
         for hp in hops:
             if not owners.size:
                 break
-            # the first attempt: every frame in flight. ``at`` counts the
-            # frames before each cut, ``got`` the arrivals, and ``edges``
-            # the frames before each block mark
-            at = owners.searchsorted(cuts)
-            edges = at[marks].tolist()
-            stay = _draws(rngs, d_bits, hp.ber, c_bits, edges, edges)  # still trying this hop
-            failed = stay.nonzero()[0]  # failed data copies
-            got = at - failed.searchsorted(at)
-            lost = _draws(rngs, self.a, hp.ber, 0, got[marks].tolist(), edges).nonzero()[0]
-            tried += at
-            arrived += got
-            pending, seen = failed, np.zeros(failed.size, bool)  # seen: its data got through
-            if lost.size:
-                # the i-th arrival follows the failed copies j with failed[j] - j <= i
-                lost += (failed - np.arange(failed.size)).searchsorted(lost, side="right")
-                partials += lost.size
-                stay[lost] = True
-                pending = stay.nonzero()[0]
-                seen = np.zeros(pending.size, bool)
-                seen[pending.searchsorted(lost)] = True
-            for _ in range(hp.r - 1):
+            # ``at`` counts the frames before each cut; ``pending`` holds the
+            # frames still trying this hop, as positions in ``owners``, and
+            # ``seen``, by position, whether a frame's data got through.
+            # Positions are int32, as ``_MAX_BLOCK_FRAMES`` fit: it halves
+            # the first attempt's ``pending``, one entry per frame
+            at = owners.searchsorted(cuts).astype(np.int32)
+            pending, seen = np.arange(owners.size, dtype=np.int32), np.zeros(owners.size, bool)
+            for _ in range(hp.r):
                 if not pending.size:
                     break
+                # ``tries`` and ``got`` count the attempts and the arrivals
+                # before each cut, ``edges`` the attempts before each block mark
                 tries = pending.searchsorted(at)
                 edges = tries[marks].tolist()
-                ok = ~_draws(rngs, d_bits, hp.ber, c_bits, edges, edges)
-                got = pending[ok].searchsorted(at)
-                lost = _draws(rngs, self.a, hp.ber, 0, got[marks].tolist(), edges)
+                stay = _draws(rngs, d_bits, hp.ber, c_bits, edges, edges)
+                failed = stay.nonzero()[0]  # failed data copies
+                got = tries - failed.searchsorted(tries)
+                lost = _draws(rngs, self.a, hp.ber, 0, got[marks].tolist(), edges).nonzero()[0]
                 tried += tries
                 arrived += got
-                partials += np.count_nonzero(lost)
-                seen |= ok
-                ok[ok] = ~lost  # a frame leaves the attempt loop at its first success
-                keep = ~ok
-                pending, seen = pending[keep], seen[keep]
-            lates += np.count_nonzero(seen)
-            dropped = pending[~seen]  # arrived nowhere: the frame leaves the path
+                if lost.size:
+                    # the i-th arrival follows the failed copies j with failed[j] - j <= i
+                    lost += (failed - np.arange(failed.size)).searchsorted(lost, side="right")
+                    partials += lost.size
+                    stay[lost] = True
+                    seen[pending[lost]] = True
+                pending = pending.compress(stay)  # on masks this mixed, faster than pending[stay]
+            dropped = pending[~seen[pending]]  # arrived nowhere: the frame leaves the path
+            lates += pending.size - dropped.size
             if dropped.size:
                 drops += dropped.size
                 keep = np.ones(owners.size, bool)

@@ -204,9 +204,9 @@ def test_replay_draws_only_the_attempts_that_happen():
 
 #: bit-fidelity reports of seeded runs, 40 replications (two blocks of 16
 #: and a partial one) unless stated: the replay's bookkeeping may change,
-#: but no draw's order or size, so these stay exactly as they are. The last
-#: two are the benchmark's bit line, 13 blocks, and a run whose round cap
-#: fires, its last block partial
+#: but no draw's order or size, so these stay exactly as they are. The
+#: fourth and fifth are the benchmark's bit line, 13 blocks, and a run whose
+#: round cap fires, its last block partial
 PINNED_REPLAYS = [
     (dict(ber=3e-4, retries=3, mss_bytes=512, seed=3), {
         "segments": 100, "mean_total_bits": 6678968.2,
@@ -245,6 +245,15 @@ PINNED_REPLAYS = [
         "link_attempts": 2542.7027027027025, "link_failures": 2400.0,
         "partial_failures": 15.675675675675675, "hop_drops": 2400.0,
         "duplicates_suppressed": 0.0, "segment_sends": 2400.0, "segment_retx": 1600.0}),
+    # r = 7 on four hops: attempts 4-7 happen, with partials, late
+    # deliveries and drops among them
+    (dict(ber=2e-3, retries=7, mss_bytes=64, hops=4, transfer_bytes=512, seed=19), {
+        "segments": 8, "mean_total_bits": 483734.6,
+        "stddev_total_bits": 138895.1684956163, "stderr_total_bits": 21961.254421950514,
+        "ci95_half_width": 43044.058667023004, "mean_total_joules": 0.31926483599999994,
+        "link_attempts": 551.175, "link_failures": 446.175, "partial_failures": 8.35,
+        "hop_drops": 31.875, "duplicates_suppressed": 4.5, "segment_sends": 39.875,
+        "segment_retx": 31.875}),
 ]
 
 
@@ -264,6 +273,15 @@ def test_replay_reports_are_pinned(knobs, pinned):
         "method": "replay", "fidelity": "bit", "master_seed": knobs["seed"],
         "rng_algorithm": "PCG64",
     }
+
+
+@pytest.mark.parametrize("fidelity", ["frame", "bit"])
+def test_report_records_hold_python_numbers(fidelity):
+    # a record's numbers are Python ints and floats, not numpy scalars
+    # (np.float64 is a float subclass, so the exact type is checked)
+    rep = simulate(replace(bit_config(PINNED_REPLAYS[5][0]), fidelity=fidelity))
+    numbers = {k: type(v) for k, v in rep.to_record().items() if not isinstance(v, (str, bool))}
+    assert set(numbers.values()) == {int, float}, numbers
 
 
 class BlockSpy:
@@ -289,7 +307,7 @@ def spied_replay(cfg, blocks):
     return replay.run(spies, counts), spies, log
 
 
-@pytest.mark.parametrize("knobs", [PINNED_REPLAYS[i][0] for i in (0, 1, 2, 4)])
+@pytest.mark.parametrize("knobs", [PINNED_REPLAYS[i][0] for i in (0, 1, 2, 4, 5)])
 def test_pipelined_blocks_draw_what_each_draws_alone(knobs):
     # each block of a pipelined run makes the calls, in order, and gets the
     # tallies it makes and gets when it runs alone
