@@ -26,11 +26,13 @@ Each fidelity has one sampler, named by ``SimReport.method``:
   ``ValueError``, and so is a segment of so many fragments that a block's
   draw of the first dropped one passes ``_MAX_BLOCK_FRAMES`` positions.
 * ``bit`` fidelity, method ``replay``. Every attempt that happens is
-  replayed, drawing the raw per-bit error counts and applying the
-  correction threshold: hop by hop, attempt by attempt, over the frames
-  still in flight, so a frame draws no attempt after its hop's first
-  success and none past the hop that dropped it. The first attempt and
-  the r - 1 retries run through one loop body. ``round_cap`` bounds its
+  replayed: hop by hop, attempt by attempt, over the frames still in
+  flight, so a frame draws no attempt after its hop's first success and
+  none past the hop that dropped it. The first attempt and the r - 1
+  retries run through one loop body. An attempt fails when more bits flip
+  than the code corrects, a Binomial(d, BER) tail: drawn as one uniform
+  against the threshold where numpy's binomial would invert that uniform
+  (``_threshold``), so with the same doubles. ``round_cap`` bounds its
   work; a segment that hits the cap sets ``truncated``. A block of more
   than ``_MAX_BLOCK_FRAMES`` fragments is refused with a ``ValueError``.
 
@@ -56,8 +58,10 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -368,13 +372,20 @@ class _Replay:
         scenario = config.scenario
         frames = resolve_frames(scenario.mss_bytes, scenario.layout)
         self.m = frames.m
-        self.a = a = scenario.layout.ll_ack_bits
+        a = scenario.layout.ll_ack_bits
         # bits sent per data attempt, TCP-ACK attempt and arrival (its link ACK)
         self.frame_bits = np.array([[frames.d_data_bits], [frames.d_ack_bits], [a]])
-        # each phase: its hops (the TCP ACK travels back), raw frame bits and
-        # the bit errors the frame's code corrects
-        self.data = (tuple(scenario.hops), frames.d_data_bits, frames.c_data_bits)
-        self.ack = (tuple(reversed(scenario.hops)), frames.d_ack_bits, frames.c_ack_bits)
+
+        # a draw key (n, p, c, threshold), each found once per replay
+        key = cache(lambda n, p, c: (n, p, c, _threshold(n, p, c)))
+
+        def phase(hops, d_bits, c_bits):
+            # per hop (the TCP ACK travels back): r, and the draw keys of its
+            # frame (raw bits, the errors its code corrects) and link ACK
+            return tuple((hp.r, key(d_bits, hp.ber, c_bits), key(a, hp.ber, 0)) for hp in hops)
+
+        self.data = phase(scenario.hops, frames.d_data_bits, frames.c_data_bits)
+        self.ack = phase(scenario.hops[::-1], frames.d_ack_bits, frames.c_ack_bits)
         self.segments = scenario.segments
         self.round_cap = config.round_cap
         frames_in_flight = self.block * self.segments * self.m
@@ -399,9 +410,8 @@ class _Replay:
         phase's partials (lost link ACKs), drops and late deliveries (a frame
         out of attempts whose data got through at least once), as ints.
         """
-        hops, d_bits, c_bits = phase
         partials = drops = lates = 0
-        for hp in hops:
+        for r, frame, link_ack in phase:
             if not owners.size:
                 break
             # ``at`` counts the frames before each cut; ``pending`` holds the
@@ -411,17 +421,17 @@ class _Replay:
             # the first attempt's ``pending``, one entry per frame
             at = owners.searchsorted(cuts).astype(np.int32)
             pending, seen = np.arange(owners.size, dtype=np.int32), np.zeros(owners.size, bool)
-            for _ in range(hp.r):
+            for _ in range(r):
                 if not pending.size:
                     break
                 # ``tries`` and ``got`` count the attempts and the arrivals
                 # before each cut, ``edges`` the attempts before each block mark
                 tries = pending.searchsorted(at)
                 edges = tries[marks].tolist()
-                stay = _draws(rngs, d_bits, hp.ber, c_bits, edges, edges)
+                stay = _draws(rngs, frame, edges, edges)
                 failed = stay.nonzero()[0]  # failed data copies
                 got = tries - failed.searchsorted(tries)
-                lost = _draws(rngs, self.a, hp.ber, 0, got[marks].tolist(), edges).nonzero()[0]
+                lost = _draws(rngs, link_ack, got[marks].tolist(), edges).nonzero()[0]
                 tried += tries
                 arrived += got
                 if lost.size:
@@ -505,14 +515,53 @@ class _Replay:
         }, truncated
 
 
-def _draws(rngs, n, p, c, edges, tried):
-    """The blocks' Binomial(n, p) draws end to end, as whether each passes
-    ``c``. Block j draws ``edges[j + 1] - edges[j]`` from ``rngs[j]`` in one
-    call, made even for none where ``tried`` steps up: the block had frames
-    at the attempt."""
-    parts = [rng.binomial(n, p, size=hi - lo) > c
+def _draws(rngs, key, edges, tried):
+    """The blocks' draws of ``key`` end to end, as whether each passes. Block
+    j draws ``edges[j + 1] - edges[j]`` from ``rngs[j]`` in one call, made
+    even for none where ``tried`` steps up: the block had frames at the
+    attempt."""
+    parts = [_draw(rng, key, hi - lo)
              for rng, lo, hi, t0, t1 in zip(rngs, edges, edges[1:], tried, tried[1:]) if t1 > t0]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _draw(rng, key, size):
+    """Whether each of ``size`` Binomial(n, p) draws passes ``c``, for ``key``
+    ``(n, p, c, t)``: a uniform above ``t``, or numpy's binomial where ``t``
+    is None; either way the generator moves as the binomial moves it."""
+    n, p, c, t = key
+    return rng.binomial(n, p, size=size) > c if t is None else rng.random(size) > t
+
+
+def _threshold(n, p, c):
+    """The largest double from which numpy's Binomial(n, p) inversion draws
+    at most ``c``, or None where numpy does not invert (p = 0, p > 0.5 or
+    n p > 30). The inversion walks X up while its uniform exceeds each term,
+    which it then subtracts, so X grows with the uniform. Past ``bound`` it
+    starts over from a new uniform: a ``c`` at or past it never passes, and
+    below it such a restart, under 1e-14 a draw, is the one place where the
+    two draws part (each exact)."""
+    if not 0 < p <= 0.5 or p * n > 30.0:
+        return None
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))  # numpy starts the walk so, not from log(q)
+    if c >= int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1))):
+        return 1.0
+    if c == 0:
+        return qn
+
+    def stays(bits):  # the walk from the double with these bits stops by c
+        u, px = struct.unpack("<d", struct.pack("<q", bits))[0], qn
+        for x in range(1, c + 2):
+            if u <= px:
+                return True
+            u, px = u - px, (n - x + 1) * p * px / (x * q)
+        return False
+
+    lo, hi = 0, 0x3FF0000000000000  # the bits of 0.0, which stays, and 1.0
+    while hi - lo > 1:
+        lo, hi = (mid, hi) if stays(mid := (lo + hi) // 2) else (lo, mid)
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
 
 
 _SAMPLERS = {"frame": _Aggregate, "bit": _Replay}
@@ -541,12 +590,13 @@ def simulate(config: SimConfig) -> SimReport:
     b's stream depends only on (master_seed, b), each worker runs whole
     blocks, and the totals are exact integers until the final division, so
     the order in which they are added does not matter. It starts at most
-    one worker per block and per CPU.
+    one worker per block and per CPU this process may run on.
     """
     reps = config.replications
     sampler = _SAMPLERS[config.fidelity](config)
     n_blocks = -(-reps // sampler.block)
-    workers = min(config.workers, n_blocks, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers, n_blocks, cpus or 1)
     if workers == 1:
         chunks = [_run_blocks(sampler, config, 0, n_blocks)]
     else:

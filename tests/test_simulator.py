@@ -8,6 +8,7 @@ from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -40,8 +41,9 @@ def test_noiseless_transfer_is_exact():
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Three CPUs, whatever the machine has, and real process pools whose
-    sizes the returned list records: a 3-worker run splits three ways."""
+    """Three CPUs this process may run on, whatever the machine has, and
+    real process pools whose sizes the returned list records: a 3-worker
+    run splits three ways."""
     from concurrent.futures import ProcessPoolExecutor
 
     sizes = []
@@ -52,6 +54,7 @@ def three_cpus(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
     return sizes
 
@@ -176,7 +179,7 @@ def test_aggregate_agrees_with_bit_replay():
     assert abs(log_ratio) <= 4 * se_log_sd
 
 
-def test_replay_draws_only_the_attempts_that_happen():
+def test_replay_draws_only_the_attempts_that_happen(monkeypatch):
     # one data- or TCP-ACK-frame draw per link attempt, and one link-ACK draw
     # per arrival: none after a hop's first success or past a drop
     sc = default_scenario(ber=6e-4, mss=512, transfer=2048)
@@ -184,17 +187,16 @@ def test_replay_draws_only_the_attempts_that_happen():
     sizes = (frames.d_data_bits, frames.d_ack_bits, sc.layout.ll_ack_bits)
     assert len(set(sizes)) == 3
     draws = dict.fromkeys(sizes, 0)
+    draw = simulator._draw
 
-    class Spy:
-        def __init__(self):
-            self.rng = np.random.default_rng(6)
+    def spy(rng, key, size):
+        draws[key[0]] += size
+        return draw(rng, key, size)
 
-        def binomial(self, n, p, size):
-            draws[n] += int(np.prod(size))
-            return self.rng.binomial(n, p, size=size)
-
+    monkeypatch.setattr(simulator, "_draw", spy)
     n = 4
-    _, counters, _ = simulator._Replay(SimConfig(scenario=sc, fidelity="bit")).run([Spy()], [n])
+    replay = simulator._Replay(SimConfig(scenario=sc, fidelity="bit"))
+    _, counters, _ = replay.run([np.random.default_rng(6)], [n])
     attempts = counters["link_attempts"]
     arrivals = attempts - counters["link_failures"]
     assert counters["segment_retx"] > 0 and arrivals < attempts
@@ -264,6 +266,11 @@ def bit_config(knobs):
 
 @pytest.mark.parametrize("knobs, pinned", PINNED_REPLAYS)
 def test_replay_reports_are_pinned(knobs, pinned):
+    assert_pinned(knobs, pinned)
+
+
+def assert_pinned(knobs, pinned):
+    """The bit-fidelity report of ``knobs`` is the ``pinned`` record."""
     cfg = bit_config(knobs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -284,18 +291,112 @@ def test_report_records_hold_python_numbers(fidelity):
     assert set(numbers.values()) == {int, float}, numbers
 
 
+#: draw keys (n, p, c) by the branch their threshold takes: the closed
+#: form at c = 0; a bisection below numpy's restart bound, and a draw that
+#: never passes at or past it (FEC frames of 889 bits correcting 40 at
+#: p = 1e-3: bound 14); none at p = 0, n p > 30 and p > 0.5, which draw
+#: with numpy's binomial
+THRESHOLD_KEYS = {
+    "c0": [(40, 3e-4, 0), (808, 1e-3, 0), (1048, 0.02, 0)],
+    "bisected": [(485, 0.035, 22), (889, 0.02, 40), (60, 0.5, 25)],
+    "never": [(889, 1e-3, 40), (1048, 3e-4, 48)],
+    "binomial": [(808, 0.0, 0), (1048, 0.035, 48), (40, 0.75, 0), (60, 0.6, 45)],
+}
+
+
+def generator_drawing(u):
+    """A PCG64 generator whose next double is ``u``, a multiple of 2**-53:
+    PCG64 steps its 128-bit state by ``state * MULT + inc``, then outputs
+    the high word XOR the low word rotated by the state's top 6 bits, and
+    a double is that output's top 53 bits over 2**53."""
+    mult, word = 0x2360ED051FC65DA44385DF649FCCF645, int(u * 2**53) << 11
+    bits = np.random.PCG64()  # high word 0: the output is the low word
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (word - 1) * pow(mult, -1, 2**128) % 2**128, "inc": 1}}
+    return np.random.Generator(bits)
+
+
+@pytest.mark.parametrize("branch, key", [(b, k) for b, keys in THRESHOLD_KEYS.items()
+                                         for k in keys])
+def test_threshold_draw_is_the_binomial_draw(branch, key):
+    # element for element, and the generator ends where the binomial
+    # leaves it: at p = 0 neither draws anything. Where the threshold is
+    # below 1, numpy's binomial from the last uniform at or below it stays
+    # within c, and from the next uniform passes c
+    n, p, c = key
+    t = simulator._threshold(n, p, c)
+    assert {"c0": t == math.exp(n * math.log1p(-p)),
+            "bisected": t is not None and c > 0 and t < 1.0,
+            "never": t == 1.0, "binomial": t is None}[branch]
+    for seed, size in itertools.product((1, 2), (0, 1, 10**5)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(simulator._draw(rng, (n, p, c, t), size),
+                              ref.binomial(n, p, size=size) > c)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    if p == 0:
+        assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+    if t is not None and t < 1:
+        below = math.floor(t * 2**53) / 2**53
+        assert generator_drawing(below).random() == below
+        assert generator_drawing(below).binomial(n, p) <= c
+        assert generator_drawing(below + 2**-53).binomial(n, p) > c
+
+
+def test_threshold_passes_with_the_binomial_tail():
+    # 1 - t is the chance a draw passes c: within (n + 4 (c + 1)) 2**-52 of
+    # a 50-digit Binomial(n, p) upper tail, room for a start term as coarse
+    # as exp(n log(1 - p)) and for the walk's roundings, over a grid of
+    # frame sizes, corrections and bit error rates where the draw takes a
+    # threshold
+    pairs = [(40, 0), (440, 0), (808, 0), (127, 1), (300, 2), (600, 5), (2000, 10),
+             (485, 22), (4000, 20), (889, 40), (1048, 48), (10000, 3), (96, 7)]
+    bers = [1e-7, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 0.035, 0.1, 0.3]
+    branches = Counter()
+    with mpmath.workdps(50):
+        for (n, c), p in itertools.product(pairs, bers):
+            t = simulator._threshold(n, p, c)
+            if t is None:
+                continue
+            branches["c0" if c == 0 else "never" if t == 1.0 else "bisected"] += 1
+            mp = mpmath.mpf(p)
+            tail = 1 - mpmath.fsum(mpmath.binomial(n, k) * mp**k * (1 - mp) ** (n - k)
+                                   for k in range(c + 1))
+            assert abs(1 - mpmath.mpf(t) - tail) <= (n + 4 * (c + 1)) * mpmath.mpf(2) ** -52
+    assert min(branches.values()) >= 20 and len(branches) == 3
+
+
+@pytest.mark.parametrize("knobs, pinned", PINNED_REPLAYS)
+def test_binomial_draws_give_the_pinned_reports(knobs, pinned, monkeypatch):
+    # with no threshold every draw is numpy's binomial, and the reports are
+    # the same records. The third entry takes all three threshold branches:
+    # its data frames draw the binomial (n p = 36.7), its TCP-ACK frames a
+    # bisected threshold (n = 485, c = 22), its link ACKs the closed form
+    if knobs == PINNED_REPLAYS[2][0]:
+        replay = simulator._Replay(bit_config(knobs))
+        (_, data, link_ack), (_, ack, _) = replay.data[0], replay.ack[0]
+        assert data[3] is None and data[0] * data[1] > 30
+        assert ack[:3] == (485, 0.035, 22) and 0 < ack[3] < 1
+        assert link_ack[2:] == (0, math.exp(40 * math.log1p(-0.035)))
+    monkeypatch.setattr(simulator, "_threshold", lambda n, p, c: None)
+    assert_pinned(knobs, pinned)
+
+
 class BlockSpy:
-    """Block ``b``'s generator, logging each binomial call to its own
-    ``calls`` and, with the block, to the run's shared ``log``."""
+    """Block ``b``'s generator, logging each of its draws through
+    ``simulator._draw``, as ``(n, p, c, size)``, to its own ``calls`` and,
+    as ``(b, n, size)``, to the run's shared ``log``."""
+
+    draw = staticmethod(simulator._draw)
 
     def __init__(self, seed, b, log):
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
         self.b, self.log, self.calls = b, log, []
 
-    def binomial(self, n, p, size):
-        self.calls.append((n, p, size))
+    def spied_draw(self, key, size):
+        n, p, c, _ = key
+        self.calls.append((n, p, c, size))
         self.log.append((self.b, n, size))
-        return self.rng.binomial(n, p, size=size)
+        return self.draw(self.rng, key, size)
 
 
 def spied_replay(cfg, blocks):
@@ -304,7 +405,9 @@ def spied_replay(cfg, blocks):
     replay, log = simulator._Replay(cfg), []
     spies = [BlockSpy(cfg.master_seed, b, log) for b in blocks]
     counts = [min(replay.block, cfg.replications - b * replay.block) for b in blocks]
-    return replay.run(spies, counts), spies, log
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_draw", BlockSpy.spied_draw)
+        return replay.run(spies, counts), spies, log
 
 
 @pytest.mark.parametrize("knobs", [PINNED_REPLAYS[i][0] for i in (0, 1, 2, 4, 5)])
@@ -335,7 +438,7 @@ def test_fragments_in_flight_stay_within_two_blocks(monkeypatch):
     cfg = bit_config(PINNED_REPLAYS[0][0])
     replay = simulator._Replay(cfg)
     one_block = replay.block * replay.segments * replay.m
-    d_data_bits = replay.data[1]
+    d_data_bits = resolve_frames(cfg.scenario.mss_bytes, cfg.scenario.layout).d_data_bits
 
     def run(bound):
         monkeypatch.setattr(simulator, "_MAX_BLOCK_FRAMES", bound)
@@ -742,8 +845,10 @@ def test_block_sizes_at_the_criterion_4_grid_and_the_extremes():
 
 
 def test_workers_are_capped_by_the_cpu_count(monkeypatch):
-    # a stand-in pool runs the jobs inline and records its size, so no
-    # process starts; the rows do not depend on the worker count
+    # by the CPUs this process may run on, where the platform tells them,
+    # else by the machine's: a stand-in pool runs the jobs inline and
+    # records its size, so no process starts; the rows do not depend on
+    # the worker count
     sizes = []
 
     class InlinePool:
@@ -765,9 +870,15 @@ def test_workers_are_capped_by_the_cpu_count(monkeypatch):
     block = simulator._Aggregate(SimConfig(scenario=default_scenario())).block
     cfg = SimConfig(scenario=default_scenario(), replications=10 * block, master_seed=4)
     serial = json.dumps(simulate(cfg).to_record())
-    for cpus, expect in ((3, [3]), (None, [])):
+    for affinity, cpus, expect in (({0, 1, 2}, 3, [3]), ({0, 5}, 8, [2]), ({4}, 8, []),
+                                   (None, 3, [3]), (None, None, [])):
         sizes.clear()
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
         assert json.dumps(simulate(replace(cfg, workers=100_000)).to_record()) == serial
         assert sizes == expect
 
