@@ -26,7 +26,6 @@ from .pathmodel import (
     fragment_failure_sum,
     segment_model,
     segment_models,
-    uniform_path,
 )
 
 __version__ = "0.1.0"

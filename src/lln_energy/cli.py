@@ -15,13 +15,16 @@ ends the run with nothing written. Every command's output is a series of
 blocks, each a run of consecutive rows with the same fields held as a
 row count and a column per field: a sweep's come straight from its model
 calls (explorer.sweep_columns), no row built; the other commands' few
-rows are grouped into them. CSV, with the cells csv.DictWriter writes,
-and JSON lines are written from the same blocks. Exit status: 0 on
-success, 1 on configuration errors or when the reader of stdout leaves
-early (a pipe into head), 2 with --strict when any emitted row is
-degenerate, divergent, truncated, a layout error, a frontier point
-without a crossover or with an unresolved bracket, or a FAIL or SKIP
-verdict.
+rows are grouped into them. ``model`` and ``validate`` read their model
+row from pathmodel.segment_model. A grid, a BER scan, a sweep and a
+frontier are refused past explorer.MAX_POINTS points, and a path past
+pathmodel.MAX_HOPS hops, before any of them is listed. CSV, with the
+cells csv.DictWriter writes, and JSON lines are written from the same
+blocks. Exit status: 0 on success, 1 on configuration errors or when the
+reader of stdout leaves early (a pipe into head), 2 with --strict when
+any emitted row is degenerate, divergent, truncated, a layout error, a
+frontier point without a crossover or with an unresolved bracket, or a
+FAIL or SKIP verdict.
 
 Field names in the emitted rows are stable; see the module docstrings of
 pathmodel (model rows), simulator (sim rows) and explorer (frontier
@@ -52,8 +55,8 @@ from .config import (
     validate_config,
 )
 from .explorer import (BER_RANGE, FRONTIER_FAMILIES, MSS_PAIR, POINTS_PER_DECADE,
-                       SWEEP_AXES, SweepSpec, frontier, sweep_columns)
-from .pathmodel import segment_models
+                       SWEEP_AXES, SweepSpec, frontier, spaced, sweep_columns)
+from .pathmodel import FIELDS, segment_model
 from .simulator import FIDELITIES, RNG_ALGORITHM, simulate
 
 ENV_CONFIG = "LLN_ENERGY_CONFIG"
@@ -164,11 +167,9 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
                         f'got {text!r}') from None
     if n < 2 or not lo < hi:
         raise _CliError(f"bad {flag} range {text!r}")
-    if scale == "log":
-        if lo <= 0:
-            raise _CliError(f"{flag}: a log grid needs lo > 0, got {text!r}")
-        return tuple(lo * (hi / lo) ** (i / (n - 1)) for i in range(n))
-    return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
+    if scale == "log" and lo <= 0:
+        raise _CliError(f"{flag}: a log grid needs lo > 0, got {text!r}")
+    return tuple(spaced(lo, hi, n, scale, flag))
 
 
 def _parse_int_list(text: str, flag: str, ranges: bool = True) -> tuple[int, ...] | range:
@@ -273,16 +274,12 @@ def _emit(blocks: Iterable[Block], fmt: str, meta: list[str], out) -> bool:
     return any(trips)
 
 
-def _model_block(cfg: RunConfig, per_hop: bool = False) -> Block:
-    """The configured scenario's model row as a block; raises its LayoutError."""
-    batch = segment_models(cfg.scenario(), cfg.energy())
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    return 1, batch.record_columns(per_hop=per_hop, source=["model"])
-
-
 def _cmd_model(cfg: RunConfig, args) -> Iterator[Block]:
-    return iter([_model_block(cfg, per_hop=(args.format == "jsonl"))])
+    # the whole record in JSON lines, its per-hop lists included; FIELDS in CSV
+    model = segment_model(cfg.scenario(), cfg.energy())
+    if args.format != "jsonl":
+        model = {name: model[name] for name in FIELDS}
+    return _blocks([{"source": "model", **model}])
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> Iterator[Block]:
@@ -290,9 +287,9 @@ def _cmd_simulate(cfg: RunConfig, args) -> Iterator[Block]:
 
 
 def _cmd_validate(cfg: RunConfig, args) -> Iterator[Block]:
-    _, model = _model_block(cfg)
-    rows = [{name: column[0] for name, column in model.items()}]
-    model_bits = rows[0]["total_bits"]
+    model = segment_model(cfg.scenario(), cfg.energy())
+    rows = [{"source": "model", **{name: model[name] for name in FIELDS}}]
+    model_bits = model["total_bits"]
     verdict: dict = {"source": "verdict"}
     if model_bits is None:
         # no segment round can succeed, so there is no transfer to simulate

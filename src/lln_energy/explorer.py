@@ -16,6 +16,9 @@ a column per quantity that varies (a sweep's axis and MSS; a frontier's
 family value, hop count, BER and MSS), not a scenario per point. A pass
 pays a fixed ~0.3 ms of numpy calls whatever its size, and its memory
 grows with its points, so every call takes up to ``BATCH_POINTS`` points.
+A grid, a frontier's BER scan, a sweep (grid times sizes) and a frontier
+(values times hop counts) are refused past ``MAX_POINTS`` points before
+any of them is listed.
 A frontier streams the BER scans of all its (family value, hop count)
 searches through such calls grid-major, every search at one BER before
 the next BER, two points (long and short MSS) per search and BER, then
@@ -67,6 +70,11 @@ REL_TOL = 1e-3
 #: its fixed cost of numpy calls is a small part of its time (4 096 were
 #: no faster)
 BATCH_POINTS = 1024
+#: The most points of a grid, a frontier's BER scan, a sweep (grid points
+#: times sizes) or a frontier (values times hop counts), each checked before
+#: any of them is listed: above the 4e5-point sweeps the tool is meant to
+#: write, far below the 1e9 a range or a count can name in a few characters
+MAX_POINTS = 10**6
 #: The most rows per block of a sweep: a block's lists and formatted cells
 #: take about 3 KiB a row, so they are built a window of this many rows at
 #: a time, not a call at a time
@@ -86,10 +94,15 @@ class SweepSpec:
     energy: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "mss_list", tuple(self.mss_list))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+        # counted before a range of sizes is listed; an mss axis compares none
+        sizes = len(self.mss_list)
+        _check_points(len(self.grid) * (1 if self.axis == "mss" else sizes),
+                      "a sweep (grid x sizes)")
+        _check_points(sizes, "mss_list")
+        object.__setattr__(self, "grid", tuple(self.grid))
+        object.__setattr__(self, "mss_list", tuple(self.mss_list))
         if not self.grid:
             raise ValueError("grid must be non-empty")
         diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
@@ -97,6 +110,21 @@ class SweepSpec:
             raise ValueError("grid must be strictly monotone")
         if not self.mss_list and self.axis != "mss":
             raise ValueError("mss_list must be non-empty")
+
+
+def _check_points(n: int, what: str) -> None:
+    """Refuse ``what`` of more than ``MAX_POINTS`` points."""
+    if n > MAX_POINTS:
+        raise ValueError(f"{what}: at most {MAX_POINTS} points, got {n}")
+
+
+def spaced(lo: float, hi: float, n: int, scale: str, what: str) -> list[float]:
+    """``what``'s n >= 2 points from lo to hi, evenly spaced on a ``scale``
+    "log" or "lin" axis, refused past ``MAX_POINTS`` before any is listed."""
+    _check_points(n, what)
+    if scale == "log":
+        return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _axis_column(axis: str, values) -> list:
@@ -239,7 +267,7 @@ def _crossovers(
     if len(mss_pair) != 2 or mss_pair[0] == mss_pair[1]:
         raise ValueError(f"mss_pair needs two different sizes, got {tuple(mss_pair)}")
     n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
-    grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+    grid = spaced(lo, hi, n, "log", "the BER scan")
 
     # grid-major: every search at one BER, then the next, so that a call
     # holds every hop count of a few BERs. A search keeps only its last
@@ -323,10 +351,12 @@ def frontier(
     if family not in FRONTIER_FAMILIES:
         raise ValueError(f"family must be one of {FRONTIER_FAMILIES}, got {family!r}")
     # each hop count is checked before the next is listed, so a long range
-    # is refused at its first hop count past MAX_HOPS
-    values, hs = list(family_values), _axis_column("h", h_values)
-    if not values or not hs:
+    # is refused at its first hop count past MAX_HOPS, and the searches are
+    # counted before the family values are listed
+    hs, n_values = _axis_column("h", h_values), len(family_values)
+    if not n_values or not hs:
         raise ValueError("a frontier needs at least one family value and one hop count")
-    searches = [{family: v, "h": h} for v in _axis_column(family, values) for h in hs]
+    _check_points(n_values * len(hs), "a frontier (values x hop counts)")
+    searches = [{family: v, "h": h} for v in _axis_column(family, family_values) for h in hs]
     brackets = _crossovers(scenario, searches, mss_pair, energy, ber_range, points_per_decade)
     return [br.point(s["h"], family, float(s[family])) for s, br in zip(searches, brackets)]

@@ -129,7 +129,8 @@ def _bit_counts(**counts) -> list[int]:
 def _key(d_bits, c_bits, ber, a_bits=1) -> list[np.ndarray]:
     """The one key's (d, c, a, ber) columns, refusing a bit count that is
     not an integer in [0, MAX_FRAME_BITS], a frame or ACK of no bits,
-    correctable bits outside [0, d] or a BER outside [0, 1)."""
+    correctable bits outside [0, d] or, by ``HopParams``' check, a BER
+    outside [0, 1)."""
     d, c, a = _bit_counts(d_bits=d_bits, c_bits=c_bits, a_bits=a_bits)
     ber = float(ber)
     if a < 1:
@@ -138,9 +139,7 @@ def _key(d_bits, c_bits, ber, a_bits=1) -> list[np.ndarray]:
         raise ValueError(f"frame size must be positive, got {d}")
     if not 0 <= c <= d:
         raise ValueError(f"correctable bits {c} outside [0, {d}]")
-    if not 0.0 <= ber < 1.0:
-        raise ValueError(f"ber must be in [0, 1), got {ber}")
-    return _columns(d, c, a, floats=(ber,))
+    return _columns(d, c, a, floats=(HopParams(ber).ber,))
 
 
 def _exact(*columns: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -27,8 +27,10 @@ formulas' order (a per-hop loop, no mask); ``q**m``, ``log`` and
 ``expm1`` are per-element ``math`` calls, as numpy's can differ from
 libm in the last bit. So every field equals a scalar evaluation bit for
 bit.
-``segment_model`` is the one-point case; callers with many points batch
-them, and bound the points per call to bound a pass's memory.
+``segment_model`` is the one-point case, from which the CLI's ``model``
+and ``validate`` read their row; callers with many points batch them, and
+bound the points per call to bound a pass's memory. A scenario's hops
+come from ``config.RunConfig.path()``, homogeneous or per hop.
 
 The result, ``ModelBatch``, is one store: a column per record field
 (``FIELDS``). A computed field's column is a float64 array in which NaN
@@ -60,7 +62,6 @@ __all__ = [
     "ModelBatch",
     "MAX_HOPS",
     "check_hop_count",
-    "uniform_path",
     "fragment_failure_sum",
     "segment_model",
     "segment_models",
@@ -83,12 +84,6 @@ def check_hop_count(h: int) -> None:
         raise ValueError(f"scenario needs at least one hop, got {h}")
     if h > MAX_HOPS:
         raise ValueError(f"a path has at most {MAX_HOPS} hops, got {h}")
-
-
-def uniform_path(h: int, ber: float, r: int = HopParams.r) -> tuple[HopParams, ...]:
-    """h identical hops; convenience for the homogeneous-path scenarios."""
-    check_hop_count(h)
-    return (HopParams(ber=ber, r=r),) * h
 
 
 @dataclass(frozen=True)

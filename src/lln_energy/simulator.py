@@ -322,8 +322,7 @@ class _Aggregate:
         return tried + self.r * (none + drops), none + duplicates, duplicates
 
     def run_block(self, rng, n: int):
-        """n replications' (bits, counters, truncated): integer arrays of n,
-        and False, as the draw applies no round cap."""
+        """n replications' (bits, counters): integer arrays of n."""
         m, n_seg = self.m, self.segments
         failed = self._failed_rounds(rng, n)
         sends = failed + n_seg
@@ -347,14 +346,14 @@ class _Aggregate:
             "duplicates_suppressed": duplicates.sum(axis=1),
             "segment_sends": sends,
             "segment_retx": failed,
-        }, False
+        }
 
     def run(self, rngs, counts):
         """Blocks of ``counts`` replications, drawn from ``rngs``, one at a
         time: each replication's bits, each counter's exact total, and False."""
         bits, totals = [], dict.fromkeys(COUNTER_NAMES, 0)
         for rng, n in zip(rngs, counts):
-            block_bits, counters, _ = self.run_block(rng, n)
+            block_bits, counters = self.run_block(rng, n)
             bits.append(block_bits)
             for k, v in counters.items():
                 totals[k] += sum(v.tolist())

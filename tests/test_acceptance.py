@@ -43,7 +43,6 @@ from lln_energy.pathmodel import (
     PathScenario,
     fragment_failure_sum,
     segment_model,
-    uniform_path,
 )
 from lln_energy.simulator import SimConfig, simulate
 

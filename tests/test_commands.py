@@ -118,6 +118,15 @@ def test_long_line_ends_in_time(seconds, line):
      "error: a path has at most 1024 hops, got 1025"),
     ("frontier --family r --values 3 --mss-pair 64:1000000000",
      "error: --mss-pair must be a comma list of integers"),
+    # and so are a grid, a sweep's points and a frontier's BER scan
+    ("sweep --axis ber --grid 1e-4 --mss-list 64:1000000000",
+     "error: a sweep (grid x sizes): at most 1000000 points, got 999999937"),
+    ("sweep --axis ber --grid 1e-6:1e-2:log:1000000000",
+     "error: --grid: at most 1000000 points, got 1000000000"),
+    ("frontier --family r --values 1:3:lin:100000000 --h-range 1:9",
+     "error: --values: at most 1000000 points, got 100000000"),
+    ("frontier --family r --values 1 --h-range 1:2 --points-per-decade 1000000000",
+     "error: the BER scan: at most 1000000 points, got 6000000001"),
 ])
 def test_input_too_large_is_refused_under_the_cap(in_tmp, line, says):
     done = subprocess.run(**cli_child(*line.split(), address_kib=ADDRESS_KIB), timeout=1)

@@ -9,11 +9,11 @@ import pytest
 from lln_energy import cli, explorer, pathmodel
 from lln_energy.cli import _blocks, _strict_trips, main
 from lln_energy.config import RunConfig
-from lln_energy.explorer import FrontierPoint, SweepSpec, crossover_ber, frontier, sweep
+from lln_energy.explorer import (MAX_POINTS, FrontierPoint, SweepSpec, crossover_ber, frontier,
+                                 spaced, sweep)
 from lln_energy.framing import FrameLayout, LayoutError
 from lln_energy.hopmodel import HopParams
-from lln_energy.pathmodel import (FIELDS, EnergyParams, PathScenario, segment_models,
-                                  uniform_path)
+from lln_energy.pathmodel import FIELDS, EnergyParams, PathScenario, segment_models
 
 import scalar_oracle
 
@@ -22,7 +22,8 @@ LAYOUT = FrameLayout(frag_header_bits=136)
 
 def base_scenario(r=3, h=5, **layout_kw):
     lay = FrameLayout(frag_header_bits=136, **layout_kw) if layout_kw else LAYOUT
-    return PathScenario(hops=uniform_path(h, 3e-4, r), layout=lay, mss_bytes=64)
+    hops = RunConfig(hops=h, ber=3e-4, retries=r).path()
+    return PathScenario(hops=hops, layout=lay, mss_bytes=64)
 
 
 def energy_at(ber, mss, scenario):
@@ -207,6 +208,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(scenario=base_scenario(), axis="ber", grid=(1e-4, 1e-4))
 
+    def test_points_are_bounded_before_the_sizes_are_listed(self):
+        # a grid point per size, up to MAX_POINTS rows; an mss axis has a
+        # row per grid point, and lists no more sizes either
+        half = range(1, MAX_POINTS // 2 + 1)
+        assert len(SweepSpec(base_scenario(), "ber", (1e-4, 2e-4), half).mss_list) == len(half)
+        with pytest.raises(ValueError, match=r"a sweep \(grid x sizes\): at most 1000000 "
+                                             r"points, got 1000002$"):
+            SweepSpec(base_scenario(), "ber", (1e-4, 2e-4), range(1, MAX_POINTS // 2 + 2))
+        with pytest.raises(ValueError, match="a sweep .* got 999999937$"):
+            SweepSpec(base_scenario(), "r", (3,), range(64, 10**9 + 1))
+        with pytest.raises(ValueError, match="mss_list: at most 1000000 points, got 10000000$"):
+            SweepSpec(base_scenario(), "mss", (64, 128), range(10**7))
+
 
 class TestCrossover:
     def test_bracket_validity(self):
@@ -307,7 +321,7 @@ class TestFrontier:
 
     def test_alpha_family(self):
         sc = PathScenario(
-            hops=uniform_path(3, 3e-4, 1),
+            hops=RunConfig(hops=3, ber=3e-4, retries=1).path(),
             layout=FrameLayout(frag_header_bits=136, fragments="fit"),
             mss_bytes=64,
         )
@@ -323,8 +337,8 @@ class TestFrontier:
         want = [
             replace(
                 scalar_oracle.crossover_ber(
-                    PathScenario(uniform_path(h, base.hops[0].ber, r), base.layout,
-                                 base.mss_bytes, base.transfer_bytes)),
+                    PathScenario(RunConfig(hops=h, ber=base.hops[0].ber, retries=r).path(),
+                                 base.layout, base.mss_bytes, base.transfer_bytes)),
                 family="r", family_value=float(r),
             )
             for r in (1, 2, 3, 4, 5, 7)
@@ -340,7 +354,7 @@ class TestFrontier:
         want = [
             replace(
                 scalar_oracle.crossover_ber(
-                    PathScenario(uniform_path(h, base.hops[0].ber, 1),
+                    PathScenario(RunConfig(hops=h, ber=base.hops[0].ber, retries=1).path(),
                                  replace(base.layout, alpha=alpha),
                                  base.mss_bytes, base.transfer_bytes)),
                 family="alpha", family_value=alpha,
@@ -477,6 +491,21 @@ class TestFrontier:
     def test_rejects_an_empty_frontier(self, values, hops):
         with pytest.raises(ValueError, match="at least one family value and one hop count"):
             frontier(base_scenario(), "r", values, hops)
+
+    def test_searches_and_scans_are_bounded(self):
+        # values x hop counts, and the BER scan's points, before either is listed
+        with pytest.raises(ValueError, match=r"a frontier \(values x hop counts\): at most "
+                                             r"1000000 points, got 1001000$"):
+            frontier(base_scenario(), "r", [3] * 1000, range(1, 1002))
+        with pytest.raises(ValueError, match="a frontier .* got 999999999$"):
+            frontier(base_scenario(), "r", range(1, 10**9), [1])
+        with pytest.raises(ValueError, match="the BER scan: at most 1000000 points, "
+                                             "got 6000001$"):
+            frontier(base_scenario(), "r", [3], [1], points_per_decade=10**6)
+        with pytest.raises(ValueError, match="the BER scan: .* got 1000001$"):
+            crossover_ber(base_scenario(), ber_range=(1e-2, 1e-1),
+                          points_per_decade=MAX_POINTS)
+        assert len(spaced(1e-2, 1e-1, MAX_POINTS, "log", "x")) == MAX_POINTS
 
     def test_rejects_an_mss_pair_of_one_size(self):
         # one size against itself costs the same everywhere: no crossover to find

@@ -22,7 +22,6 @@ from lln_energy.pathmodel import (
     fragment_failure_sum,
     segment_model,
     segment_models,
-    uniform_path,
 )
 
 import scalar_oracle
@@ -205,7 +204,7 @@ class TestFragmentFailure:
 
 class TestSegmentModel:
     @pytest.mark.parametrize("make", [
-        lambda h: uniform_path(h, 1e-4),
+        lambda h: RunConfig(hops=h, ber=1e-4).path(),
         lambda h: PathScenario(hops=(HopParams(1e-4),) * h, layout=LAYOUT, mss_bytes=64),
     ])
     def test_hop_count_is_bounded(self, make):
@@ -217,7 +216,7 @@ class TestSegmentModel:
         make(pathmodel.MAX_HOPS)
 
     def test_zero_noise_closed_form(self):
-        sc = PathScenario(hops=uniform_path(5, 0.0, 3), layout=LAYOUT, mss_bytes=64)
+        sc = PathScenario(hops=RunConfig(hops=5, ber=0.0).path(), layout=LAYOUT, mss_bytes=64)
         rep = segment_model(sc)
         assert rep["p_s"] == 1.0
         assert rep["s"] == 5 * (952 + 40) + 5 * (440 + 40) == 7360
@@ -227,7 +226,7 @@ class TestSegmentModel:
         assert rep["flags"] == ""
 
     def test_total_decomposition(self):
-        sc = PathScenario(hops=uniform_path(5, 3e-4, 3), layout=LAYOUT, mss_bytes=512)
+        sc = PathScenario(hops=RunConfig(hops=5, ber=3e-4).path(), layout=LAYOUT, mss_bytes=512)
         rep = segment_model(sc)
         assert rep["s"] == pytest.approx(
             rep["s_f"] * (1.0 / rep["p_s"] - 1.0) + rep["s_s"], rel=1e-12
@@ -238,7 +237,7 @@ class TestSegmentModel:
     @given(ber=st.floats(0.0, 3e-3), mss=st.sampled_from([64, 512]))
     @settings(max_examples=40, deadline=None)
     def test_cost_at_least_lossless(self, ber, mss):
-        sc = PathScenario(hops=uniform_path(5, ber, 3), layout=LAYOUT, mss_bytes=mss)
+        sc = PathScenario(hops=RunConfig(hops=5, ber=ber).path(), layout=LAYOUT, mss_bytes=mss)
         rep = segment_model(sc)
         if rep["s"] is not None:
             assert rep["s"] >= rep["s_s"] - 1e-9
@@ -256,7 +255,7 @@ class TestSegmentModel:
         # e_f is direction-dependent by design; no assertion on it
 
     def test_energy_linear_and_argmin_invariant(self):
-        sc64 = PathScenario(hops=uniform_path(5, 4e-4, 3), layout=LAYOUT, mss_bytes=64)
+        sc64 = PathScenario(hops=RunConfig(hops=5, ber=4e-4).path(), layout=LAYOUT, mss_bytes=64)
         sc512 = replace(sc64, mss_bytes=512)
         base = EnergyParams()
         scaled = EnergyParams(tx_uj_per_bit=0.72, rx_uj_per_bit=0.63, n_neighbors=2)
@@ -292,7 +291,8 @@ class TestSegmentModel:
             assert rep["s_f"] is not None  # failed rounds still cost real bits
 
     def test_record_round_trip_fields(self):
-        sc = PathScenario(hops=uniform_path(3, 1e-4, 2), layout=LAYOUT, mss_bytes=64)
+        hops = RunConfig(hops=3, ber=1e-4, retries=2).path()
+        sc = PathScenario(hops=hops, layout=LAYOUT, mss_bytes=64)
         rec = segment_model(sc)
         for key in ("q_s", "e_s", "i_f", "p_s", "s", "total_bits", "flags"):
             assert key in rec
@@ -311,7 +311,7 @@ class TestModelCaches:
             layout=LAYOUT, mss_bytes=512,
         ),
         PathScenario(
-            hops=uniform_path(3, 3e-4, 1),
+            hops=RunConfig(hops=3, ber=3e-4, retries=1).path(),
             layout=FrameLayout(alpha=0.1, fragments="fit"), mss_bytes=512,
         ),
         # a hop that cannot deliver: h_s None, flagged degenerate
@@ -470,13 +470,14 @@ class TestBatchedCore:
         (0.0, 3, 64, ()),  # lossless: e_f, s_f and i_f undefined
     ])
     def test_edge_rows_equal_the_scalar_oracle(self, ber, h, mss, flags):
-        sc = PathScenario(hops=uniform_path(h, ber, 1), layout=LAYOUT, mss_bytes=mss)
+        hops = RunConfig(hops=h, ber=ber, retries=1).path()
+        sc = PathScenario(hops=hops, layout=LAYOUT, mss_bytes=mss)
         got = segment_model(sc)
         assert got == scalar_oracle.segment_model(sc)
         assert got["flags"] == ";".join(flags)
 
     def test_layout_errors_keep_their_slots(self):
-        base = PathScenario(uniform_path(2, 1e-4), FrameLayout(fragments="fit"), 64)
+        base = PathScenario(RunConfig(hops=2, ber=1e-4).path(), FrameLayout(fragments="fit"), 64)
         hs = [1, 2, 3, 4, 5, 2, 6, 7, 8, 9]
         columns = {"h": hs, "ber": [1e-4 * h for h in hs], "r": [3] * 10,
                    "alpha": [0.0] * 5 + [5.0] + [0.0] * 4}
@@ -495,7 +496,7 @@ class TestBatchedCore:
 
     def test_an_all_errored_batch_reads_none(self):
         bad = PathScenario(
-            hops=uniform_path(2, 1e-4), layout=FrameLayout(alpha=5.0, fragments="fit"),
+            hops=RunConfig(hops=2, ber=1e-4).path(), layout=FrameLayout(alpha=5.0, fragments="fit"),
             mss_bytes=64,
         )
         batch = segment_models(bad, mss=[64, 512])
@@ -512,7 +513,7 @@ class TestBatchedCore:
     @pytest.mark.parametrize("base, columns", [
         # h = 1..9 over repeated stems (ber, r, alpha, mss), a stem whose
         # alpha "fit" cannot lay out, and a dead hop (ber 0.05, r 1)
-        (PathScenario(uniform_path(1, 3e-4), FrameLayout(fragments="fit"), 64), {
+        (PathScenario(RunConfig(hops=1, ber=3e-4).path(), FrameLayout(fragments="fit"), 64), {
             "h": [9, 1, 5, 2, 9, 3, 4, 7, 6, 8, 1, 5, 2],
             "ber": [3e-4, 3e-4, 3e-4, 0.05, 1e-5, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4, 3e-4],
             "r": [3, 3, 3, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3],
@@ -558,7 +559,7 @@ class TestBatchedCore:
         # int64: 10**23 bytes at MSS 1) gathered per point from the stems;
         # they read as Python ints, None at an errored point, and a row
         # slice reads the same values as the whole batch, per-hop lists too
-        base = PathScenario(uniform_path(1, 3e-4), FrameLayout(fragments="fit"), 64,
+        base = PathScenario(RunConfig(hops=1, ber=3e-4).path(), FrameLayout(fragments="fit"), 64,
                             transfer_bytes)
         columns = {"h": [5, 1, 5, 3], "alpha": [0.0, 5.0, 0.1, 0.0], "mss": [1, 64, 512, 1]}
         batch = segment_models(base, **columns)
@@ -578,7 +579,7 @@ class TestBatchedCore:
     def test_flags_are_codes_joined_when_read(self):
         # the edge rows' flags, and a layout error: alpha 1e308 codes
         # frames past 2**53 bits
-        base = PathScenario(uniform_path(1, 1e-4), LAYOUT, 64)
+        base = PathScenario(RunConfig(hops=1, ber=1e-4).path(), LAYOUT, 64)
         batch = segment_models(base, h=[1, 1, 9, 1], ber=[0.05, 1e-4, 0.011343, 1e-4],
                                r=[1, 3, 1, 3], alpha=[0.0, 0.0, 0.0, 1e308],
                                mss=[64, 64, 512, 64])
@@ -598,6 +599,6 @@ class TestBatchedCore:
             segment_models(het, h=[1, 3])
 
     def test_columns_must_have_one_length(self):
-        base = PathScenario(uniform_path(2, 1e-4), LAYOUT, 64)
+        base = PathScenario(RunConfig(hops=2, ber=1e-4).path(), LAYOUT, 64)
         with pytest.raises(ValueError, match="one length"):
             segment_models(base, ber=[1e-4, 1e-3], mss=[64])

@@ -17,7 +17,7 @@ from lln_energy import simulator
 from lln_energy.config import RunConfig
 from lln_energy.framing import FrameLayout, resolve_frames
 from lln_energy.hopmodel import HopParams, attempt_probs, hop_model
-from lln_energy.pathmodel import PathScenario, segment_model, uniform_path
+from lln_energy.pathmodel import PathScenario, segment_model
 from lln_energy.simulator import SimConfig, TruncationWarning, simulate
 
 LAYOUT = FrameLayout(frag_header_bits=136)
@@ -25,7 +25,7 @@ LAYOUT = FrameLayout(frag_header_bits=136)
 
 def default_scenario(ber=3e-4, r=3, mss=64, h=5, transfer=51200):
     return PathScenario(
-        hops=uniform_path(h, ber, r), layout=LAYOUT, mss_bytes=mss,
+        hops=RunConfig(hops=h, ber=ber, retries=r).path(), layout=LAYOUT, mss_bytes=mss,
         transfer_bytes=transfer,
     )
 
@@ -540,8 +540,9 @@ def test_draw_past_64_bit_fragment_sends_is_refused():
 def test_sim_matches_model_past_1029_fragments_or_attempts(fragments, ber, r, mss):
     # the draw has no binomial coefficient to overflow: a segment of any
     # fragment count, and a hop of up to MAX_RETRIES attempts, are drawn
-    sc = PathScenario(hops=uniform_path(5, ber, r), layout=replace(LAYOUT, fragments=fragments),
-                      mss_bytes=mss, transfer_bytes=51200)
+    sc = PathScenario(hops=RunConfig(hops=5, ber=ber, retries=r).path(),
+                      layout=replace(LAYOUT, fragments=fragments), mss_bytes=mss,
+                      transfer_bytes=51200)
     model = segment_model(sc)
     rep = simulate(SimConfig(scenario=sc, replications=200, master_seed=29))
     assert model["m"] == (fragments if fragments != "auto" else 1)
@@ -559,7 +560,7 @@ def test_trial_counts_past_int64_are_drawn_in_parts():
                       transfer_bytes=6400)
     agg = simulator._Aggregate(SimConfig(scenario=sc))
     agg.p_round, agg.p_frag_round = 1e-16, 0.0
-    _, counters, _ = agg.run_block(np.random.default_rng(5), 2)
+    _, counters = agg.run_block(np.random.default_rng(5), 2)
     frames = resolve_frames(sc.mss_bytes, LAYOUT)
     _, p_partial, p_succ = attempt_probs(frames.d_data_bits, frames.c_data_bits,
                                          LAYOUT.ll_ack_bits, 3e-3)
@@ -767,7 +768,7 @@ def test_no_count_lands_on_a_zero_weight_shape(ber, ll_ack_bits):
     # succeeds outright: of ~1e15 traversals per row none may land on a
     # shape, or any multinomial category, that weighs 0
     layout = replace(LAYOUT, ll_ack_bits=ll_ack_bits)
-    sc = PathScenario(hops=uniform_path(2, ber, 3), layout=layout, mss_bytes=64,
+    sc = PathScenario(hops=RunConfig(hops=2, ber=ber).path(), layout=layout, mss_bytes=64,
                       transfer_bytes=64)
     agg = simulator._Aggregate(SimConfig(scenario=sc))
     agg.segments = 10**15
@@ -809,14 +810,14 @@ def test_aggregate_refuses_a_block_past_its_frame_bound():
 
 
 @pytest.mark.parametrize("hops, mss, fragments", [
-    (uniform_path(5, 3e-4, 3), 64, "auto"),
-    (uniform_path(5, 3e-4, 1), 512, "auto"),
-    (uniform_path(1, 1e-3, 1), 64, "auto"),
-    (uniform_path(9, 3e-4, 7), 512, "auto"),
+    (RunConfig(hops=5, ber=3e-4, retries=3).path(), 64, "auto"),
+    (RunConfig(hops=5, ber=3e-4, retries=1).path(), 512, "auto"),
+    (RunConfig(hops=1, ber=1e-3, retries=1).path(), 64, "auto"),
+    (RunConfig(hops=9, ber=3e-4, retries=7).path(), 512, "auto"),
     ((HopParams(2e-4, 1), HopParams(6e-4, 4), HopParams(1e-4, 2)), 512, "auto"),
-    (uniform_path(5, 3e-4, 3), 512, 1000),
-    (uniform_path(5, 3e-4, 1029), 64, "auto"),
-    (uniform_path(5, 3e-4, 3), 512, 2**20),
+    (RunConfig(hops=5, ber=3e-4, retries=3).path(), 512, 1000),
+    (RunConfig(hops=5, ber=3e-4, retries=1029).path(), 64, "auto"),
+    (RunConfig(hops=5, ber=3e-4, retries=3).path(), 512, 2**20),
 ])
 def test_aggregate_block_fills_its_cell_budget(hops, mss, fragments):
     # a block holds at least 16 replications; past 16, the most whose
